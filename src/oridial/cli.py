@@ -100,11 +100,15 @@ def _parse_dialgebra(data, config) -> Dialgebra:
     return Dialgebra(dim, left, right)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a boolean."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_group(data, config) -> OrientedGroup:
-    try:
-        order = int(data["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"group: bad or missing order: {exc}") from exc
+    order = data.get("order") if isinstance(data, dict) else None
+    if not _is_int(order):
+        raise BundleError(f"group: order must be an integer, got {order!r}")
     if not 1 <= order <= config.max_group:
         raise BundleError(f"group: order {order} outside 1..{config.max_group}")
     table = data.get("table")
@@ -113,12 +117,12 @@ def _parse_group(data, config) -> OrientedGroup:
         raise BundleError(f"group: table must be {order}x{order}")
     for row in table:
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < order:
+            if not _is_int(v) or not 0 <= v < order:
                 raise BundleError(f"group: table entry {v!r} is not an element index")
     epsilon = data.get("epsilon")
     if not isinstance(epsilon, list) or len(epsilon) != order:
         raise BundleError(f"group: epsilon must list {order} signs")
-    if any(e not in (1, -1) for e in epsilon):
+    if any(not _is_int(e) or e not in (1, -1) for e in epsilon):
         raise BundleError("group: epsilon entries must be 1 or -1")
     return OrientedGroup(table, epsilon)
 
@@ -572,6 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 0) < 0:
+            raise BundleError(f"--n must be non-negative, got {args.n}")
         payload, code = args.fn(args)
     except BundleError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

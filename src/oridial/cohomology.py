@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .dialgebra import Dialgebra, bilinear, basis_vector
 from .linalg import (
@@ -86,7 +87,13 @@ def sign_exponent_default(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices (engine-internal; the public contract stays dense)
+# sparse matrices
+#
+# Every coboundary, action and total differential is assembled as a
+# SparseMap, and cohomology eliminates these maps directly: the functions of
+# ``linalg`` accept them as they are.  Only the ``*_matrix`` and
+# ``*_differential`` helpers densify, through ``to_matrix``, and only they
+# are bound by ``EngineConfig.max_dense_cells``.
 
 
 class SparseMap:
@@ -115,22 +122,21 @@ class SparseMap:
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        by_col: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out = SparseMap(self.rows, other.cols)
-        acc = out.entries
+        left: dict[int, list] = {}
+        for (i, k), a in self.entries.items():
+            left.setdefault(i, []).append((k, a))
+        right: dict[int, list] = {}
         for (k, j), b in other.entries.items():
-            hits = by_col.get(k)
-            if not hits:
-                continue
-            for i, a in hits:
-                key = (i, j)
-                cur = acc.get(key, 0) + a * b
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
+            right.setdefault(k, []).append((j, b))
+        out = SparseMap(self.rows, other.cols)
+        for i, terms in left.items():
+            acc: dict = {}
+            for k, a in terms:
+                for j, b in right.get(k, ()):
+                    acc[j] = acc.get(j, 0) + a * b
+            for j, v in acc.items():
+                if v:
+                    out.entries[(i, j)] = v
         return out
 
     def matvec(self, v: list) -> list:
@@ -143,6 +149,21 @@ class SparseMap:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries.values())
+
+    def integral(self, axis: int) -> "SparseMap":
+        """A copy with each row (axis 0) or column (axis 1) scaled to integers.
+
+        Scaling the rows of d_out and the columns of d_in keeps whether
+        d_out·d_in is zero, and lets the product run on integers.
+        """
+        denoms: dict = {}
+        for key, v in self.entries.items():
+            if v.denominator != 1:
+                denoms[key[axis]] = lcm(denoms.get(key[axis], 1), v.denominator)
+        out = SparseMap(self.rows, self.cols)
+        out.entries = {key: v.numerator * (denoms.get(key[axis], 1) // v.denominator)
+                       for key, v in self.entries.items()}
+        return out
 
     def equals(self, other: "SparseMap") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -510,10 +531,16 @@ def _normalize_rep(v: list) -> list:
     return list(v)
 
 
-def _quotient(d_out: Matrix, d_in: Matrix) -> CohomologyResult:
-    """Kernel of d_out modulo image of d_in, with canonical representatives."""
-    if not d_out.mul(d_in).is_zero():
-        raise NonComplexError("coboundaries do not compose to zero")
+def _quotient(
+    d_out: SparseMap, d_in: SparseMap, fault: str = "coboundaries do not compose to zero"
+) -> CohomologyResult:
+    """Kernel of d_out modulo image of d_in, with canonical representatives.
+
+    The square d_out·d_in is checked to vanish exactly, as an integer
+    sparse product, before any elimination; ``fault`` names the failure.
+    """
+    if not d_out.integral(0).mul(d_in.integral(1)).is_zero():
+        raise NonComplexError(fault)
     kernel = nullspace(d_out)
     image_rank = rank(d_in)
     keep = column_space_complement(d_in, kernel)
@@ -527,11 +554,11 @@ def dialgebra_cohomology(
     D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
 ) -> CohomologyResult:
     """HY(n): kernel of the level-n coboundary modulo the image below."""
-    d_out = delta_matrix(D, n, config)
+    d_out = delta_entries(D, n, config)
     if n == 0:
-        d_in = Matrix.zeros(cochain_dim(D.dim, 0), 0)
+        d_in = SparseMap(cochain_dim(D.dim, 0), 0)
     else:
-        d_in = delta_matrix(D, n - 1, config)
+        d_in = delta_entries(D, n - 1, config)
     return _quotient(d_out, d_in)
 
 
@@ -547,15 +574,12 @@ def equivariant_cohomology(
         raise ResourceLimitError(
             f"total degree {n} needs degree {n + 1} blocks; cap is {config.max_degree}"
         )
-    d_out_sm = total_entries(OD, n, config)
+    d_out = total_entries(OD, n, config)
     if n == 0:
-        d_in = Matrix.zeros(total_dim(OD, 0), 0)
+        d_in = SparseMap(total_dim(OD, 0), 0)
     else:
-        d_in_sm = total_entries(OD, n - 1, config)
-        if not d_out_sm.mul(d_in_sm).is_zero():
-            raise NonComplexError("total differential does not square to zero")
-        d_in = d_in_sm.to_matrix(config)
-    return _quotient(d_out_sm.to_matrix(config), d_in)
+        d_in = total_entries(OD, n - 1, config)
+    return _quotient(d_out, d_in, "total differential does not square to zero")
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,31 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, dense or sparse.
 
 Everything here is exact: entries are Python ints or ``fractions.Fraction``
-values, never floats.  Elimination is deterministic (first nonzero entry in
-column order is promoted), so ranks, nullspace bases and solutions are
-reproducible bit for bit across runs and platforms.
+values, never floats.  A matrix argument is a dense ``Matrix`` or a sparse
+map, that is any object with ``rows``, ``cols`` and an ``entries`` dict
+from (row, col) to a scalar, such as ``cohomology.SparseMap``.
 
-The elimination inner loop runs fraction-free over the integers after
-clearing denominators row by row.  It lives in a compiled Cython kernel
-when available and in an identical pure-Python twin otherwise; set
-``ORIDIAL_PURE_KERNELS=1`` to force the fallback.  Both produce identical
-output, see ``benchmarks/bench_linalg.py`` for the speed comparison.
+There is one elimination, and it is sparse.  It keeps the nonzero rows as
+integer dicts {column: value}; each vector is scaled to integers once.
+Rows are inserted sparsest first.  A pivot row removes its leading column
+from another row by a gcd-scaled integer combination, and every new row is
+divided by its content.  Only the surviving pivot rows are back-substituted
+and divided by their pivots, which gives the reduced row echelon form.
+That form is unique, so ranks, pivot columns, nullspace bases and
+preimages do not depend on the order of elimination and are reproducible
+bit for bit across runs and platforms.
 """
 
 from __future__ import annotations
 
-import os
+import re
 from fractions import Fraction
-from math import gcd
-
-if os.environ.get("ORIDIAL_PURE_KERNELS"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
-
-KERNEL_BACKEND: str = _kernels.BACKEND
+from math import gcd, lcm
 
 
 def kernel_backend() -> str:
-    """Name of the row-reduction backend in use ("cython" or "python")."""
-    return KERNEL_BACKEND
+    """Name of the row-reduction kernel; there is only the sparse one."""
+    return "sparse"
 
 
 class ShapeMismatchError(ValueError):
@@ -51,17 +45,22 @@ def normalize_scalar(x):
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 def parse_rational(value) -> Fraction:
-    """Read a rational from an int or a "p/q" / "p" string."""
+    """Read a rational from an int or a "p/q" / "p" string.
+
+    A string is an optional minus sign and digits, optionally followed by
+    "/" and a positive denominator; nothing else (no spaces, exponents,
+    decimal points, underscores or plus signs).
+    """
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational {value!r}") from exc
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return Fraction(value)
     raise ValueError(f"malformed rational {value!r}")
 
 
@@ -170,104 +169,166 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Copy of the matrix with each row scaled to integers (rank-preserving)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom // gcd(denom, x.denominator) * x.denominator
-        if denom == 1:
-            out.append([int(x) for x in row])
-        else:
-            out.append([int(x * denom) for x in row])
+def _row_dicts(m, transpose: bool = False) -> list[dict]:
+    """Every row (or column) of a dense or sparse matrix as a {index: value} dict."""
+    if isinstance(m, Matrix):
+        if transpose:
+            m = m.transpose()
+        c, e = m.cols, m.entries
+        return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if x} for i in range(m.rows)]
+    out = [{} for _ in range(m.cols if transpose else m.rows)]
+    for (i, j), x in m.entries.items():
+        if x:
+            if transpose:
+                out[j][i] = x
+            else:
+                out[i][j] = x
     return out
 
 
-def rank(m: Matrix) -> int:
+def _integral(row: dict) -> dict:
+    """The row scaled by the least common multiple of its denominators."""
+    denom = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
+
+
+def _eliminate(row: dict, piv: dict, c: int) -> None:
+    """Clear column c of ``row`` in place by a gcd-scaled multiple of ``piv``."""
+    p, a = piv[c], row[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for j, x in piv.items():
+        v = row.get(j, 0) - a * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _insert(row: dict, echelon: dict) -> bool:
+    """Reduce an integer row by the echelon rows and keep what is left of it.
+
+    ``echelon`` maps each pivot column to the row that leads there.  The
+    row is reduced until its leading column has no pivot yet; it then
+    becomes that column's pivot row, with a positive pivot.  Returns
+    False when the row reduces to zero.
+    """
+    while row:
+        c = min(row)
+        piv = echelon.get(c)
+        if piv is None:
+            if row[c] < 0:
+                for j in row:
+                    row[j] = -row[j]
+            echelon[c] = row
+            return True
+        _eliminate(row, piv, c)
+    return False
+
+
+def _echelon(rows) -> dict:
+    """Integer row echelon form of the given rows, inserted sparsest first."""
+    echelon = {}
+    for row in sorted((_integral(r) for r in rows if r), key=len):
+        _insert(row, echelon)
+    return echelon
+
+
+def _reduced(echelon: dict) -> list[tuple[int, dict]]:
+    """Back-substitute echelon rows into (pivot column, RREF row) pairs.
+
+    Pivot rows are cleared from the right: a row never gains a pivot
+    column from a row below it that is already reduced.
+    """
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        row = echelon[c]
+        for j in [j for j in row if j != c and j in echelon]:
+            _eliminate(row, echelon[j], j)
+    out = []
+    for c in pivots:
+        row, p = echelon[c], echelon[c][c]
+        if p != 1:
+            row = {j: normalize_scalar(Fraction(x, p)) for j, x in row.items()}
+        out.append((c, row))
+    return out
+
+
+def rank(m) -> int:
     """Rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = _integer_rows(m)
-    return len(_kernels.ff_row_echelon(rows, m.cols))
+    return len(_echelon(_row_dicts(m)))
 
 
-def rref(m: Matrix) -> tuple[list[int], list[list]]:
+def rref(m) -> tuple[list[int], list[list]]:
     """Reduced row echelon form over the rationals.
 
-    Returns (pivot columns, nonzero rows).  The forward pass is the
-    fraction-free integer kernel; only the surviving pivot rows are
-    back-substituted with exact fractions.
+    Returns (pivot columns, nonzero rows), the rows as dense lists.
     """
-    if m.rows == 0 or m.cols == 0:
-        return [], []
-    rows = _integer_rows(m)
-    pivots = _kernels.ff_row_echelon(rows, m.cols)
-    reduced = []
-    for r, pc in enumerate(pivots):
-        piv = Fraction(rows[r][pc])
-        reduced.append([Fraction(x) / piv for x in rows[r]])
-    for r in range(len(pivots) - 1, -1, -1):
-        row = reduced[r]
-        for above in range(r):
-            c = reduced[above][pivots[r]]
-            if c:
-                reduced[above] = [x - c * y for x, y in zip(reduced[above], row)]
-    return pivots, [[normalize_scalar(x) for x in row] for row in reduced]
+    pivots, rows = [], []
+    for c, row in _reduced(_echelon(_row_dicts(m))):
+        dense = [0] * m.cols
+        for j, x in row.items():
+            dense[j] = x
+        pivots.append(c)
+        rows.append(dense)
+    return pivots, rows
 
 
-def nullspace(m: Matrix) -> list[list]:
+def nullspace(m) -> list[list]:
     """Canonical basis of the kernel of m.
 
     One basis vector per free column f, with entry 1 at f, the negated
     reduced-echelon column above the pivots, and 0 at the other free
     columns.  Size is always cols - rank.
     """
-    if m.cols == 0:
-        return []
     pivots, reduced = rref(m)
     pivot_set = set(pivots)
-    basis = []
+    basis = {}
     for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = normalize_scalar(-Fraction(reduced[r][f]))
-        basis.append(v)
-    return basis
+        if f not in pivot_set:
+            basis[f] = [0] * m.cols
+            basis[f][f] = 1
+    for pc, row in zip(pivots, reduced):
+        for f, x in enumerate(row):
+            if x and f != pc:
+                basis[f][pc] = -x
+    return list(basis.values())
 
 
-def in_image(m: Matrix, v: list):
+def in_image(m, v: list):
     """A preimage u with m*u = v, or None when v is not in the column space."""
     if len(v) != m.rows:
         raise ShapeMismatchError(f"vector of length {m.rows} expected, got {len(v)}")
-    aug = Matrix.from_rows([m.row(i) + [v[i]] for i in range(m.rows)])
-    pivots, reduced = rref(aug)
-    if m.cols in pivots:
+    rows = _row_dicts(m)
+    for row, x in zip(rows, v):
+        if x:
+            row[m.cols] = x
+    echelon = _echelon(rows)
+    if m.cols in echelon:
         return None
     u = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        u[pc] = reduced[r][m.cols]
+    for pc, row in _reduced(echelon):
+        u[pc] = row.get(m.cols, 0)
     return u
 
 
-def column_space_complement(image: Matrix, candidates: list[list]) -> list[int]:
+def column_space_complement(image, candidates: list[list]) -> list[int]:
     """Indices of candidate vectors that extend the column space of ``image``.
 
-    Candidates are scanned in order; one index is kept for each new pivot
-    it contributes beyond the columns of ``image``.  Deterministic, used to
-    pick cohomology representatives.
+    Candidates are scanned in order; an index is kept when its vector is
+    not in the span of the columns of ``image`` and the candidates kept
+    before it.  Deterministic, used to pick cohomology representatives.
     """
-    n = image.rows
-    data = [[image.at(i, j) for j in range(image.cols)] + [c[i] for c in candidates]
-            for i in range(n)]
-    m = Matrix.from_rows(data) if n else Matrix.zeros(0, image.cols + len(candidates))
-    pivots, _ = rref(m)
-    return [p - image.cols for p in pivots if p >= image.cols]
+    echelon = _echelon(_row_dicts(image, transpose=True))
+    return [i for i, vec in enumerate(candidates)
+            if _insert(_integral({j: x for j, x in enumerate(vec) if x}), echelon)]
 
 
 def cohomology_dim(d_out: Matrix, d_in: Matrix) -> int:

@@ -64,6 +64,42 @@ def test_malformed_rational_exits_2(tmp_path, capsys):
     assert "malformed rational" in err
 
 
+@pytest.mark.parametrize("text", ["1e0", "0.0", " 1/2", "1_0"])
+def test_rational_outside_the_p_q_format_exits_2(tmp_path, capsys, text):
+    bundle = dual_sign_bundle()
+    bundle["dialgebra"]["left"][0][0][0] = text
+    path = write_bundle(tmp_path / "bad.json", bundle)
+    code, _, err = run_cli(capsys, ["check", "--input", path])
+    assert code == 2
+    assert "malformed rational" in err
+
+
+Z3_TABLE = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("group", [
+    {"order": 2, "table": [[0, True], [1, 0]], "epsilon": [1, -1]},
+    {"order": True, "table": [[0]], "epsilon": [1]},
+    {"order": 3.5, "table": Z3_TABLE, "epsilon": [1, 1, 1]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "epsilon": [1, True]},
+])
+def test_group_numbers_must_be_integers(tmp_path, capsys, group):
+    # each group is valid once its booleans and floats are read as ints
+    bundle = dual_sign_bundle()
+    bundle["group"] = group
+    bundle["action"] = [[["1", "0"], ["0", "1"]]] * len(group["table"])
+    path = write_bundle(tmp_path / "bad.json", bundle)
+    code, _, err = run_cli(capsys, ["check", "--input", path])
+    assert code == 2
+    assert "group" in json.loads(err)["error"]
+
+
+def test_negative_tree_level_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["trees", "--n", "-1"])
+    assert code == 2 and out == ""
+    assert "non-negative" in json.loads(err)["error"]
+
+
 def test_bad_json_and_missing_file_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -208,6 +208,26 @@ def test_total_square_zero_and_noncomplex_guard(od_dual_sign):
         coh.equivariant_cohomology(bad, 1)
 
 
+def _column(*values):
+    sm = coh.SparseMap(len(values), 1)
+    for i, v in enumerate(values):
+        sm.add(i, 0, v)
+    return sm
+
+
+def test_square_check_is_exact_with_denominators():
+    d_out = coh.SparseMap(1, 2)
+    d_out.add(0, 0, 1)
+    d_out.add(0, 1, Fraction(3, 2))
+    # 1·1/2 + 3/2·(-1/3) = 0; it stays 0 only if d_out is scaled by rows
+    # and d_in by columns
+    result = coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 3)))
+    assert (result.dim, result.kernel_dim, result.image_rank) == (0, 1, 1)
+    # 1·1/2 + 3/2·(-1/5) = 1/5
+    with pytest.raises(NonComplexError):
+        coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 5)))
+
+
 def test_degree_zero_is_joint_kernel(od_dual_sign):
     result = coh.equivariant_cohomology(od_dual_sign, 0)
     h = coh.horizontal_entries(od_dual_sign, 0, 1).to_matrix()

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oridial import _kernels_py
+from oridial.cohomology import SparseMap
 from oridial.linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
     cohomology_dim,
+    column_space_complement,
     format_rational,
     in_image,
-    kernel_backend,
     nullspace,
     parse_rational,
     rank,
@@ -124,23 +124,127 @@ def test_solution_verifies():
         assert m.matvec(w) == v
 
 
-def test_backends_bit_identical():
-    rng = random.Random(11)
-    backends = [_kernels_py]
-    if kernel_backend() == "cython":
-        from oridial import _kernels
+def reference_rref(rows: list, ncols: int) -> tuple[list, list]:
+    """Plain dense Gauss-Jordan elimination in exact Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
 
-        backends.append(_kernels)
-    for trial in range(25):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        results = []
-        for kern in backends:
-            copy = [list(r) for r in data]
-            pivots = kern.ff_row_echelon(copy, cols)
-            results.append((pivots, copy))
-        assert all(r == results[0] for r in results)
+
+def reference_nullspace(rows: list, ncols: int) -> list:
+    pivots, reduced = reference_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -reduced[r][f]
+            basis.append(v)
+    return basis
+
+
+def reference_in_image(rows: list, ncols: int, v: list):
+    pivots, reduced = reference_rref([row + [x] for row, x in zip(rows, v)], ncols + 1)
+    if ncols in pivots:
+        return None
+    u = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        u[pc] = reduced[r][ncols]
+    return u
+
+
+def reference_complement(rows: list, ncols: int, candidates: list) -> list:
+    aug = [row + [c[i] for c in candidates] for i, row in enumerate(rows)]
+    pivots, _ = reference_rref(aug, ncols + len(candidates))
+    return [p - ncols for p in pivots if p >= ncols]
+
+
+def dense(rows: list, ncols: int) -> Matrix:
+    return Matrix(len(rows), ncols, [x for row in rows for x in row])
+
+
+def sparse(rows: list, ncols: int) -> SparseMap:
+    sm = SparseMap(len(rows), ncols)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            sm.add(i, j, x)
+    return sm
+
+
+def canonical(x) -> bool:
+    """An engine scalar: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def parity_cases(draw):
+    """(rows, ncols): small, often sparse, often rank deficient, shapes down to 0."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 2 and draw(st.booleans()):   # a combination of two rows
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        k = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+        rows[-1] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if nrows and draw(st.booleans()):        # a zero row
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):        # a zero column
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = 0
+    return rows, ncols
+
+
+def vectors(n: int):
+    return st.lists(sparse_entries, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("build", [dense, sparse])
+@settings(max_examples=150, deadline=None)
+@given(case=parity_cases(), data=st.data())
+def test_elimination_matches_dense_reference(build, case, data):
+    rows, ncols = case
+    m = build(rows, ncols)
+    pivots, reduced = reference_rref(rows, ncols)
+    assert rank(m) == len(pivots)
+    got_pivots, got_rows = rref(m)
+    assert (got_pivots, got_rows) == (pivots, reduced)
+    kernel = nullspace(m)
+    assert kernel == reference_nullspace(rows, ncols)
+    for vec in got_rows + kernel:
+        assert all(canonical(x) for x in vec)
+
+    u = data.draw(vectors(ncols))
+    image = [sum((Fraction(a) * b for a, b in zip(row, u)), Fraction(0)) for row in rows]
+    for v in (image, data.draw(vectors(len(rows)))):
+        expected = reference_in_image(rows, ncols, v)
+        got = in_image(m, v)
+        assert got == expected
+        if got is not None:
+            assert all(canonical(x) for x in got)
+
+    candidates = data.draw(st.lists(vectors(len(rows)), max_size=4))
+    if candidates and data.draw(st.booleans()):   # a dependent candidate
+        candidates.append([2 * x for x in candidates[0]])
+    assert column_space_complement(m, candidates) == \
+        reference_complement(rows, ncols, candidates)
 
 
 def test_rational_serialization():
