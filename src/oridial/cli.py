@@ -28,6 +28,7 @@ tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -539,7 +540,9 @@ def cmd_rigidity(args) -> tuple:
 # driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oridial",
         description="exact cohomology, extensions and deformations of oriented dialgebras",

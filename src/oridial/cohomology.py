@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .dialgebra import Dialgebra, bilinear, basis_vector
+from .dialgebra import Dialgebra, bilinear
 from .linalg import (
     Matrix,
     NonComplexError,
@@ -107,17 +107,34 @@ class SparseMap:
         self.entries: dict = {}
 
     def add(self, r: int, c: int, v) -> None:
+        """Add v at (r, c); the first write stores v as given, a zero sum drops the key."""
         if v:
             key = (r, c)
-            cur = self.entries.get(key, 0) + v
-            if cur:
-                self.entries[key] = cur
+            entries = self.entries
+            cur = entries.get(key)
+            if cur is None:
+                entries[key] = v
             else:
-                self.entries.pop(key, None)
+                # a Fraction operand on the left, as in dialgebra.bilinear
+                cur = cur + v if type(cur) is Fraction else v + cur
+                if cur:
+                    entries[key] = cur
+                else:
+                    del entries[key]
 
     def add_block(self, other: "SparseMap", row_off: int, col_off: int, scale=1) -> None:
-        for (r, c), v in other.entries.items():
-            self.add(r + row_off, c + col_off, scale * v)
+        """Add scale·other at the offset; a scale of ±1 copies or negates."""
+        add = self.add
+        items = other.entries.items()
+        if scale == 1:
+            for (r, c), v in items:
+                add(r + row_off, c + col_off, v)
+        elif scale == -1:
+            for (r, c), v in items:
+                add(r + row_off, c + col_off, -v)
+        else:
+            for (r, c), v in items:
+                add(r + row_off, c + col_off, scale * v)
 
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
@@ -211,9 +228,6 @@ class Cochain:
     level: int
     coeffs: list
 
-    def value(self, D: Dialgebra, t_idx: int, multi: tuple, k: int):
-        return self.coeffs[cochain_pos(D.dim, self.level, t_idx, multi, k)]
-
 
 @dataclass
 class BicochainElement:
@@ -250,47 +264,51 @@ def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -
     _check_dialgebra_size(D.dim, config)
     d = D.dim
     sm = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n))
+    add = sm.add
     t_in = tree_index(n)
     dn = d ** n
+    # each leaf's product with the leaf's sign already applied
+    signed = {
+        (LeafOrientation.LEFT, 1): D.left,
+        (LeafOrientation.RIGHT, 1): D.right,
+        (LeafOrientation.LEFT, -1): _negated(D.left),
+        (LeafOrientation.RIGHT, -1): _negated(D.right),
+    }
     for ti, y in enumerate(enumerate_trees(n + 1)):
-        spots = []
-        for i in range(n + 2):
-            t_idx = t_in[face(i, y).word]
-            orientation = leaf_orientation(i, y)
-            tensor = D.left if orientation is LeafOrientation.LEFT else D.right
-            spots.append((t_idx, tensor, -1 if i % 2 else 1))
+        spots = [(t_in[face(i, y).word], signed[leaf_orientation(i, y), -1 if i % 2 else 1])
+                 for i in range(n + 2)]
         for I in product(range(d), repeat=n + 1):
             row_base = (ti * d ** (n + 1) + multi_index(I, d)) * d
 
-            t_idx, tensor, sgn = spots[0]  # multiply by the first argument
+            t_idx, tensor = spots[0]  # multiply by the first argument
             col_base = (t_idx * dn + multi_index(I[1:], d)) * d
             plane = tensor[I[0]]
             for m in range(d):
-                row = plane[m]
-                for k in range(d):
-                    if row[k]:
-                        sm.add(row_base + k, col_base + m, sgn * row[k])
+                for k, x in enumerate(plane[m]):
+                    if x:
+                        add(row_base + k, col_base + m, x)
 
             for i in range(1, n + 1):  # contract arguments i and i+1
-                t_idx, tensor, sgn = spots[i]
-                coeffs = tensor[I[i - 1]][I[i]]
-                for m in range(d):
-                    if coeffs[m]:
+                t_idx, tensor = spots[i]
+                for m, x in enumerate(tensor[I[i - 1]][I[i]]):
+                    if x:
                         sub = I[:i - 1] + (m,) + I[i + 1:]
                         col_base = (t_idx * dn + multi_index(sub, d)) * d
-                        val = sgn * coeffs[m]
                         for k in range(d):
-                            sm.add(row_base + k, col_base + k, val)
+                            add(row_base + k, col_base + k, x)
 
-            t_idx, tensor, sgn = spots[n + 1]  # multiply by the last argument
+            t_idx, tensor = spots[n + 1]  # multiply by the last argument
             col_base = (t_idx * dn + multi_index(I[:n], d)) * d
             b = I[n]
             for m in range(d):
-                row = tensor[m][b]
-                for k in range(d):
-                    if row[k]:
-                        sm.add(row_base + k, col_base + m, sgn * row[k])
+                for k, x in enumerate(tensor[m][b]):
+                    if x:
+                        add(row_base + k, col_base + m, x)
     return sm
+
+
+def _negated(tensor: list) -> list:
+    return [[[-x for x in row] for row in plane] for plane in tensor]
 
 
 def delta_matrix(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> Matrix:
@@ -324,13 +342,14 @@ def act_entries(
     eps = OD.sign(g)
     rho = OD.action[g]
     rho_inv = OD.action[OD.group.inv(g)]
+    add = sm.add
+    # the nonzero entries of each row of rho
+    rho_rows = [[(kp, w) for kp, w in enumerate(rho.row(k)) if w] for k in range(d)]
     if n == 0:
         sign = (-1) ** sign_exponent(0) if eps == -1 else 1
-        for k in range(d):
-            for j in range(d):
-                v = rho.at(k, j)
-                if v:
-                    sm.add(k, j, sign * v)
+        for k, row in enumerate(rho_rows):
+            for j, v in row:
+                add(k, j, v if sign == 1 else -v)
         return sm
     # nonzero rows of each column of rho_inv, for pruning the J-sum
     inv_cols = [[(j, rho_inv.at(j, i)) for j in range(d) if rho_inv.at(j, i)] for i in range(d)]
@@ -346,16 +365,17 @@ def act_entries(
             row_base = (ti * dn + multi_index(I, d)) * d
             slots = I if eps == 1 else I[::-1]
             for J_parts in product(*(inv_cols[i] for i in slots)):
-                coeff = sign
-                for _, v in J_parts:
-                    coeff *= v
+                # signs by negation; a Fraction operand on the left, as in bilinear
+                coeff = J_parts[0][1] if sign == 1 else -J_parts[0][1]
+                for _, v in J_parts[1:]:
+                    coeff = coeff * v if type(coeff) is Fraction else v * coeff
                 J = tuple(j for j, _ in J_parts)
                 col_base = (src_tree * dn + multi_index(J, d)) * d
-                for k in range(d):
-                    for kp in range(d):
-                        w = rho.at(k, kp)
-                        if w:
-                            sm.add(row_base + k, col_base + kp, coeff * w)
+                for k, row in enumerate(rho_rows):
+                    for kp, w in row:
+                        add(row_base + k, col_base + kp,
+                            coeff if w == 1 else -coeff if w == -1 else
+                            coeff * w if type(coeff) is Fraction else w * coeff)
     return sm
 
 
@@ -524,10 +544,13 @@ class CohomologyResult:
 
 
 def _normalize_rep(v: list) -> list:
+    """v scaled to a leading 1; v's entries are canonical scalars."""
     for x in v:
         if x:
+            if x == 1:
+                return list(v)
             inv = Fraction(1, 1) / Fraction(x)
-            return [normalize_scalar(inv * y) for y in v]
+            return [normalize_scalar(inv * y) if y else 0 for y in v]
     return list(v)
 
 
@@ -538,8 +561,12 @@ def _quotient(
 
     The square d_out·d_in is checked to vanish exactly, as an integer
     sparse product, before any elimination; ``fault`` names the failure.
+    The eliminations then run on the same integer maps: scaling the rows
+    of d_out keeps its row space, hence its RREF and canonical kernel
+    basis, and scaling the columns of d_in keeps its rank and column space.
     """
-    if not d_out.integral(0).mul(d_in.integral(1)).is_zero():
+    d_out, d_in = d_out.integral(0), d_in.integral(1)
+    if not d_out.mul(d_in).is_zero():
         raise NonComplexError(fault)
     kernel = nullspace(d_out)
     image_rank = rank(d_in)

@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import (
-    BicochainElement,
     CocycleReport,
-    bicochain_dim,
     degree1_coboundary,
     degree1_pack,
     equivariant_cohomology,
@@ -99,15 +97,6 @@ class Infinitesimal:
     def as_pair(self):
         """(α, β) shape accepted by the degree-1 cocycle layer."""
         return self.theta, (self.m_left, self.m_right)
-
-    def bicochain_m(self, OD: OrientedDialgebra) -> BicochainElement:
-        vec = degree1_pack(OD, [Matrix.zeros(OD.dim, OD.dim) for _ in OD.group.elements()],
-                           (self.m_left, self.m_right))
-        return BicochainElement(0, 2, vec[:bicochain_dim(OD, 0, 2)])
-
-    def bicochain_theta(self, OD: OrientedDialgebra) -> BicochainElement:
-        vec = degree1_pack(OD, self.theta, (zero_tensor(OD.dim), zero_tensor(OD.dim)))
-        return BicochainElement(1, 1, vec[bicochain_dim(OD, 0, 2):])
 
 
 @dataclass

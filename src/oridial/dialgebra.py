@@ -81,21 +81,26 @@ def zero_tensor(dim: int) -> list[list[list]]:
 
 def bilinear(tensor, x: list, y: list) -> list:
     """Apply a structure-constant tensor to two coordinate vectors."""
-    dim = len(tensor)
-    out = [0] * dim
+    out = {}
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
             continue
         plane = tensor[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = xi * yj
-            row = plane[j]
-            for k in range(dim):
-                if row[k]:
-                    out[k] += coeff * row[k]
-    return [normalize_scalar(v) for v in out]
+        for j, yj in ys:
+            # a Fraction operand goes on the left: int op Fraction would go through
+            # Fraction's reverse operator, an ABC instance check and a conversion
+            coeff = yj if xi == 1 else xi if yj == 1 else (
+                xi * yj if type(xi) is Fraction else yj * xi)
+            for k, t in enumerate(plane[j]):
+                if t:
+                    if coeff != 1:
+                        t = t * coeff if type(t) is Fraction else coeff * t
+                    if k in out:
+                        acc = out[k]
+                        t = acc + t if type(acc) is Fraction else t + acc
+                    out[k] = t
+    return [normalize_scalar(out[k]) if k in out else 0 for k in range(len(tensor))]
 
 
 def basis_vector(dim: int, i: int) -> list:
@@ -159,11 +164,6 @@ class Dialgebra:
     def rmul(self, x: list, y: list) -> list:
         """x ⊢ y on coordinate vectors."""
         return bilinear(self.right, x, y)
-
-    def product(self, orientation, x: list, y: list) -> list:
-        from .trees import LeafOrientation
-
-        return self.lmul(x, y) if orientation is LeafOrientation.LEFT else self.rmul(x, y)
 
     def basis(self) -> list[list]:
         return [basis_vector(self.dim, i) for i in range(self.dim)]

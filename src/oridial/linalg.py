@@ -38,6 +38,8 @@ class NonComplexError(ValueError):
 
 def normalize_scalar(x):
     """Canonical exact scalar: ints stay ints, integral fractions collapse."""
+    if type(x) is int:  # the common case, without Fraction's ABC instance check
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
@@ -121,15 +123,20 @@ class Matrix:
     def matvec(self, v: list) -> list:
         if len(v) != self.cols:
             raise ShapeMismatchError(f"vector of length {self.cols} expected, got {len(v)}")
-        out = []
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        e, out = self.entries, []
         for i in range(self.rows):
-            base = i * self.cols
-            acc = 0
-            for j in range(self.cols):
-                x = v[j]
-                if x:
-                    acc += self.entries[base + j] * x
-            out.append(normalize_scalar(acc))
+            base, acc = i * self.cols, None
+            for j, x in nonzero:
+                a = e[base + j]
+                if a:
+                    # a Fraction operand on the left, as in dialgebra.bilinear
+                    if x != 1:
+                        a = a * x if type(a) is Fraction else x * a
+                    if acc is not None:
+                        a = acc + a if type(acc) is Fraction else a + acc
+                    acc = a
+            out.append(0 if acc is None else normalize_scalar(acc))
         return out
 
     def mul(self, other: "Matrix") -> "Matrix":

@@ -1,6 +1,21 @@
-"""Canonical JSON bundles used by the CLI tests and the acceptance suite."""
+"""Canonical JSON bundles and a CLI process runner for the CLI tests and the acceptance suite."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import oridial
+
+
+def run_cli_process(argv: list) -> subprocess.CompletedProcess:
+    """``python -m oridial.cli`` in a fresh interpreter that imports this oridial."""
+    src = str(Path(oridial.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "oridial.cli", *argv],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def dual_numbers_section():

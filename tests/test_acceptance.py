@@ -7,8 +7,6 @@ numeric budgets are the stated wall-clock limits.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +34,7 @@ from oridial.linalg import Matrix, nullspace
 from oridial.oriented import OrientedDialgebra, OrientedGroup
 from oridial.trees import catalan, enumerate_trees, face
 
-from bundles import dual_sign_bundle, write_bundle
+from bundles import dual_sign_bundle, run_cli_process, write_bundle
 from conftest import (
     diff3_dialgebra,
     dual_numbers_dialgebra,
@@ -281,11 +279,7 @@ def test_criterion_9_infinitesimals():
 ])
 def test_criterion_10_cli_determinism(tmp_path, command, golden_name):
     path = write_bundle(tmp_path / "bundle.json", dual_sign_bundle())
-    runs = [
-        subprocess.run([sys.executable, "-m", "oridial.cli", *command, "--input", path],
-                       capture_output=True, text=True, check=False)
-        for _ in range(3)
-    ]
+    runs = [run_cli_process([*command, "--input", path]) for _ in range(3)]
     codes_ok = all(r.returncode == 0 for r in runs)
     identical = len({r.stdout for r in runs}) == 1
     golden_ok = runs[0].stdout == (GOLDEN / golden_name).read_text(encoding="utf-8")

@@ -1,15 +1,14 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from oridial.cli import main
+from oridial.cli import build_parser, main
 
 from bundles import (
     dual_numbers_section,
     dual_sign_bundle,
+    run_cli_process,
     sign_group_section,
     write_bundle,
     zero_trivial_bundle,
@@ -311,22 +310,42 @@ def test_rigidity_command(tmp_path, capsys):
     assert payload["dim"] == 1 and not payload["obstruction_trivial"]
 
 
-def _run_subprocess(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "oridial.cli", *argv],
-        capture_output=True, text=True, check=False,
-    )
-
-
 @pytest.mark.parametrize("command,golden_name", [
     (["equivariant-cohomology", "--n", "1"], "equivariant_dual_sign_n1.json"),
     (["rigidity"], "rigidity_dual_sign.json"),
 ])
 def test_golden_outputs_are_reproducible(tmp_path, command, golden_name):
     path = write_bundle(tmp_path / "b.json", dual_sign_bundle())
-    runs = [_run_subprocess(command + ["--input", path]) for _ in range(3)]
+    runs = [run_cli_process(command + ["--input", path]) for _ in range(3)]
     assert all(r.returncode == 0 for r in runs)
     outputs = {r.stdout for r in runs}
     assert len(outputs) == 1  # byte-identical across runs
     golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
     assert runs[0].stdout == golden
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses one parser per process; a usage error (argparse exits 2)
+    # or a flag of one call must not change what the next call does
+    path = write_bundle(tmp_path / "b.json", dual_sign_bundle())
+    argvs = [
+        ["trees", "--n", "2"],
+        ["equivariant-cohomology", "--n", "1", "--input", path, "--pretty"],
+        ["cohomology", "--n"],
+        ["rigidity", "--input", path],
+        ["no-such-command"],
+        ["check", "--input", path],
+        ["trees", "--n", "1", "--json", "--pretty"],
+        ["trees", "--n", "1"],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert build_parser() is build_parser()
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 0]
+    separate = [run_cli_process(argv) for argv in argvs]
+    assert in_process == [(r.returncode, r.stdout) for r in separate]

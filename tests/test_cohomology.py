@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oridial import cohomology as coh
-from oridial.dialgebra import zero_tensor
+from oridial.dialgebra import Dialgebra, bilinear, zero_tensor
 from oridial.linalg import Matrix, NonComplexError, nullspace, rank
 from oridial.oriented import OrientedDialgebra, OrientedGroup, sign_group
 from oridial.trees import ResourceLimitError, enumerate_trees
@@ -226,6 +226,48 @@ def test_square_check_is_exact_with_denominators():
     # 1·1/2 + 3/2·(-1/5) = 1/5
     with pytest.raises(NonComplexError):
         coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 5)))
+
+
+def _basis_changed(OD: OrientedDialgebra, P: Matrix, P_inv: Matrix) -> OrientedDialgebra:
+    """OD in the basis of P's columns: T'(a, b) = P⁻¹T(Pa, Pb), ρ'(g) = P⁻¹ρ(g)P."""
+    cols = P.transpose().to_rows()
+
+    def tensor(T):
+        return [[P_inv.matvec(bilinear(T, a, b)) for b in cols] for a in cols]
+
+    base = Dialgebra(OD.dim, tensor(OD.base.left), tensor(OD.base.right))
+    return OrientedDialgebra(base, OD.group, [P_inv.mul(rho).mul(P) for rho in OD.action])
+
+
+def _annihilated(sm, vec) -> bool:
+    """Is sm·vec = 0, summed in Fractions from the unscaled entries?"""
+    out = {}
+    for (r, c), v in sm.entries.items():
+        out[r] = out.get(r, Fraction(0)) + Fraction(v) * vec[c]
+    return not any(out.values())
+
+
+def test_quotient_on_fraction_structure_constants(od_dual_sign):
+    # The quotient eliminates integer-scaled copies of δ and Tot: the rows
+    # of d_out and the columns of d_in.  With Fraction structure constants
+    # a wrong axis or a lost scale shows as a changed dimension or as a
+    # representative that the unscaled map does not annihilate.
+    half = Fraction(1, 2)
+    copy = _basis_changed(od_dual_sign, Matrix.from_rows([[1, half], [0, 1]]),
+                          Matrix.from_rows([[1, -half], [0, 1]]))
+    for n in range(3):
+        d_out = coh.delta_entries(copy.base, n)
+        res = coh.dialgebra_cohomology(copy.base, n)
+        assert res.dim == coh.dialgebra_cohomology(od_dual_sign.base, n).dim
+        assert all(_annihilated(d_out, rep) for rep in res.representatives)
+
+        d_out = coh.total_entries(copy, n)
+        assert any(type(v) is Fraction for v in d_out.entries.values())
+        res = coh.equivariant_cohomology(copy, n)
+        assert res.dim == coh.equivariant_cohomology(od_dual_sign, n).dim
+        assert len(res.representatives) == res.dim
+        assert all(_annihilated(d_out, rep) for rep in res.representatives)
+        assert all(next(x for x in rep if x) == 1 for rep in res.representatives)
 
 
 def test_degree_zero_is_joint_kernel(od_dual_sign):

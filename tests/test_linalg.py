@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial.cohomology import SparseMap
+from oridial.dialgebra import bilinear
 from oridial.linalg import (
     Matrix,
     NonComplexError,
@@ -245,6 +246,79 @@ def test_elimination_matches_dense_reference(build, case, data):
         candidates.append([2 * x for x in candidates[0]])
     assert column_space_complement(m, candidates) == \
         reference_complement(rows, ncols, candidates)
+
+
+def _fraction_sum(terms) -> Fraction:
+    return sum((Fraction(a) * b for a, b in terms), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bilinear_matches_fraction_reference(data):
+    # mixed int/Fraction inputs with zeros; a negated tensor row under two
+    # equal coordinates of y makes the sums cancel
+    d = data.draw(st.integers(1, 4))
+    flat = data.draw(vectors(d ** 3))
+    tensor = [[flat[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)] for i in range(d)]
+    x, y = data.draw(vectors(d)), data.draw(vectors(d))
+    if d >= 2 and data.draw(st.booleans()):
+        y[1] = y[0]
+        for plane in tensor:
+            plane[1] = [-t for t in plane[0]]
+    want = [_fraction_sum((x[i] * y[j], tensor[i][j][k]) for i in range(d) for j in range(d))
+            for k in range(d)]
+    got = bilinear(tensor, x, y)
+    assert got == want
+    assert all(canonical(v) for v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=parity_cases(), data=st.data())
+def test_matvec_and_mul_match_fraction_reference(case, data):
+    rows, ncols = case
+    v = data.draw(vectors(ncols))
+    inner = data.draw(st.integers(0, 4))
+    flat = data.draw(vectors(ncols * inner))
+    other = [flat[k * inner:(k + 1) * inner] for k in range(ncols)]
+    if ncols >= 2 and data.draw(st.booleans()):
+        # column 1 is minus column 0, against equal coordinates and rows
+        for row in rows:
+            row[1] = -row[0]
+        v[1] = v[0]
+        other[1] = list(other[0])
+    m = dense(rows, ncols)
+    got = m.matvec(v)
+    assert got == [_fraction_sum(zip(row, v)) for row in rows]
+    assert all(canonical(x) for x in got)
+    product = m.mul(Matrix(ncols, inner, [x for row in other for x in row]))
+    assert product.to_rows() == [
+        [_fraction_sum((row[k], other[k][j]) for k in range(ncols)) for j in range(inner)]
+        for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_map_add_matches_fraction_reference(data):
+    cells = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    writes = data.draw(st.lists(st.tuples(cells, sparse_entries), max_size=12))
+    if writes and data.draw(st.booleans()):      # a write that cancels an earlier one
+        (r, c), v = data.draw(st.sampled_from(writes))
+        writes.append(((r, c), -v))
+    block = data.draw(st.lists(st.tuples(cells, sparse_entries), max_size=6))
+    scale = data.draw(st.sampled_from((1, -1)))
+    off = data.draw(st.integers(0, 1))
+
+    sm, other, want = SparseMap(4, 4), SparseMap(3, 3), {}
+    for (r, c), v in writes:
+        sm.add(r, c, v)
+        want[r, c] = want.get((r, c), Fraction(0)) + v
+    for (r, c), v in block:
+        other.add(r, c, v)
+    sm.add_block(other, off, off, scale)
+    for (r, c), v in other.entries.items():
+        want[r + off, c + off] = want.get((r + off, c + off), Fraction(0)) + scale * v
+    assert sm.entries == {key: v for key, v in want.items() if v}
+    assert all(v for v in sm.entries.values())   # no zero is ever stored
 
 
 def test_rational_serialization():
