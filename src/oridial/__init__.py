@@ -31,7 +31,9 @@ from .deformations import (
     transport_deformation,
 )
 from .dialgebra import (
+    Check,
     Dialgebra,
+    Report,
     check_axioms,
     from_associative,
     from_bimodule_map,
@@ -59,7 +61,6 @@ from .oriented import (
     OrientedGroup,
     check_oriented_dialgebra,
     check_oriented_group,
-    orbit_action,
     sign_group,
     symmetric_group,
     trivial_group,
@@ -80,9 +81,9 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicochainElement", "Cochain", "DeformationEquivalence", "Dialgebra",
+    "BicochainElement", "Check", "Cochain", "DeformationEquivalence", "Dialgebra",
     "EngineConfig", "LEAF", "LeafOrientation", "Matrix", "OrientedDialgebra",
-    "OrientedGroup", "SingularExtension", "TotalDegreeElement",
+    "OrientedGroup", "Report", "SingularExtension", "TotalDegreeElement",
     "TruncatedDeformation", "Tree", "__version__", "act_on_cochain",
     "build_extension", "canonical_section", "catalan", "check_axioms",
     "check_deformation", "check_equivalence", "check_extension",
@@ -92,7 +93,7 @@ __all__ = [
     "from_associative", "from_bimodule_map", "from_differential", "graft",
     "horizontal_differential", "in_image", "infinitesimal",
     "infinitesimals_cohomologous", "is_degree1_cocycle", "is_morphism",
-    "kernel_backend", "leaf_orientation", "nullspace", "orbit_action", "rank",
+    "kernel_backend", "leaf_orientation", "nullspace", "rank",
     "rigidity_probe", "sign_group", "symmetric_group", "transport_constant",
     "transport_deformation",
     "tree_from_word", "trivial_group", "vertical_differential",

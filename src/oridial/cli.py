@@ -28,6 +28,7 @@ tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -36,7 +37,7 @@ from fractions import Fraction
 from . import cohomology as coh
 from . import deformations as defm
 from . import extensions as ext
-from .dialgebra import Dialgebra, check_axioms
+from .dialgebra import Check, Dialgebra, Report, check_axioms
 from .linalg import Matrix, format_rational, parse_rational
 from .oriented import (
     OrientedDialgebra,
@@ -90,10 +91,7 @@ def _parse_tensor(data, dim, what):
 
 
 def _parse_dialgebra(data, config) -> Dialgebra:
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"dialgebra: bad or missing dim: {exc}") from exc
+    dim = _int_field(data, "dim", "dialgebra")
     if not 1 <= dim <= config.max_dim:
         raise BundleError(f"dialgebra: dim {dim} outside 1..{config.max_dim}")
     left = _parse_tensor(data.get("left"), dim, "dialgebra.left")
@@ -106,10 +104,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _int_field(data, key: str, what: str, default=None) -> int:
+    """``data[key]`` as a JSON integer; a float, string or boolean is malformed."""
+    value = data.get(key, default) if isinstance(data, dict) else None
+    if not _is_int(value):
+        raise BundleError(f"{what}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_group(data, config) -> OrientedGroup:
-    order = data.get("order") if isinstance(data, dict) else None
-    if not _is_int(order):
-        raise BundleError(f"group: order must be an integer, got {order!r}")
+    order = _int_field(data, "order", "group")
     if not 1 <= order <= config.max_group:
         raise BundleError(f"group: order {order} outside 1..{config.max_group}")
     table = data.get("table")
@@ -183,10 +187,7 @@ def _widen(config: coh.EngineConfig) -> coh.EngineConfig:
 
 def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
     d = OD.dim
-    try:
-        order = int(data["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"deformation: bad or missing order: {exc}") from exc
+    order = _int_field(data, "order", "deformation")
     if order < 1:
         raise BundleError("deformation: order must be >= 1")
     ml = data.get("ml")
@@ -208,10 +209,9 @@ def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
 
 def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
     d = OD.dim
-    try:
-        order = int(data["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"equivalence: bad or missing order: {exc}") from exc
+    order = _int_field(data, "order", "equivalence")
+    if order < 1:
+        raise BundleError("equivalence: order must be >= 1")
     psi = data.get("psi")
     if not isinstance(psi, list) or len(psi) != order + 1:
         raise BundleError(f"equivalence.psi: need order+1 = {order + 1} matrices")
@@ -226,17 +226,9 @@ def _parse_config(bundle) -> coh.EngineConfig:
     data = bundle.get("config", {})
     if not isinstance(data, dict):
         raise BundleError("config must be an object")
-    base = coh.DEFAULT_CONFIG
-    try:
-        return coh.EngineConfig(
-            max_level=int(data.get("max_level", base.max_level)),
-            max_degree=int(data.get("max_degree", base.max_degree)),
-            max_group=int(data.get("max_group", base.max_group)),
-            max_dim=int(data.get("max_dim", base.max_dim)),
-            max_dense_cells=int(data.get("max_dense_cells", base.max_dense_cells)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BundleError(f"config: {exc}") from exc
+    return coh.EngineConfig(**{
+        f.name: _int_field(data, f.name, "config", getattr(coh.DEFAULT_CONFIG, f.name))
+        for f in dataclasses.fields(coh.EngineConfig)})
 
 
 def load_bundle(path: str) -> dict:
@@ -290,39 +282,13 @@ def _emit_cocycle(alpha, beta) -> dict:
     }
 
 
-def _check_payload(reports: dict) -> tuple[dict, bool]:
-    checks = []
-    for source, report in reports.items():
-        for item in report:
-            checks.append({
-                "check": f"{source}: {item['name']}",
-                "ok": item["ok"],
-                "witness": _jsonify(item["witness"]),
-            })
-    ok = all(c["ok"] for c in checks)
-    return {"ok": ok, "checks": checks}, ok
+def _emit_checks(report) -> list[dict]:
+    return [{"name": c.name, "ok": c.ok, "witness": _jsonify(c.witness)} for c in report.checks]
 
 
-def _items(report) -> list[dict]:
-    out = []
-    for item in report.items:
-        out.append({"name": item.name, "ok": item.ok, "witness": item.witness})
-    return out
-
-
-def _axiom_items(report) -> list[dict]:
-    out = []
-    for c in report.checks:
-        out.append({"name": c.name, "ok": c.ok, "witness": c.witness})
-    return out
-
-
-def _deform_items(report) -> list[dict]:
-    out = []
-    for c in report.checks:
-        witness = None if c.ok else [c.power, list(c.witness or ())]
-        out.append({"name": c.clause, "ok": c.ok, "witness": witness})
-    return out
+def _emit_residual(residual) -> list:
+    label, value = residual
+    return [list(label), _emit_scalar(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,44 +307,37 @@ def cmd_check(args) -> tuple:
     OD = None
     if "dialgebra" in bundle:
         D = _parse_dialgebra(bundle["dialgebra"], config)
-        reports["dialgebra axioms"] = _axiom_items(check_axioms(D))
+        reports["dialgebra axioms"] = check_axioms(D)
     if "group" in bundle:
         G = _parse_group(bundle["group"], config)
-        reports["oriented group"] = _items(check_oriented_group(G))
+        reports["oriented group"] = check_oriented_group(G)
     if "group" in bundle and "action" in bundle and "dialgebra" in bundle:
         OD = _parse_oriented(bundle, config)
-        reports["oriented dialgebra"] = _items(check_oriented_dialgebra(OD))
+        reports["oriented dialgebra"] = check_oriented_dialgebra(OD)
     if "cocycle" in bundle:
         if OD is None:
             raise BundleError("cocycle checking needs dialgebra, group and action sections")
         alpha, beta = _parse_cocycle(bundle["cocycle"], OD)
-        rep = coh.is_degree1_cocycle(OD, alpha, beta)
-        reports["degree-1 cocycle"] = [{
-            "name": "explicit cocycle equations",
-            "ok": rep.ok,
-            "witness": _residual_witness(rep),
-        }]
+        (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
+        # the payload names the first nonzero residual only
+        witness = None if c.ok else _emit_residual(c.witness[0])
+        reports["degree-1 cocycle"] = Report([Check(c.name, c.ok, witness)])
     if "extension" in bundle:
         if OD is None:
             raise BundleError("extension checking needs dialgebra, group and action sections")
         E = _parse_extension(bundle, OD, config)
-        reports["singular extension"] = _items(ext.check_extension(OD, E))
+        reports["singular extension"] = ext.check_extension(OD, E)
     if "deformation" in bundle:
         if OD is None:
             raise BundleError("deformation checking needs dialgebra, group and action sections")
         dfm = _parse_deformation(bundle["deformation"], OD)
-        reports["deformation"] = _deform_items(defm.check_deformation(OD, dfm))
+        reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
         raise BundleError("bundle contains nothing to check")
-    payload, ok = _check_payload(reports)
-    return payload, 0 if ok else 1
-
-
-def _residual_witness(rep):
-    if rep.ok:
-        return None
-    label, value = rep.residuals[0]
-    return [list(label), _emit_scalar(value)]
+    ok = all(report.ok for report in reports.values())
+    checks = [{"check": f"{label}: {c.name}", "ok": c.ok, "witness": _jsonify(c.witness)}
+              for label, report in reports.items() for c in report.checks]
+    return {"ok": ok, "checks": checks}, 0 if ok else 1
 
 
 def _cohomology_payload(result) -> dict:
@@ -398,7 +357,7 @@ def cmd_cohomology(args) -> tuple:
     D = _parse_dialgebra(bundle["dialgebra"], config)
     report = check_axioms(D)
     if not report.ok:
-        return {"error": "dialgebra axioms fail", "checks": _axiom_items(report)}, 1
+        return {"error": "dialgebra axioms fail", "checks": _emit_checks(report)}, 1
     result = coh.dialgebra_cohomology(D, args.n, config)
     return _cohomology_payload(result), 0
 
@@ -409,7 +368,7 @@ def cmd_equivariant(args) -> tuple:
     OD = _parse_oriented(bundle, config)
     report = check_oriented_dialgebra(OD)
     if not report.ok:
-        return {"error": "oriented dialgebra axioms fail", "checks": _items(report)}, 1
+        return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
     result = coh.equivariant_cohomology(OD, args.n, config)
     return _cohomology_payload(result), 0
 
@@ -421,12 +380,12 @@ def cmd_cocycle_check(args) -> tuple:
     if "cocycle" not in bundle:
         raise BundleError("bundle needs a 'cocycle' section")
     alpha, beta = _parse_cocycle(bundle["cocycle"], OD)
-    rep = coh.is_degree1_cocycle(OD, alpha, beta)
+    (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
     payload = {
-        "ok": rep.ok,
-        "nonzero_residuals": [[list(label), _emit_scalar(v)] for label, v in rep.residuals[:16]],
+        "ok": c.ok,
+        "nonzero_residuals": [_emit_residual(r) for r in (c.witness or [])[:16]],
     }
-    return payload, 0 if rep.ok else 1
+    return payload, 0 if c.ok else 1
 
 
 def cmd_extend(args) -> tuple:
@@ -479,7 +438,7 @@ def cmd_deform_check(args) -> tuple:
         raise BundleError("bundle needs a 'deformation' section")
     dfm = _parse_deformation(bundle["deformation"], OD)
     report = defm.check_deformation(OD, dfm)
-    return {"ok": report.ok, "checks": _deform_items(report)}, 0 if report.ok else 1
+    return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
 
 def cmd_infinitesimal(args) -> tuple:
@@ -493,7 +452,7 @@ def cmd_infinitesimal(args) -> tuple:
         inf = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
         return {"error": f"PrecedingTermsNonzero: {exc}"}, 1
-    rep = defm.infinitesimal_cocycle_report(OD, inf)
+    rep = coh.is_degree1_cocycle(OD, *inf.as_pair())
     payload = {
         "order": inf.order,
         "cocycle": _emit_cocycle(inf.theta, (inf.m_left, inf.m_right)),
@@ -513,7 +472,7 @@ def cmd_equivalence_check(args) -> tuple:
     def2 = _parse_deformation(bundle["deformation2"], OD)
     eq = _parse_equivalence(bundle["equivalence"], OD)
     report = defm.check_equivalence(OD, def1, def2, eq)
-    payload = {"ok": report.ok, "checks": _deform_items(report)}
+    payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:
         psi1 = defm.infinitesimals_cohomologous(OD, def1, def2, eq)
         payload["certificate_psi1"] = _emit_matrix(psi1)
@@ -526,7 +485,7 @@ def cmd_rigidity(args) -> tuple:
     OD = _parse_oriented(bundle, config)
     report = check_oriented_dialgebra(OD)
     if not report.ok:
-        return {"error": "oriented dialgebra axioms fail", "checks": _items(report)}, 1
+        return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
     rig = defm.rigidity_probe(OD, config)
     payload = {
         "dim": rig.dim,

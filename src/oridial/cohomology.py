@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .dialgebra import Dialgebra, bilinear
+from .dialgebra import Check, Dialgebra, Report, bilinear
 from .linalg import (
     Matrix,
     NonComplexError,
@@ -54,6 +54,8 @@ from .linalg import (
     nullspace,
     parse_rational,
     rank,
+    vec_sub,
+    vec_sum,
 )
 from .oriented import OrientedDialgebra
 from .trees import (
@@ -673,14 +675,6 @@ def degree1_unpack(OD: OrientedDialgebra, vec: list):
     return alpha, (tensors[(2, 1)], tensors[(1, 2)])
 
 
-def _sub(u: list, v: list) -> list:
-    return [normalize_scalar(a - b) for a, b in zip(u, v)]
-
-
-def _add3(u: list, v: list, w: list) -> list:
-    return [normalize_scalar(a + b + c) for a, b, c in zip(u, v, w)]
-
-
 def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     """Residuals of the explicit degree-1 cocycle equations, with labels.
 
@@ -709,14 +703,9 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
             gh = OD.group.mul(g, h)
             for i, x in enumerate(basis):
                 lhs = alpha[gh].matvec(x)
-                rhs = [
-                    normalize_scalar(a + b)
-                    for a, b in zip(
-                        OD.act(g, alpha[h].matvec(OD.act(OD.group.inv(g), x))),
-                        alpha[g].matvec(x),
-                    )
-                ]
-                emit(("group-cocycle", g, h, i), _sub(lhs, rhs))
+                rhs = vec_sum([OD.act(g, alpha[h].matvec(OD.act(OD.group.inv(g), x))),
+                               alpha[g].matvec(x)], d)
+                emit(("group-cocycle", g, h, i), vec_sub(lhs, rhs))
 
     ginv = OD.group.inv
     for g in OD.group.elements():
@@ -730,52 +719,46 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
                     ("left-defect", D.lmul, bl),
                     ("right-defect", D.rmul, br),
                 ):
-                    lhs = _add3(
+                    lhs = vec_sum([
                         prod(x1, ag.matvec(x2)),
                         [-v for v in ag.matvec(prod(x1, x2))],
                         prod(ag.matvec(x1), x2),
-                    )
+                    ], d)
                     moved = defect(gi_x1, gi_x2) if eps == 1 else defect(gi_x2, gi_x1)
-                    rhs = _sub(defect(x1, x2), OD.act(g, moved))
-                    emit((name, g, i, j), _sub(lhs, rhs))
+                    rhs = vec_sub(defect(x1, x2), OD.act(g, moved))
+                    emit((name, g, i, j), vec_sub(lhs, rhs))
 
+    # each linearization as (terms summed on one side, terms on the other)
     l, r = D.lmul, D.rmul
     compat = [
-        ("beta-ll", lambda x, y, z: _sub(_add3(l(x, bl(y, z)), [-v for v in bl(l(x, y), z)],
-                                               bl(x, l(y, z))), l(bl(x, y), z))),
-        ("beta-lr", lambda x, y, z: _sub(_add3(l(x, br(y, z)), [-v for v in bl(l(x, y), z)],
-                                               bl(x, r(y, z))), l(bl(x, y), z))),
-        ("beta-ml", lambda x, y, z: _sub(_add3(r(x, bl(y, z)), [-v for v in bl(r(x, y), z)],
-                                               br(x, l(y, z))), l(br(x, y), z))),
-        ("beta-rr", lambda x, y, z: _sub(_add3(r(x, br(y, z)), [-v for v in br(r(x, y), z)],
-                                               br(x, r(y, z))), r(br(x, y), z))),
-        ("beta-outer", lambda x, y, z: _sub([normalize_scalar(a + b) for a, b in
-                                             zip(br(l(x, y), z), r(bl(x, y), z))],
-                                            [normalize_scalar(a + b) for a, b in
-                                             zip(br(r(x, y), z), r(br(x, y), z))])),
+        ("beta-ll", lambda x, y, z: ([l(x, bl(y, z)), bl(x, l(y, z))],
+                                     [bl(l(x, y), z), l(bl(x, y), z)])),
+        ("beta-lr", lambda x, y, z: ([l(x, br(y, z)), bl(x, r(y, z))],
+                                     [bl(l(x, y), z), l(bl(x, y), z)])),
+        ("beta-ml", lambda x, y, z: ([r(x, bl(y, z)), br(x, l(y, z))],
+                                     [bl(r(x, y), z), l(br(x, y), z)])),
+        ("beta-rr", lambda x, y, z: ([r(x, br(y, z)), br(x, r(y, z))],
+                                     [br(r(x, y), z), r(br(x, y), z)])),
+        ("beta-outer", lambda x, y, z: ([br(l(x, y), z), r(bl(x, y), z)],
+                                        [br(r(x, y), z), r(br(x, y), z)])),
     ]
     for name, fn in compat:
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 for k, z in enumerate(basis):
-                    emit((name, i, j, k), fn(x, y, z))
+                    lhs, rhs = fn(x, y, z)
+                    emit((name, i, j, k), vec_sub(vec_sum(lhs, d), vec_sum(rhs, d)))
     return residuals
 
 
-@dataclass
-class CocycleReport:
-    ok: bool
-    residuals: list
+def is_degree1_cocycle(OD: OrientedDialgebra, alpha, beta) -> Report:
+    """Do (α, β) satisfy the explicit degree-1 cocycle equations exactly?
 
-    def __bool__(self):
-        return self.ok
-
-
-def is_degree1_cocycle(OD: OrientedDialgebra, alpha, beta) -> CocycleReport:
-    """Do (α, β) satisfy the explicit degree-1 cocycle equations exactly?"""
-    residuals = degree1_residuals(OD, alpha, beta)
-    bad = [(label, v) for label, v in residuals if v]
-    return CocycleReport(not bad, bad)
+    The report holds one check; its witness lists every nonzero residual
+    as a (label, value) pair, in the order of ``degree1_residuals``.
+    """
+    bad = [(label, v) for label, v in degree1_residuals(OD, alpha, beta) if v]
+    return Report([Check("explicit cocycle equations", not bad, bad or None)])
 
 
 def degree1_system(OD: OrientedDialgebra) -> Matrix:
@@ -810,15 +793,15 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
         cols = []
         for i, x in enumerate(basis):
             gx = OD.act(g, gamma.matvec(OD.act(OD.group.inv(g), x)))
-            cols.append(_sub(gamma.matvec(x), gx))
+            cols.append(vec_sub(gamma.matvec(x), gx))
         alpha.append(Matrix.from_rows([[cols[i][k] for i in range(d)] for k in range(d)]))
-    beta_l = [[_add3(D.lmul(x, gamma.matvec(y)),
-                     [-v for v in gamma.matvec(D.lmul(x, y))],
-                     D.lmul(gamma.matvec(x), y))
+    beta_l = [[vec_sum([D.lmul(x, gamma.matvec(y)),
+                        [-v for v in gamma.matvec(D.lmul(x, y))],
+                        D.lmul(gamma.matvec(x), y)], d)
                for y in basis] for x in basis]
-    beta_r = [[_add3(D.rmul(x, gamma.matvec(y)),
-                     [-v for v in gamma.matvec(D.rmul(x, y))],
-                     D.rmul(gamma.matvec(x), y))
+    beta_r = [[vec_sum([D.rmul(x, gamma.matvec(y)),
+                        [-v for v in gamma.matvec(D.rmul(x, y))],
+                        D.rmul(gamma.matvec(x), y)], d)
                for y in basis] for x in basis]
     return alpha, (beta_l, beta_r)
 

@@ -20,24 +20,37 @@ an invertible series Ψ_t with ψ_0 = id) have cohomologous infinitesimals:
 ψ_1 is an explicit certificate.  Transporting the constant deformation
 along an arbitrary Ψ_t is the standard source of valid nontrivial
 examples and is provided as ``transport_constant``.
+
+Every law and every transport here works on truncated power series, each
+a list of its N + 1 coefficients by power of t.  A vector series is a list
+of coordinate vectors, a tensor series a list of structure-constant
+tensors (``mlt``, ``mrt``), and a matrix series a list of ``Matrix``
+(``psi``, or one group element's ``phi[n][g]`` over n).  Three truncated
+Cauchy products combine them: ``_bilinear`` (a tensor series on two vector
+series), ``_matvec`` (a matrix series on a vector series) and ``_mul`` (two
+matrix series).  A truncated deformation is an oriented dialgebra over
+K[t]/(t^(N+1)), so ``check_deformation`` runs the undeformed laws with these
+products in place of ``bilinear``, ``Matrix.matvec`` and ``Matrix.mul``; the
+five axioms come from the table of ``dialgebra.check_axioms``.  A failing
+law's witness is (power, indices): the lowest power at which it fails,
+then the first basis indices or group elements there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cohomology import (
-    CocycleReport,
     degree1_coboundary,
     degree1_pack,
     equivariant_cohomology,
     degree1_unpack,
-    is_degree1_cocycle,
     EngineConfig,
     DEFAULT_CONFIG,
 )
-from .dialgebra import bilinear, validated_tensor, zero_tensor
-from .linalg import Matrix, normalize_scalar
+from .dialgebra import Check, Report, _axiom_table, bilinear, validated_tensor, zero_tensor
+from .linalg import Matrix, vec_sub, vec_sum
 from .oriented import OrientedDialgebra
 
 
@@ -99,29 +112,6 @@ class Infinitesimal:
         return self.theta, (self.m_left, self.m_right)
 
 
-@dataclass
-class ClauseCheck:
-    clause: str
-    ok: bool
-    power: int | None = None
-    witness: tuple | None = None
-
-
-@dataclass
-class DeformationReport:
-    checks: list
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def first_failure(self):
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
-
-
 def constant_deformation(OD: OrientedDialgebra, order: int) -> TruncatedDeformation:
     """The deformation with all higher coefficients zero."""
     d = OD.dim
@@ -132,108 +122,111 @@ def constant_deformation(OD: OrientedDialgebra, order: int) -> TruncatedDeformat
     return TruncatedDeformation(order, mlt, mrt, phi)
 
 
-def _vec_add(u, v):
-    return [normalize_scalar(a + b) for a, b in zip(u, v)]
+# ---------------------------------------------------------------------------
+# truncated series: coefficient lists of length N + 1
 
 
-def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) -> DeformationReport:
-    """Verify every defining law per power of t up to the truncation order."""
+def _bilinear(T: list, x: list, y: list) -> list:
+    """Σ_{i+j+k=n} T_i(x_j, y_k): a tensor series on two vector series."""
+    terms = [[] for _ in T]
+    for j, xj in enumerate(x):
+        if any(xj):
+            for k, yk in enumerate(y[:len(T) - j]):
+                if any(yk):
+                    for i, Ti in enumerate(T[:len(T) - j - k]):
+                        terms[i + j + k].append(bilinear(Ti, xj, yk))
+    return [vec_sum(t, len(x[0])) for t in terms]
+
+
+def _matvec(A: list, x: list) -> list:
+    """Σ_{i+j=n} A_i x_j: a matrix series on a vector series."""
+    terms = [[] for _ in A]
+    for j, xj in enumerate(x):
+        if any(xj):
+            for i, Ai in enumerate(A[:len(A) - j]):
+                terms[i + j].append(Ai.matvec(xj))
+    return [vec_sum(t, len(x[0])) for t in terms]
+
+
+def _mul(A: list, B: list) -> list:
+    """Σ_{i+j=n} A_i B_j: the product of two matrix series."""
+    rows, cols = A[0].rows, B[0].cols
+    terms = [[] for _ in A]
+    for j, Bj in enumerate(B):
+        if any(Bj.entries):
+            for i, Ai in enumerate(A[:len(A) - j]):
+                terms[i + j].append(Ai.mul(Bj).entries)
+    return [Matrix(rows, cols, vec_sum(t, rows * cols)) for t in terms]
+
+
+def _constant(x: list, order: int) -> list:
+    """The vector series x + 0·t + ... + 0·t^order."""
+    return [x] + [[0] * len(x) for _ in range(order)]
+
+
+def _law(name: str, sides) -> Check:
+    """A law from (indices, lhs series, rhs series) triples.
+
+    It fails at the lowest power where two sides differ, and there at the
+    smallest indices: the first failing ones of a loop over that power,
+    since every caller lists its index tuples in lexicographic order.
+    """
+    return Check.first(name, sorted((n, idx) for idx, lhs, rhs in sides
+                                    for n, (u, v) in enumerate(zip(lhs, rhs)) if u != v))
+
+
+# ---------------------------------------------------------------------------
+# laws
+
+
+DEFORMED_AXIOMS = [
+    "left products associate",
+    "right products associate",
+    "mixed law (x<y)<z = x<(y>z)",
+    "mixed law (x>y)<z = x>(y<z)",
+    "mixed law (x<y)>z = (x>y)>z",
+]
+
+
+def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) -> Report:
+    """Verify every defining law per power of t up to the truncation order.
+
+    Witnesses are (power, (i, j, k)) for the axioms, (power, (g, h)) for
+    composition, (power, (g, i, j)) for the twisted compatibility and
+    (0, ()) for wrong order-0 terms.
+    """
     d = OD.dim
-    N = deformation.order
+    G = OD.group
     ml = [validated_tensor(d, t) for t in deformation.mlt]
     mr = [validated_tensor(d, t) for t in deformation.mrt]
-    phi = deformation.phi
-    basis = OD.base.basis()
-    checks = []
+    phi = list(zip(*deformation.phi))   # one series per group element
+    basis = [_constant(e, deformation.order) for e in OD.base.basis()]
 
-    base_ok = ml[0] == OD.base.left and mr[0] == OD.base.right
-    base_ok = base_ok and all(phi[0][g] == OD.action[g] for g in OD.group.elements())
-    checks.append(ClauseCheck("order-0 terms equal the undeformed structure", base_ok, 0))
+    base_ok = (ml[0] == OD.base.left and mr[0] == OD.base.right
+               and all(series[0] == OD.action[g] for g, series in enumerate(phi)))
+    checks = [Check("order-0 terms equal the undeformed structure", base_ok,
+                    None if base_ok else (0, ()))]
 
-    axioms = [
-        ("left products associate", lambda i, j, x, y, z:
-            bilinear(ml[i], bilinear(ml[j], x, y), z),
-         lambda i, j, x, y, z: bilinear(ml[i], x, bilinear(ml[j], y, z))),
-        ("right products associate", lambda i, j, x, y, z:
-            bilinear(mr[i], bilinear(mr[j], x, y), z),
-         lambda i, j, x, y, z: bilinear(mr[i], x, bilinear(mr[j], y, z))),
-        ("mixed law (x<y)<z = x<(y>z)", lambda i, j, x, y, z:
-            bilinear(ml[i], bilinear(ml[j], x, y), z),
-         lambda i, j, x, y, z: bilinear(ml[i], x, bilinear(mr[j], y, z))),
-        ("mixed law (x>y)<z = x>(y<z)", lambda i, j, x, y, z:
-            bilinear(ml[i], bilinear(mr[j], x, y), z),
-         lambda i, j, x, y, z: bilinear(mr[i], x, bilinear(ml[j], y, z))),
-        ("mixed law (x<y)>z = (x>y)>z", lambda i, j, x, y, z:
-            bilinear(mr[i], bilinear(ml[j], x, y), z),
-         lambda i, j, x, y, z: bilinear(mr[i], bilinear(mr[j], x, y), z)),
-    ]
-    for name, lhs_fn, rhs_fn in axioms:
-        check = ClauseCheck(f"deformed dialgebra axiom: {name}", True)
-        for n in range(N + 1):
-            for a, x in enumerate(basis):
-                for b, y in enumerate(basis):
-                    for c, z in enumerate(basis):
-                        acc = [0] * d
-                        for i in range(n + 1):
-                            acc = _vec_add(acc, lhs_fn(i, n - i, x, y, z))
-                            acc = _vec_add(acc, [-v for v in rhs_fn(i, n - i, x, y, z)])
-                        if any(acc):
-                            check = ClauseCheck(check.clause, False, n, (a, b, c))
-                            break
-                    if not check.ok:
-                        break
-                if not check.ok:
-                    break
-            if not check.ok:
-                break
-        checks.append(check)
+    triples = list(product(enumerate(basis), repeat=3))
+    table = _axiom_table(lambda x, y: _bilinear(ml, x, y), lambda x, y: _bilinear(mr, x, y))
+    for name, (_, lhs, rhs) in zip(DEFORMED_AXIOMS, table):
+        checks.append(_law(f"deformed dialgebra axiom: {name}", (
+            ((a, b, c), lhs(x, y, z), rhs(x, y, z)) for (a, x), (b, y), (c, z) in triples)))
 
-    comp = ClauseCheck("deformed action composes: Φ(gh) = Φ(g)Φ(h)", True)
-    for n in range(N + 1):
-        for g in OD.group.elements():
-            for h in OD.group.elements():
-                lhs = phi[n][OD.group.mul(g, h)]
-                rhs = Matrix.zeros(d, d)
-                for i in range(n + 1):
-                    term = phi[i][g].mul(phi[n - i][h])
-                    rhs = Matrix(d, d, [a + b for a, b in zip(rhs.entries, term.entries)])
-                if lhs != rhs:
-                    comp = ClauseCheck(comp.clause, False, n, (g, h))
-                    break
-            if not comp.ok:
-                break
-        if not comp.ok:
-            break
-    checks.append(comp)
+    checks.append(_law("deformed action composes: Φ(gh) = Φ(g)Φ(h)", (
+        ((g, h), phi[G.mul(g, h)], _mul(phi[g], phi[h]))
+        for g, h in product(G.elements(), repeat=2))))
 
+    moved = [[_matvec(series, e) for e in basis] for series in phi]
+    cells = [(g, a, b) for g in G.elements() for a, b in product(range(d), repeat=2)]
     for name, m in (("left", ml), ("right", mr)):
-        compat = ClauseCheck(f"deformed action respects the {name} product (ε-twisted)", True)
-        for n in range(N + 1):
-            for g in OD.group.elements():
-                eps = OD.sign(g)
-                for a, y1 in enumerate(basis):
-                    for b, y2 in enumerate(basis):
-                        lhs = [0] * d
-                        for i in range(n + 1):
-                            lhs = _vec_add(lhs, phi[i][g].matvec(bilinear(m[n - i], y1, y2)))
-                        rhs = [0] * d
-                        for i in range(n + 1):
-                            for j in range(n + 1 - i):
-                                k = n - i - j
-                                u, v = (y1, y2) if eps == 1 else (y2, y1)
-                                rhs = _vec_add(rhs, bilinear(
-                                    m[i], phi[j][g].matvec(u), phi[k][g].matvec(v)))
-                        if lhs != rhs:
-                            compat = ClauseCheck(compat.clause, False, n, (g, a, b))
-                            break
-                    if not compat.ok:
-                        break
-                if not compat.ok:
-                    break
-            if not compat.ok:
-                break
-        checks.append(compat)
-    return DeformationReport(checks)
+        # Φ(g)(y1 ∘ y2) = Φ(g)y1 ∘ Φ(g)y2, arguments swapped when ε(g) = -1
+        checks.append(_law(f"deformed action respects the {name} product (ε-twisted)", (
+            ((g, a, b), _matvec(phi[g], _bilinear(m, basis[a], basis[b])),
+             _bilinear(m, moved[g][a], moved[g][b]) if OD.sign(g) == 1
+             else _bilinear(m, moved[g][b], moved[g][a]))
+            for g, a, b in cells)))
+    return Report(checks)
 
 
 def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: int = 1) -> Infinitesimal:
@@ -258,68 +251,35 @@ def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: i
                          validated_tensor(d, deformation.mrt[n]))
 
 
-def infinitesimal_cocycle_report(OD: OrientedDialgebra, inf: Infinitesimal) -> CocycleReport:
-    alpha, beta = inf.as_pair()
-    return is_degree1_cocycle(OD, alpha, beta)
-
-
 def check_equivalence(
     OD: OrientedDialgebra,
     def1: TruncatedDeformation,
     def2: TruncatedDeformation,
     eq: DeformationEquivalence,
-) -> DeformationReport:
+) -> Report:
     """Does Ψ intertwine def2 into def1, coefficient-wise up to order N?
 
     The convention matches the transported-deformation generator:
     Ψ_t(mˡ²_t(y1, y2)) = mˡ¹_t(Ψ_t y1, Ψ_t y2), likewise for ⊢ and Φ.
+    Witnesses are (power, (i, j)) for the products and (power, (g,)) for
+    the actions.
     """
     if not def1.order == def2.order == eq.order:
         raise ValueError("orders of the deformations and the intertwiner must match")
-    d = OD.dim
-    N = eq.order
     psi = eq.psi
-    basis = OD.base.basis()
-    checks = []
-    for name, m2, m1 in (("left", def2.mlt, def1.mlt), ("right", def2.mrt, def1.mrt)):
-        check = ClauseCheck(f"Ψ intertwines the {name} products", True)
-        for n in range(N + 1):
-            for a, y1 in enumerate(basis):
-                for b, y2 in enumerate(basis):
-                    lhs = [0] * d
-                    for i in range(n + 1):
-                        lhs = _vec_add(lhs, psi[i].matvec(bilinear(m2[n - i], y1, y2)))
-                    rhs = [0] * d
-                    for i in range(n + 1):
-                        for j in range(n + 1 - i):
-                            k = n - i - j
-                            rhs = _vec_add(rhs, bilinear(
-                                m1[i], psi[j].matvec(y1), psi[k].matvec(y2)))
-                    if lhs != rhs:
-                        check = ClauseCheck(check.clause, False, n, (a, b))
-                        break
-                if not check.ok:
-                    break
-            if not check.ok:
-                break
-        checks.append(check)
-    check = ClauseCheck("Ψ intertwines the actions", True)
-    for n in range(N + 1):
-        for g in OD.group.elements():
-            lhs = Matrix.zeros(d, d)
-            rhs = Matrix.zeros(d, d)
-            for i in range(n + 1):
-                t1 = psi[i].mul(def2.phi[n - i][g])
-                t2 = def1.phi[i][g].mul(psi[n - i])
-                lhs = Matrix(d, d, [a + b for a, b in zip(lhs.entries, t1.entries)])
-                rhs = Matrix(d, d, [a + b for a, b in zip(rhs.entries, t2.entries)])
-            if lhs != rhs:
-                check = ClauseCheck(check.clause, False, n, (g,))
-                break
-        if not check.ok:
-            break
-    checks.append(check)
-    return DeformationReport(checks)
+    basis = [_constant(e, eq.order) for e in OD.base.basis()]
+    moved = [_matvec(psi, e) for e in basis]
+    pairs = list(product(range(OD.dim), repeat=2))
+    checks = [
+        _law(f"Ψ intertwines the {name} products", (
+            ((a, b), _matvec(psi, _bilinear(m2, basis[a], basis[b])),
+             _bilinear(m1, moved[a], moved[b])) for a, b in pairs))
+        for name, m2, m1 in (("left", def2.mlt, def1.mlt), ("right", def2.mrt, def1.mrt))
+    ]
+    checks.append(_law("Ψ intertwines the actions", (
+        ((g,), _mul(psi, phi2), _mul(phi1, psi))
+        for g, phi2, phi1 in zip(OD.group.elements(), zip(*def2.phi), zip(*def1.phi)))))
+    return Report(checks)
 
 
 def infinitesimals_cohomologous(
@@ -335,31 +295,29 @@ def infinitesimals_cohomologous(
     """
     report = check_equivalence(OD, def1, def2, eq)
     if not report.ok:
-        raise ValueError(f"deformations are not equivalent via the given Ψ: {report.first_failure()}")
+        raise ValueError(f"deformations are not equivalent via the given Ψ: {report.failures()[0]}")
     inf1 = infinitesimal(OD, def1, 1)
     inf2 = infinitesimal(OD, def2, 1)
     psi1 = eq.psi[1]
     alpha, beta = degree1_coboundary(OD, psi1)
     got = degree1_pack(OD, alpha, beta)
-    want = [
-        normalize_scalar(a - b)
-        for a, b in zip(degree1_pack(OD, *inf2.as_pair()), degree1_pack(OD, *inf1.as_pair()))
-    ]
+    want = vec_sub(degree1_pack(OD, *inf2.as_pair()), degree1_pack(OD, *inf1.as_pair()))
     if got != want:
         raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
     return psi1
 
 
 def _series_inverse(psi: list) -> list:
-    """Coefficients of Ψ⁻¹ mod t^(N+1), given ψ_0 = id."""
+    """Coefficients of Ψ⁻¹ mod t^(N+1), given ψ_0 = id.
+
+    Ψ⁻¹ = id + Q + Q² + ... + Q^N with Q = id - Ψ, by Horner's rule: Q has
+    no constant term, so each round fixes one more coefficient.
+    """
     d = psi[0].rows
-    inv = [Matrix.identity(d)]
-    for n in range(1, len(psi)):
-        acc = Matrix.zeros(d, d)
-        for i in range(n):
-            term = inv[i].mul(psi[n - i])
-            acc = Matrix(d, d, [a + b for a, b in zip(acc.entries, term.entries)])
-        inv.append(Matrix(d, d, [-v for v in acc.entries]))
+    q = [Matrix.zeros(d, d)] + [Matrix(d, d, [-v for v in p.entries]) for p in psi[1:]]
+    inv = [Matrix.identity(d)] + [Matrix.zeros(d, d) for _ in psi[1:]]
+    for _ in psi[1:]:
+        inv = [Matrix.identity(d)] + _mul(q, inv)[1:]
     return inv
 
 
@@ -376,46 +334,18 @@ def transport_deformation(
     """
     if eq.order != deformation.order:
         raise ValueError("orders of the deformation and the intertwiner must match")
-    d = OD.dim
-    N = eq.order
     psi = eq.psi
     inv = _series_inverse(psi)
-    basis = OD.base.basis()
-    mlt, mrt = [], []
-    for n in range(N + 1):
-        tl = zero_tensor(d)
-        tr = zero_tensor(d)
-        for i in range(d):
-            for j in range(d):
-                accl = [0] * d
-                accr = [0] * d
-                for a in range(n + 1):
-                    for b in range(n + 1 - a):
-                        for c in range(n + 1 - a - b):
-                            e = n - a - b - c
-                            u = inv[c].matvec(basis[i])
-                            v = inv[e].matvec(basis[j])
-                            accl = _vec_add(accl, psi[a].matvec(
-                                bilinear(deformation.mlt[b], u, v)))
-                            accr = _vec_add(accr, psi[a].matvec(
-                                bilinear(deformation.mrt[b], u, v)))
-                tl[i][j] = accl
-                tr[i][j] = accr
-        mlt.append(tl)
-        mrt.append(tr)
-    phi = []
-    for n in range(N + 1):
-        per_g = []
-        for g in OD.group.elements():
-            acc = Matrix.zeros(d, d)
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    c = n - a - b
-                    term = psi[a].mul(deformation.phi[b][g]).mul(inv[c])
-                    acc = Matrix(d, d, [x + y for x, y in zip(acc.entries, term.entries)])
-            per_g.append(acc)
-        phi.append(per_g)
-    return TruncatedDeformation(N, mlt, mrt, phi)
+    pulled = [_matvec(inv, _constant(e, eq.order)) for e in OD.base.basis()]
+
+    def push(m):
+        # cells[i][j] is the series of the product of e_i and e_j; regroup by power
+        cells = [[_matvec(psi, _bilinear(m, u, v)) for v in pulled] for u in pulled]
+        return [[list(row) for row in plane] for plane in zip(*(zip(*row) for row in cells))]
+
+    phi = [_mul(_mul(psi, series), inv) for series in zip(*deformation.phi)]
+    return TruncatedDeformation(eq.order, push(deformation.mlt), push(deformation.mrt),
+                                [list(per_g) for per_g in zip(*phi)])
 
 
 def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> TruncatedDeformation:

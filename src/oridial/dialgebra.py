@@ -15,7 +15,9 @@ on basis triples is exhaustive.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .linalg import Matrix, normalize_scalar
 
@@ -54,7 +56,7 @@ class NotBimoduleMapError(ValueError):
 class AxiomFailureError(ValueError):
     def __init__(self, report):
         self.report = report
-        first = next(c for c in report.checks if not c.ok)
+        first = report.failures()[0]
         super().__init__(f"dialgebra axiom {first.name!r} fails at {first.witness}")
 
 
@@ -109,34 +111,41 @@ def basis_vector(dim: int, i: int) -> list:
     return v
 
 
-class AxiomCheck:
-    """Outcome of one axiom: ok flag plus a failing basis triple if any."""
+@dataclass(frozen=True)
+class Check:
+    """One clause of a definition: whether it holds and, if not, a witness.
 
-    __slots__ = ("name", "ok", "witness", "lhs", "rhs")
+    A witness names where the clause fails, as basis indices, group
+    elements or labelled residuals, in the form its checker documents.
+    """
 
-    def __init__(self, name, ok, witness=None, lhs=None, rhs=None):
-        self.name = name
-        self.ok = ok
-        self.witness = witness
-        self.lhs = lhs
-        self.rhs = rhs
+    name: str
+    ok: bool
+    witness: object = None
 
-    def __repr__(self):
-        status = "ok" if self.ok else f"FAIL at {self.witness}"
-        return f"AxiomCheck({self.name}: {status})"
+    @classmethod
+    def first(cls, name: str, failing) -> "Check":
+        """Fails at the first witness ``failing`` yields; holds if it yields none.
+
+        ``failing`` is iterated lazily, so a generator stops at its first
+        witness.
+        """
+        for witness in failing:
+            return cls(name, False, witness)
+        return cls(name, True)
 
 
-class AxiomReport:
-    __slots__ = ("checks",)
+@dataclass(frozen=True)
+class Report:
+    """The checks of one checker, in a fixed order."""
 
-    def __init__(self, checks):
-        self.checks = checks
+    checks: list
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self):
+    def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
 
 
@@ -189,10 +198,9 @@ def _tensor_eq(a, b) -> bool:
     )
 
 
-# The five defining axioms as (name, lhs, rhs) on vectors; ``l`` and ``r``
-# close over the dialgebra products.
-def _axiom_table(D: Dialgebra):
-    l, r = D.lmul, D.rmul
+# The five defining axioms as (name, lhs, rhs) on vectors, for the products
+# l = ⊣ and r = ⊢; deformations run the same table over power series.
+def _axiom_table(l, r):
     return [
         ("left-associativity: (x<y)<z = x<(y<z)",
          lambda x, y, z: l(l(x, y), z), lambda x, y, z: l(x, l(y, z))),
@@ -207,29 +215,18 @@ def _axiom_table(D: Dialgebra):
     ]
 
 
-def check_axioms(D: Dialgebra) -> AxiomReport:
+def check_axioms(D: Dialgebra) -> Report:
     """Evaluate all five axioms on every basis triple.
 
-    Each failing axiom reports the first bad triple (i, j, k) together
-    with both sides; multilinearity makes the basis check exhaustive.
+    A failing axiom's witness is its first bad triple (i, j, k);
+    multilinearity makes the basis check exhaustive.
     """
-    basis = D.basis()
-    checks = []
-    for name, lhs_fn, rhs_fn in _axiom_table(D):
-        ok, witness, lhs, rhs = True, None, None, None
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    a, b = lhs_fn(x, y, z), rhs_fn(x, y, z)
-                    if a != b:
-                        ok, witness, lhs, rhs = False, (i, j, k), a, b
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        checks.append(AxiomCheck(name, ok, witness, lhs, rhs))
-    return AxiomReport(checks)
+    triples = list(product(enumerate(D.basis()), repeat=3))
+    return Report([
+        Check.first(name, ((i, j, k) for (i, x), (j, y), (k, z) in triples
+                           if lhs(x, y, z) != rhs(x, y, z)))
+        for name, lhs, rhs in _axiom_table(D.lmul, D.rmul)
+    ])
 
 
 def _check_associative(dim: int, mult) -> None:

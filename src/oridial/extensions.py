@@ -24,20 +24,16 @@ exactly; two sections of the same extension extract cohomologous pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cohomology import (
     degree1_coboundary_matrix,
     degree1_pack,
     is_degree1_cocycle,
 )
-from .dialgebra import Dialgebra, zero_tensor
-from .linalg import Matrix, in_image, normalize_scalar, rank
-from .oriented import (
-    CheckItem,
-    CheckReport,
-    OrientedDialgebra,
-    check_oriented_dialgebra,
-)
+from .dialgebra import Check, Dialgebra, Report, zero_tensor
+from .linalg import Matrix, in_image, normalize_scalar, rank, vec_sub
+from .oriented import OrientedDialgebra, check_oriented_dialgebra
 
 
 class NotCocycleError(ValueError):
@@ -51,7 +47,7 @@ class NotSectionError(ValueError):
 
 
 class ExtensionInvalidError(ValueError):
-    def __init__(self, report: CheckReport):
+    def __init__(self, report: Report):
         self.report = report
         names = [item.name for item in report.failures()]
         super().__init__(f"extension clauses fail: {names}")
@@ -84,7 +80,7 @@ def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
     """Assemble B = D ⊕ D from a degree-1 cocycle pair and re-verify it."""
     report = is_degree1_cocycle(OD, alpha, beta)
     if not report.ok:
-        raise NotCocycleError(report.residuals)
+        raise NotCocycleError(report.checks[0].witness)
     d = OD.dim
     beta_l, beta_r = beta
     left = zero_tensor(2 * d)
@@ -103,9 +99,7 @@ def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
                 for k in range(d):
                     v = defect[i][j][k]
                     if v:
-                        tensor[d + i][d + j][k] = normalize_scalar(
-                            tensor[d + i][d + j][k] + v
-                        )
+                        tensor[d + i][d + j][k] = normalize_scalar(v)  # base ∘ base -> kernel
     B = Dialgebra(2 * d, left, right)
     action = []
     for g in OD.group.elements():
@@ -130,82 +124,47 @@ def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
     return E
 
 
-def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> CheckReport:
-    """Verify every clause of the singular-extension definition."""
+def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> Report:
+    """Verify every clause of the singular-extension definition.
+
+    Witnesses name the failing map or product and the basis indices of D
+    (i, j) and of B (bi, bj) involved.
+    """
     B = E.total
     inc, proj = E.inclusion, E.projection
     d = OD.dim
-    items = []
-
     base_report = check_oriented_dialgebra(B)
-    items.append(CheckItem("middle term is an oriented dialgebra", base_report.ok,
-                           [it.name for it in base_report.failures()] or None))
-
-    items.append(CheckItem("p . i = 0", proj.mul(inc).is_zero()))
-    exact = rank(inc) == d and rank(proj) == d and B.dim == 2 * d
-    items.append(CheckItem("sequence is exact (ranks d, d on dimension 2d)", exact))
-
-    equivariant = True
-    witness = None
-    for g in OD.group.elements():
-        if inc.mul(OD.action[g]) != B.action[g].mul(inc):
-            equivariant, witness = False, ("i", g)
-            break
-        if OD.action[g].mul(proj) != proj.mul(B.action[g]):
-            equivariant, witness = False, ("p", g)
-            break
-    items.append(CheckItem("i and p are G-equivariant", equivariant, witness))
-
-    pmorph = True
-    witness = None
-    bbasis = B.base.basis()
-    for bi, b1 in enumerate(bbasis):
-        for bj, b2 in enumerate(bbasis):
-            for name, bprod, dprod in (("left", B.base.lmul, OD.base.lmul),
-                                       ("right", B.base.rmul, OD.base.rmul)):
-                if proj.matvec(bprod(b1, b2)) != dprod(proj.matvec(b1), proj.matvec(b2)):
-                    pmorph, witness = False, (name, bi, bj)
-                    break
-            if not pmorph:
-                break
-        if not pmorph:
-            break
-    items.append(CheckItem("p is a dialgebra morphism", pmorph, witness))
-
-    dbasis = OD.base.basis()
-    sq = True
-    witness = None
-    for i, x1 in enumerate(dbasis):
-        ix1 = inc.matvec(x1)
-        for j, x2 in enumerate(dbasis):
-            ix2 = inc.matvec(x2)
-            if any(B.base.lmul(ix1, ix2)) or any(B.base.rmul(ix1, ix2)):
-                sq, witness = False, (i, j)
-                break
-        if not sq:
-            break
-    items.append(CheckItem("included copy multiplies to zero", sq, witness))
-
-    factor = True
-    witness = None
-    for i, x in enumerate(dbasis):
-        ix = inc.matvec(x)
-        for bj, b in enumerate(bbasis):
-            pb = proj.matvec(b)
-            for name, bprod, dprod in (("left", B.base.lmul, OD.base.lmul),
-                                       ("right", B.base.rmul, OD.base.rmul)):
-                if bprod(ix, b) != inc.matvec(dprod(x, pb)):
-                    factor, witness = False, (name, "i(x) . b", i, bj)
-                    break
-                if bprod(b, ix) != inc.matvec(dprod(pb, x)):
-                    factor, witness = False, (name, "b . i(x)", i, bj)
-                    break
-            if not factor:
-                break
-        if not factor:
-            break
-    items.append(CheckItem("kernel products factor through p", factor, witness))
-    return CheckReport(items)
+    dbasis = list(enumerate(OD.base.basis()))
+    bbasis = list(enumerate(B.base.basis()))
+    incl = [inc.matvec(x) for _, x in dbasis]
+    projected = [proj.matvec(b) for _, b in bbasis]
+    prods = (("left", B.base.lmul, OD.base.lmul), ("right", B.base.rmul, OD.base.rmul))
+    return Report([
+        Check("middle term is an oriented dialgebra", base_report.ok,
+              [c.name for c in base_report.failures()] or None),
+        Check("p . i = 0", proj.mul(inc).is_zero()),
+        Check("sequence is exact (ranks d, d on dimension 2d)",
+              rank(inc) == d and rank(proj) == d and B.dim == 2 * d),
+        Check.first("i and p are G-equivariant", (
+            (side, g) for g in OD.group.elements() for side, ok in (
+                ("i", inc.mul(OD.action[g]) == B.action[g].mul(inc)),
+                ("p", OD.action[g].mul(proj) == proj.mul(B.action[g])))
+            if not ok)),
+        Check.first("p is a dialgebra morphism", (
+            (name, bi, bj) for (bi, b1), (bj, b2) in product(bbasis, repeat=2)
+            for name, bprod, dprod in prods
+            if proj.matvec(bprod(b1, b2)) != dprod(projected[bi], projected[bj]))),
+        Check.first("included copy multiplies to zero", (
+            (i, j) for i, j in product(range(d), repeat=2)
+            if any(B.base.lmul(incl[i], incl[j])) or any(B.base.rmul(incl[i], incl[j])))),
+        Check.first("kernel products factor through p", (
+            (name, side, i, bj) for (i, x), (bj, b) in product(dbasis, bbasis)
+            for name, bprod, dprod in prods
+            for side, lhs, rhs in (
+                ("i(x) . b", bprod(incl[i], b), inc.matvec(dprod(x, projected[bj]))),
+                ("b . i(x)", bprod(b, incl[i]), inc.matvec(dprod(projected[bj], x))))
+            if lhs != rhs)),
+    ])
 
 
 def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix):
@@ -220,8 +179,7 @@ def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix
     def kernel_coords(v):
         a = in_image(E.inclusion, v)
         if a is None:
-            raise ExtensionInvalidError(CheckReport(
-                [CheckItem("defect lands in the kernel", False, v)]))
+            raise ExtensionInvalidError(Report([Check("defect lands in the kernel", False, v)]))
         return a
 
     basis = OD.base.basis()
@@ -232,7 +190,7 @@ def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix
         for x in basis:
             v = section.matvec(x)
             w = B.action[g].matvec(section.matvec(OD.act(ginv, x)))
-            cols.append(kernel_coords([normalize_scalar(a - b) for a, b in zip(v, w)]))
+            cols.append(kernel_coords(vec_sub(v, w)))
         alpha.append(Matrix.from_rows([[cols[i][k] for i in range(d)] for k in range(d)]))
 
     def defect(bprod, dprod):
@@ -242,14 +200,14 @@ def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix
             for j, x2 in enumerate(basis):
                 v = bprod(s1, section.matvec(x2))
                 w = section.matvec(dprod(x1, x2))
-                out[i][j] = kernel_coords([normalize_scalar(a - b) for a, b in zip(v, w)])
+                out[i][j] = kernel_coords(vec_sub(v, w))
         return out
 
     beta_l = defect(B.base.lmul, OD.base.lmul)
     beta_r = defect(B.base.rmul, OD.base.rmul)
     report = is_degree1_cocycle(OD, alpha, (beta_l, beta_r))
     if not report.ok:
-        raise NotCocycleError(report.residuals)
+        raise NotCocycleError(report.checks[0].witness)
     return alpha, (beta_l, beta_r)
 
 
@@ -262,10 +220,10 @@ def cocycles_cohomologous(OD: OrientedDialgebra, pair1, pair2):
     for pair in (pair1, pair2):
         report = is_degree1_cocycle(OD, pair[0], pair[1])
         if not report.ok:
-            raise NotCocycleError(report.residuals)
+            raise NotCocycleError(report.checks[0].witness)
     v1 = degree1_pack(OD, pair1[0], pair1[1])
     v2 = degree1_pack(OD, pair2[0], pair2[1])
-    diff = [normalize_scalar(a - b) for a, b in zip(v1, v2)]
+    diff = vec_sub(v1, v2)
     u = in_image(degree1_coboundary_matrix(OD), diff)
     if u is None:
         return None

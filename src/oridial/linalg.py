@@ -47,6 +47,27 @@ def normalize_scalar(x):
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
+# The vector sums keep a Fraction as the left operand: int + Fraction goes
+# through Fraction's reverse operator, an ABC instance check and a
+# conversion, and Fraction + int does not.
+
+def vec_sum(vectors, d: int) -> list:
+    """The sum of coordinate vectors of length d, normalized."""
+    out = [0] * d
+    for v in vectors:
+        for k, x in enumerate(v):
+            if x:
+                a = out[k]
+                out[k] = x if not a else a + x if type(a) is Fraction else x + a
+    return [normalize_scalar(x) for x in out]
+
+
+def vec_sub(u: list, v: list) -> list:
+    """u - v on coordinate vectors, normalized."""
+    return [normalize_scalar(-b + a if type(b) is Fraction and type(a) is not Fraction
+                             else a - b) for a, b in zip(u, v)]
+
+
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
@@ -153,7 +174,10 @@ class Matrix:
                     for j in range(other.cols):
                         b = other.entries[obase + j]
                         if b:
-                            out[rbase + j] += a * b
+                            # a Fraction operand on the left, as in vec_sum
+                            p = a * b if type(a) is Fraction else b * a
+                            c = out[rbase + j]
+                            out[rbase + j] = p if not c else c + p if type(c) is Fraction else p + c
         return Matrix(self.rows, other.cols, out)
 
     def shape(self) -> tuple[int, int]:

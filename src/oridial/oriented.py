@@ -17,36 +17,10 @@ condition.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
-from .dialgebra import Dialgebra
+from .dialgebra import Check, Dialgebra, Report
 from .linalg import Matrix, rank
-
-
-class CheckItem:
-    __slots__ = ("name", "ok", "witness")
-
-    def __init__(self, name, ok, witness=None):
-        self.name = name
-        self.ok = ok
-        self.witness = witness
-
-    def __repr__(self):
-        return f"CheckItem({self.name}: {'ok' if self.ok else f'FAIL at {self.witness}'})"
-
-
-class CheckReport:
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = items
-
-    @property
-    def ok(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    def failures(self):
-        return [item for item in self.items if not item.ok]
 
 
 class OrientedGroup:
@@ -124,66 +98,33 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def check_oriented_group(G: OrientedGroup) -> CheckReport:
-    """Group axioms plus the homomorphism property of ε, with witnesses."""
-    n = G.order
-    items = []
+def check_oriented_group(G: OrientedGroup) -> Report:
+    """Group axioms plus the homomorphism property of ε, with witnesses.
 
-    closure = CheckItem("table entries are element indices", True)
-    for a in range(n):
-        for b in range(n):
-            if not 0 <= G.table[a][b] < n:
-                closure = CheckItem(closure.name, False, (a, b))
-    items.append(closure)
+    Witnesses are elements or tuples of elements.  When a table entry is
+    not an element index, only that check is reported.
+    """
+    n, T, eps = G.order, G.table, G.epsilon
+    pairs = list(product(range(n), repeat=2))
+    closure = Check.first("table entries are element indices",
+                          ((a, b) for a, b in pairs if not 0 <= T[a][b] < n))
     if not closure.ok:
-        return CheckReport(items)
-
-    ident = CheckItem("index 0 is a two-sided identity", True)
-    for a in range(n):
-        if G.table[0][a] != a or G.table[a][0] != a:
-            ident = CheckItem(ident.name, False, a)
-            break
-    items.append(ident)
-
-    assoc = CheckItem("multiplication is associative", True)
-    for a in range(n):
-        for b in range(n):
-            ab = G.table[a][b]
-            for c in range(n):
-                if G.table[ab][c] != G.table[a][G.table[b][c]]:
-                    assoc = CheckItem(assoc.name, False, (a, b, c))
-                    break
-            if not assoc.ok:
-                break
-        if not assoc.ok:
-            break
-    items.append(assoc)
-
-    inv = CheckItem("every element has an inverse", True)
-    for a in range(n):
-        if G.inverse[a] < 0 or G.table[a][G.inverse[a]] != 0 or G.table[G.inverse[a]][a] != 0:
-            inv = CheckItem(inv.name, False, a)
-            break
-    items.append(inv)
-
-    values = CheckItem("epsilon takes values in {+1, -1}", True)
-    for a in range(n):
-        if G.epsilon[a] not in (1, -1):
-            values = CheckItem(values.name, False, a)
-            break
-    items.append(values)
-
-    hom = CheckItem("epsilon is a homomorphism", True)
-    if values.ok:
-        for a in range(n):
-            for b in range(n):
-                if G.epsilon[G.table[a][b]] != G.epsilon[a] * G.epsilon[b]:
-                    hom = CheckItem(hom.name, False, (a, b))
-                    break
-            if not hom.ok:
-                break
-    items.append(hom)
-    return CheckReport(items)
+        return Report([closure])
+    values = Check.first("epsilon takes values in {+1, -1}",
+                         (a for a in range(n) if eps[a] not in (1, -1)))
+    return Report([
+        closure,
+        Check.first("index 0 is a two-sided identity",
+                    (a for a in range(n) if T[0][a] != a or T[a][0] != a)),
+        Check.first("multiplication is associative",
+                    ((a, b, c) for a, b, c in product(range(n), repeat=3)
+                     if T[T[a][b]][c] != T[a][T[b][c]])),
+        Check.first("every element has an inverse",
+                    (a for a, b in enumerate(G.inverse) if b < 0 or T[a][b] != 0 or T[b][a] != 0)),
+        values,
+        Check.first("epsilon is a homomorphism",
+                    ((a, b) for a, b in pairs if values.ok and eps[T[a][b]] != eps[a] * eps[b])),
+    ])
 
 
 class OrientedDialgebra:
@@ -220,56 +161,33 @@ class OrientedDialgebra:
         return f"OrientedDialgebra(dim={self.dim}, group_order={self.group.order})"
 
 
-def orbit_action(OD: OrientedDialgebra, g: int, x: list) -> list:
-    """Apply the action of group element g to a coordinate vector."""
-    return OD.act(g, x)
+def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
+    """G-module axioms and the ε-twisted product compatibility, with witnesses.
 
-
-def check_oriented_dialgebra(OD: OrientedDialgebra) -> CheckReport:
-    """G-module axioms and the ε-twisted product compatibility, with witnesses."""
+    Witnesses are group elements, pairs (g, h), or (g, i, j) for the basis
+    pair (e_i, e_j) on which g breaks a product.
+    """
     G = OD.group
     D = OD.base
-    items = []
-
-    ident = CheckItem("identity acts as the identity matrix", True)
-    if OD.action[0] != Matrix.identity(D.dim):
-        ident = CheckItem(ident.name, False, 0)
-    items.append(ident)
-
-    module = CheckItem("action is a group homomorphism", True)
-    for a in G.elements():
-        for b in G.elements():
-            if OD.action[a].mul(OD.action[b]) != OD.action[G.mul(a, b)]:
-                module = CheckItem(module.name, False, (a, b))
-                break
-        if not module.ok:
-            break
-    items.append(module)
-
-    invertible = CheckItem("action matrices are invertible", True)
-    for g in G.elements():
-        if rank(OD.action[g]) != D.dim:
-            invertible = CheckItem(invertible.name, False, g)
-            break
-    items.append(invertible)
-
     basis = D.basis()
-    for label, prod in (("left product", D.lmul), ("right product", D.rmul)):
-        compat = CheckItem(f"twisted compatibility of the {label}", True)
-        for g in G.elements():
-            eps = G.sign(g)
-            for i, x in enumerate(basis):
-                gx = OD.act(g, x)
-                for j, y in enumerate(basis):
-                    gy = OD.act(g, y)
-                    lhs = OD.act(g, prod(x, y))
-                    rhs = prod(gx, gy) if eps == 1 else prod(gy, gx)
-                    if lhs != rhs:
-                        compat = CheckItem(compat.name, False, (g, i, j))
-                        break
-                if not compat.ok:
-                    break
-            if not compat.ok:
-                break
-        items.append(compat)
-    return CheckReport(items)
+    cells = list(product(G.elements(), range(D.dim), range(D.dim)))
+    moved = [[OD.act(g, x) for x in basis] for g in G.elements()]
+
+    def twisted(prod):
+        # g(x ∘ y) = gx ∘ gy, or gy ∘ gx when ε(g) = -1
+        return ((g, i, j) for g, i, j in cells
+                if OD.act(g, prod(basis[i], basis[j])) != (
+                    prod(moved[g][i], moved[g][j]) if G.sign(g) == 1
+                    else prod(moved[g][j], moved[g][i])))
+
+    ident = OD.action[0] == Matrix.identity(D.dim)
+    return Report([
+        Check("identity acts as the identity matrix", ident, None if ident else 0),
+        Check.first("action is a group homomorphism",
+                    ((a, b) for a, b in product(G.elements(), repeat=2)
+                     if OD.action[a].mul(OD.action[b]) != OD.action[G.mul(a, b)])),
+        Check.first("action matrices are invertible",
+                    (g for g in G.elements() if rank(OD.action[g]) != D.dim)),
+        Check.first("twisted compatibility of the left product", twisted(D.lmul)),
+        Check.first("twisted compatibility of the right product", twisted(D.rmul)),
+    ])

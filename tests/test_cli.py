@@ -93,6 +93,56 @@ def test_group_numbers_must_be_integers(tmp_path, capsys, group):
     assert "group" in json.loads(err)["error"]
 
 
+def _constant_order1_bundle():
+    """The dual-sign bundle with the order-1 constant deformation, twice, and Ψ = id."""
+    mult = dual_numbers_section()["left"]
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    bundle = dual_sign_bundle()
+    const = {"order": 1, "ml": [mult, zero], "mr": [mult, zero],
+             "phi": [bundle["action"], [zero[0], zero[0]]]}
+    bundle.update(deformation=const, deformation2=const,
+                  equivalence={"order": 1, "psi": [bundle["action"][0], zero[0]]})
+    return bundle
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dialgebra.dim", 2.7),
+    ("dialgebra.dim", "2"),
+    ("deformation.order", 1.0),
+    ("equivalence.order", "1"),
+    ("config.max_level", 2.9),
+    ("config.max_level", True),
+    ("config.max_degree", 3.0),
+    ("config.max_group", "24"),
+    ("config.max_dim", 4.5),
+    ("config.max_dense_cells", 1e6),
+])
+def test_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
+    section, key = field.split(".")
+    command = {"deformation": ["deform-check"], "equivalence": ["equivalence-check"]}.get(
+        section, ["cohomology", "--n", "0"])
+    bundle = _constant_order1_bundle()
+    bundle.setdefault(section, {})[key] = int(value)
+    path = write_bundle(tmp_path / "int.json", bundle)
+    assert run_cli(capsys, command + ["--input", path])[0] == 0
+    bundle[section][key] = value
+    path = write_bundle(tmp_path / "other.json", bundle)
+    code, out, err = run_cli(capsys, command + ["--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{section}: {key} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("order,psi", [(-1, []), (0, [[["1", "0"], ["0", "1"]]])])
+def test_equivalence_order_below_one_exits_2(tmp_path, capsys, order, psi):
+    # each ψ list has order + 1 matrices, so only the order can reject it
+    bundle = _constant_order1_bundle()
+    bundle["equivalence"] = {"order": order, "psi": psi}
+    path = write_bundle(tmp_path / "eq.json", bundle)
+    code, out, err = run_cli(capsys, ["equivalence-check", "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "equivalence: order must be >= 1"
+
+
 def test_negative_tree_level_exits_2(capsys):
     code, out, err = run_cli(capsys, ["trees", "--n", "-1"])
     assert code == 2 and out == ""
@@ -322,6 +372,21 @@ def test_golden_outputs_are_reproducible(tmp_path, command, golden_name):
     assert len(outputs) == 1  # byte-identical across runs
     golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
     assert runs[0].stdout == golden
+
+
+@pytest.mark.parametrize("command,name", [
+    (["check"], "check_all_sections"),
+    (["deform-check"], "deform_check_tampered"),
+    (["equivalence-check"], "equivalence_check_tampered"),
+])
+def test_failing_reports_match_goldens(capsys, command, name):
+    # check_all_sections has all six sections and a failing item in every
+    # report source; the deformation bundles fail several clauses at
+    # different powers, so the witnesses pin the lowest failing power
+    bundle = GOLDEN / "bundles" / f"{name}.json"
+    code, out, _ = run_cli(capsys, command + ["--input", str(bundle)])
+    assert code == 1
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -362,7 +362,11 @@ def test_is_degree1_cocycle_rejects_with_residuals(od_dual_sign):
     beta[0][0][0][0] = 1  # perturb the ⊣ defect
     report = coh.is_degree1_cocycle(od_dual_sign, alpha, beta)
     assert not report.ok
-    assert report.residuals and all(v != 0 for _, v in report.residuals)
+    (check,) = report.checks
+    assert check.name == "explicit cocycle equations" and not check.ok
+    assert check.witness and all(v != 0 for _, v in check.witness)
+    # the witness lists exactly the nonzero residuals, in their order
+    assert check.witness == [r for r in coh.degree1_residuals(od_dual_sign, alpha, beta) if r[1]]
 
 
 def test_pack_unpack_roundtrip(od_dual_sign):

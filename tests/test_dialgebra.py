@@ -53,7 +53,10 @@ def test_check_axioms_reports_failing_mixed_axiom():
     assert any("x<(y>z)" in c.name for c in failing)
     c = failing[0]
     assert c.witness == (0, 0, 0)
-    assert c.lhs != c.rhs
+    # the witness triple breaks the axiom: (x<x)<x = x, but x<(x>x) = 0
+    x = [1]
+    assert c.name == "mixed: (x<y)<z = x<(y>z)"
+    assert broken.lmul(broken.lmul(x, x), x) != broken.lmul(x, broken.rmul(x, x))
 
 
 def test_from_differential_zero_map():

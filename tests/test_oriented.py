@@ -11,7 +11,6 @@ from oridial.oriented import (
     check_oriented_dialgebra,
     check_oriented_group,
     cyclic_group,
-    orbit_action,
     sign_group,
     symmetric_group,
     trivial_group,
@@ -109,13 +108,14 @@ def test_s3_sign_action(od_dual_s3):
 
 def test_orbit_action(od_dual_sign):
     rng = random.Random(4)
-    assert orbit_action(od_dual_sign, 0, [3, 5]) == [3, 5]
-    assert orbit_action(od_dual_sign, 1, [1, 0]) == [1, 0]
-    assert orbit_action(od_dual_sign, 1, [0, 1]) == [0, -1]
+    act = od_dual_sign.act
+    assert act(0, [3, 5]) == [3, 5]
+    assert act(1, [1, 0]) == [1, 0]
+    assert act(1, [0, 1]) == [0, -1]
     for _ in range(10):
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]
         g = rng.randrange(2)
         ginv = od_dual_sign.group.inv(g)
-        assert orbit_action(od_dual_sign, g, orbit_action(od_dual_sign, ginv, x)) == x
+        assert act(g, act(ginv, x)) == x
     with pytest.raises(Exception):
-        orbit_action(od_dual_sign, 0, [1, 2, 3])
+        act(0, [1, 2, 3])
