@@ -7,17 +7,10 @@ is exact over the rationals.
 """
 
 from .cohomology import (
-    Cochain,
-    BicochainElement,
-    TotalDegreeElement,
     EngineConfig,
-    act_on_cochain,
-    delta_matrix,
     dialgebra_cohomology,
     equivariant_cohomology,
-    horizontal_differential,
     is_degree1_cocycle,
-    vertical_differential,
 )
 from .deformations import (
     DeformationEquivalence,
@@ -50,9 +43,7 @@ from .extensions import (
 )
 from .linalg import (
     Matrix,
-    cohomology_dim,
     in_image,
-    kernel_backend,
     nullspace,
     rank,
 )
@@ -81,20 +72,17 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicochainElement", "Check", "Cochain", "DeformationEquivalence", "Dialgebra",
-    "EngineConfig", "LEAF", "LeafOrientation", "Matrix", "OrientedDialgebra",
-    "OrientedGroup", "Report", "SingularExtension", "TotalDegreeElement",
-    "TruncatedDeformation", "Tree", "__version__", "act_on_cochain",
+    "Check", "DeformationEquivalence", "Dialgebra", "EngineConfig", "LEAF",
+    "LeafOrientation", "Matrix", "OrientedDialgebra", "OrientedGroup", "Report",
+    "SingularExtension", "TruncatedDeformation", "Tree", "__version__",
     "build_extension", "canonical_section", "catalan", "check_axioms",
     "check_deformation", "check_equivalence", "check_extension",
     "check_oriented_dialgebra", "check_oriented_group", "cocycles_cohomologous",
-    "cohomology_dim", "degeneracy", "delta_matrix", "dialgebra_cohomology",
-    "enumerate_trees", "equivariant_cohomology", "extract_cocycle", "face",
-    "from_associative", "from_bimodule_map", "from_differential", "graft",
-    "horizontal_differential", "in_image", "infinitesimal",
+    "degeneracy", "dialgebra_cohomology", "enumerate_trees", "equivariant_cohomology",
+    "extract_cocycle", "face", "from_associative", "from_bimodule_map",
+    "from_differential", "graft", "in_image", "infinitesimal",
     "infinitesimals_cohomologous", "is_degree1_cocycle", "is_morphism",
-    "kernel_backend", "leaf_orientation", "nullspace", "rank",
-    "rigidity_probe", "sign_group", "symmetric_group", "transport_constant",
-    "transport_deformation",
-    "tree_from_word", "trivial_group", "vertical_differential",
+    "leaf_orientation", "nullspace", "rank", "rigidity_probe", "sign_group",
+    "symmetric_group", "transport_constant", "transport_deformation",
+    "tree_from_word", "trivial_group",
 ]

@@ -19,7 +19,12 @@ Bundle sections (all optional, each command states what it needs):
                     "phi": [[per-element matrix ..] ..]}
     "deformation2": second deformation for equivalence checking
     "equivalence": {"order": N, "psi": [matrix ..]}
-    "config":      {"max_degree": .., "max_level": ..}
+    "config":      {"max_level": 6, "max_degree": 3, "max_group": 24,
+                    "max_dim": 4, "max_cochain_dim": 32768}
+
+A section written {..} above must be a JSON object.  The "config" fields
+are the engine's resource caps (``cohomology.EngineConfig``, defaults
+shown), each optional and a JSON integer; an unknown field is malformed.
 
 Rationals are written "p" or "p/q" in lowest terms; structure-constant
 tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.
@@ -132,13 +137,20 @@ def _parse_group(data, config) -> OrientedGroup:
     return OrientedGroup(table, epsilon)
 
 
+def _section(bundle, key: str) -> dict:
+    """The object section ``bundle[key]``; missing or not an object is malformed."""
+    if key not in bundle:
+        raise BundleError(f"bundle needs a {key!r} section for this command")
+    data = bundle[key]
+    if not isinstance(data, dict):
+        raise BundleError(f"{key}: section must be a JSON object")
+    return data
+
+
 def _parse_oriented(bundle, config) -> OrientedDialgebra:
-    for key in ("dialgebra", "group", "action"):
-        if key not in bundle:
-            raise BundleError(f"bundle needs a {key!r} section for this command")
-    base = _parse_dialgebra(bundle["dialgebra"], config)
-    group = _parse_group(bundle["group"], config)
-    action_data = bundle["action"]
+    base = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+    group = _parse_group(_section(bundle, "group"), config)
+    action_data = bundle.get("action")
     if not isinstance(action_data, list) or len(action_data) != group.order:
         raise BundleError("action: need one matrix per group element")
     action = [_parse_matrix(m, base.dim, base.dim, f"action[{g}]")
@@ -158,9 +170,7 @@ def _parse_cocycle(data, OD):
 
 
 def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
-    data = bundle.get("extension")
-    if data is None:
-        raise BundleError("bundle needs an 'extension' section for this command")
+    data = _section(bundle, "extension")
     d = OD.dim
     if "dialgebra" not in data:
         raise BundleError("extension: missing middle-term dialgebra")
@@ -180,9 +190,7 @@ def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
 
 def _widen(config: coh.EngineConfig) -> coh.EngineConfig:
     # extensions live in dimension 2d, above the cap for fresh input
-    return coh.EngineConfig(config.max_level, config.max_degree,
-                            config.max_group, 2 * config.max_dim,
-                            config.max_dense_cells)
+    return dataclasses.replace(config, max_dim=2 * config.max_dim)
 
 
 def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
@@ -223,12 +231,14 @@ def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
 
 
 def _parse_config(bundle) -> coh.EngineConfig:
-    data = bundle.get("config", {})
-    if not isinstance(data, dict):
-        raise BundleError("config must be an object")
+    data = _section(bundle, "config") if "config" in bundle else {}
+    names = [f.name for f in dataclasses.fields(coh.EngineConfig)]
+    unknown = next((key for key in data if key not in names), None)
+    if unknown is not None:
+        raise BundleError(f"config: unknown field {unknown!r}")
     return coh.EngineConfig(**{
-        f.name: _int_field(data, f.name, "config", getattr(coh.DEFAULT_CONFIG, f.name))
-        for f in dataclasses.fields(coh.EngineConfig)})
+        name: _int_field(data, name, "config", getattr(coh.DEFAULT_CONFIG, name))
+        for name in names})
 
 
 def load_bundle(path: str) -> dict:
@@ -306,10 +316,10 @@ def cmd_check(args) -> tuple:
     reports = {}
     OD = None
     if "dialgebra" in bundle:
-        D = _parse_dialgebra(bundle["dialgebra"], config)
+        D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
         reports["dialgebra axioms"] = check_axioms(D)
     if "group" in bundle:
-        G = _parse_group(bundle["group"], config)
+        G = _parse_group(_section(bundle, "group"), config)
         reports["oriented group"] = check_oriented_group(G)
     if "group" in bundle and "action" in bundle and "dialgebra" in bundle:
         OD = _parse_oriented(bundle, config)
@@ -317,7 +327,7 @@ def cmd_check(args) -> tuple:
     if "cocycle" in bundle:
         if OD is None:
             raise BundleError("cocycle checking needs dialgebra, group and action sections")
-        alpha, beta = _parse_cocycle(bundle["cocycle"], OD)
+        alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
         (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
         # the payload names the first nonzero residual only
         witness = None if c.ok else _emit_residual(c.witness[0])
@@ -330,7 +340,7 @@ def cmd_check(args) -> tuple:
     if "deformation" in bundle:
         if OD is None:
             raise BundleError("deformation checking needs dialgebra, group and action sections")
-        dfm = _parse_deformation(bundle["deformation"], OD)
+        dfm = _parse_deformation(_section(bundle, "deformation"), OD)
         reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
         raise BundleError("bundle contains nothing to check")
@@ -352,9 +362,7 @@ def _cohomology_payload(result) -> dict:
 def cmd_cohomology(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
-    if "dialgebra" not in bundle:
-        raise BundleError("bundle needs a 'dialgebra' section")
-    D = _parse_dialgebra(bundle["dialgebra"], config)
+    D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
     report = check_axioms(D)
     if not report.ok:
         return {"error": "dialgebra axioms fail", "checks": _emit_checks(report)}, 1
@@ -377,9 +385,7 @@ def cmd_cocycle_check(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     OD = _parse_oriented(bundle, config)
-    if "cocycle" not in bundle:
-        raise BundleError("bundle needs a 'cocycle' section")
-    alpha, beta = _parse_cocycle(bundle["cocycle"], OD)
+    alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
     (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
     payload = {
         "ok": c.ok,
@@ -392,9 +398,7 @@ def cmd_extend(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     OD = _parse_oriented(bundle, config)
-    if "cocycle" not in bundle:
-        raise BundleError("bundle needs a 'cocycle' section")
-    alpha, beta = _parse_cocycle(bundle["cocycle"], OD)
+    alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
     try:
         E = ext.build_extension(OD, alpha, beta)
     except ext.NotCocycleError as exc:
@@ -434,9 +438,7 @@ def cmd_deform_check(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     OD = _parse_oriented(bundle, config)
-    if "deformation" not in bundle:
-        raise BundleError("bundle needs a 'deformation' section")
-    dfm = _parse_deformation(bundle["deformation"], OD)
+    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     report = defm.check_deformation(OD, dfm)
     return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
@@ -445,9 +447,7 @@ def cmd_infinitesimal(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     OD = _parse_oriented(bundle, config)
-    if "deformation" not in bundle:
-        raise BundleError("bundle needs a 'deformation' section")
-    dfm = _parse_deformation(bundle["deformation"], OD)
+    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     try:
         inf = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
@@ -465,12 +465,9 @@ def cmd_equivalence_check(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     OD = _parse_oriented(bundle, config)
-    for key in ("deformation", "deformation2", "equivalence"):
-        if key not in bundle:
-            raise BundleError(f"bundle needs a {key!r} section")
-    def1 = _parse_deformation(bundle["deformation"], OD)
-    def2 = _parse_deformation(bundle["deformation2"], OD)
-    eq = _parse_equivalence(bundle["equivalence"], OD)
+    def1 = _parse_deformation(_section(bundle, "deformation"), OD)
+    def2 = _parse_deformation(_section(bundle, "deformation2"), OD)
+    eq = _parse_equivalence(_section(bundle, "equivalence"), OD)
     report = defm.check_equivalence(OD, def1, def2, eq)
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:

@@ -38,7 +38,7 @@ on every fixture whose cocycles satisfy β([2 1]) = β([1 2]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -49,10 +49,8 @@ from .linalg import (
     NonComplexError,
     ShapeMismatchError,
     column_space_complement,
-    format_rational,
     normalize_scalar,
     nullspace,
-    parse_rational,
     rank,
     vec_sub,
     vec_sum,
@@ -78,7 +76,7 @@ class EngineConfig:
     max_degree: int = 3         # highest assembled total degree
     max_group: int = 24
     max_dim: int = 4
-    max_dense_cells: int = 4_000_000
+    max_cochain_dim: int = 32_768   # dim of the largest space a map lands in
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -93,9 +91,12 @@ def sign_exponent_default(n: int) -> int:
 #
 # Every coboundary, action and total differential is assembled as a
 # SparseMap, and cohomology eliminates these maps directly: the functions of
-# ``linalg`` accept them as they are.  Only the ``*_matrix`` and
-# ``*_differential`` helpers densify, through ``to_matrix``, and only they
-# are bound by ``EngineConfig.max_dense_cells``.
+# ``linalg`` accept them as they are, and nothing in the engine densifies.
+# The one size cap is ``EngineConfig.max_cochain_dim``: ``delta_entries``
+# and ``total_entries`` check the dimension of their target space before
+# they write an entry, and both cohomology entry points assemble through
+# them, outgoing map first.  ``to_matrix`` has no cap; tests use it to
+# compare a map with a dense one.
 
 
 class SparseMap:
@@ -192,11 +193,7 @@ class SparseMap:
             Fraction(self.entries.get(k, 0)) == Fraction(other.entries.get(k, 0)) for k in keys
         )
 
-    def to_matrix(self, config: EngineConfig = DEFAULT_CONFIG) -> Matrix:
-        if self.rows * self.cols > config.max_dense_cells:
-            raise ResourceLimitError(
-                f"dense {self.rows}x{self.cols} matrix exceeds the configured cell cap"
-            )
+    def to_matrix(self) -> Matrix:
         data = [0] * (self.rows * self.cols)
         for (r, c), v in self.entries.items():
             data[r * self.cols + c] = v
@@ -223,34 +220,17 @@ def cochain_pos(d: int, n: int, t_idx: int, multi: tuple, k: int) -> int:
     return (t_idx * d ** n + multi_index(multi, d)) * d + k
 
 
-@dataclass
-class Cochain:
-    """An element of CY(n), as a dense coefficient vector."""
-
-    level: int
-    coeffs: list
-
-
-@dataclass
-class BicochainElement:
-    """An element of the (p, q) spot: maps G^p -> CY(q)."""
-
-    p: int
-    q: int
-    coeffs: list
-
-
-@dataclass
-class TotalDegreeElement:
-    """One block per (p, q) with p + q = degree + 1, q >= 1."""
-
-    degree: int
-    blocks: dict = field(default_factory=dict)
-
-
 def _check_dialgebra_size(d: int, config: EngineConfig) -> None:
     if d > config.max_dim:
         raise ResourceLimitError(f"dimension {d} exceeds cap {config.max_dim}")
+
+
+def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
+    """Refuse, before any entry is written, a map into a space above the cap."""
+    if dim > config.max_cochain_dim:
+        raise ResourceLimitError(
+            f"{space} has dimension {dim}, above the cap {config.max_cochain_dim}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +245,7 @@ def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -
         raise ResourceLimitError(f"coboundary to level {n + 1} exceeds cap {config.max_level}")
     _check_dialgebra_size(D.dim, config)
     d = D.dim
+    _check_target_size(f"CY({n + 1})", cochain_dim(d, n + 1), config)
     sm = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n))
     add = sm.add
     t_in = tree_index(n)
@@ -311,11 +292,6 @@ def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -
 
 def _negated(tensor: list) -> list:
     return [[[-x for x in row] for row in plane] for plane in tensor]
-
-
-def delta_matrix(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> Matrix:
-    """Dense coboundary matrix CY(n) -> CY(n+1) in the canonical bases."""
-    return delta_entries(D, n, config).to_matrix(config)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +355,6 @@ def act_entries(
                             coeff if w == 1 else -coeff if w == -1 else
                             coeff * w if type(coeff) is Fraction else w * coeff)
     return sm
-
-
-def act_on_cochain(
-    OD: OrientedDialgebra,
-    g: int,
-    f: Cochain,
-    config: EngineConfig = DEFAULT_CONFIG,
-    sign_exponent=sign_exponent_default,
-) -> Cochain:
-    """Apply the twisted action of group element g to a cochain."""
-    sm = act_entries(OD, g, f.level, config, sign_exponent)
-    if len(f.coeffs) != sm.cols:
-        raise ShapeMismatchError("cochain length does not match its level")
-    return Cochain(f.level, sm.matvec(f.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +422,6 @@ def horizontal_entries(
     return sm
 
 
-def vertical_differential(
-    OD: OrientedDialgebra, p: int, q: int, config: EngineConfig = DEFAULT_CONFIG
-) -> Matrix:
-    return vertical_entries(OD, p, q, config).to_matrix(config)
-
-
-def horizontal_differential(
-    OD: OrientedDialgebra, p: int, q: int, config: EngineConfig = DEFAULT_CONFIG
-) -> Matrix:
-    return horizontal_entries(OD, p, q, config).to_matrix(config)
-
-
 def total_blocks(OD: OrientedDialgebra, n: int) -> list[tuple[int, int]]:
     """The (p, q) blocks of total degree n, ordered by ascending p."""
     return [(p, n + 1 - p) for p in range(n + 1)]
@@ -496,6 +446,7 @@ def total_entries(
     """Total differential Tot(n) -> Tot(n+1): D = ∂' + (-1)^q ∂'' blockwise."""
     if n < 0:
         raise ValueError("total degree must be non-negative")
+    _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)
     src = _block_offsets(OD, n)
     dst = _block_offsets(OD, n + 1)
     sm = SparseMap(total_dim(OD, n + 1), total_dim(OD, n))
@@ -505,32 +456,6 @@ def total_entries(
         sm.add_block(vertical_entries(OD, p, q, config), dst[(p + 1, q)], col,
                      scale=(-1) ** q)
     return sm
-
-
-def total_differential(
-    OD: OrientedDialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
-) -> Matrix:
-    return total_entries(OD, n, config).to_matrix(config)
-
-
-def pack_total(OD: OrientedDialgebra, element: TotalDegreeElement) -> list:
-    offsets = _block_offsets(OD, element.degree)
-    vec = [0] * total_dim(OD, element.degree)
-    for (p, q), block in element.blocks.items():
-        off = offsets[(p, q)]
-        for i, v in enumerate(block.coeffs):
-            vec[off + i] = v
-    return vec
-
-
-def unpack_total(OD: OrientedDialgebra, n: int, vec: list) -> TotalDegreeElement:
-    element = TotalDegreeElement(n)
-    pos = 0
-    for p, q in total_blocks(OD, n):
-        size = bicochain_dim(OD, p, q)
-        element.blocks[(p, q)] = BicochainElement(p, q, list(vec[pos:pos + size]))
-        pos += size
-    return element
 
 
 # ---------------------------------------------------------------------------
@@ -818,38 +743,3 @@ def degree1_coboundary_matrix(OD: OrientedDialgebra) -> Matrix:
             cols.append(degree1_pack(OD, alpha, beta))
     rows = total_dim(OD, 1)
     return Matrix(rows, d * d, [cols[j][i] for i in range(rows) for j in range(d * d)])
-
-
-# ---------------------------------------------------------------------------
-# serialization (flat coefficient arrays in the canonical index order)
-
-
-def cochain_to_json(f: Cochain) -> dict:
-    return {"level": f.level, "coeffs": [format_rational(x) for x in f.coeffs]}
-
-
-def cochain_from_json(data: dict, d: int) -> Cochain:
-    level = int(data["level"])
-    coeffs = [normalize_scalar(parse_rational(x)) for x in data["coeffs"]]
-    if len(coeffs) != cochain_dim(d, level):
-        raise ValueError(f"level-{level} cochain needs {cochain_dim(d, level)} coefficients")
-    return Cochain(level, coeffs)
-
-
-def total_element_to_json(element: TotalDegreeElement) -> dict:
-    blocks = {
-        f"{p},{q}": [format_rational(x) for x in block.coeffs]
-        for (p, q), block in sorted(element.blocks.items())
-    }
-    return {"degree": element.degree, "blocks": blocks}
-
-
-def total_element_from_json(OD: OrientedDialgebra, data: dict) -> TotalDegreeElement:
-    degree = int(data["degree"])
-    element = TotalDegreeElement(degree)
-    for p, q in total_blocks(OD, degree):
-        coeffs = [normalize_scalar(parse_rational(x)) for x in data["blocks"][f"{p},{q}"]]
-        if len(coeffs) != bicochain_dim(OD, p, q):
-            raise ValueError(f"block ({p},{q}) needs {bicochain_dim(OD, p, q)} coefficients")
-        element.blocks[(p, q)] = BicochainElement(p, q, coeffs)
-    return element

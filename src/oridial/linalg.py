@@ -361,13 +361,3 @@ def column_space_complement(image, candidates: list[list]) -> list[int]:
     return [i for i, vec in enumerate(candidates)
             if _insert(_integral({j: x for j, x in enumerate(vec) if x}), echelon)]
 
-
-def cohomology_dim(d_out: Matrix, d_in: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for a composable pair with d_out∘d_in = 0."""
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatchError(
-            f"middle space mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows"
-        )
-    if not d_out.mul(d_in).is_zero():
-        raise NonComplexError("d_out . d_in is not zero; the pair is not a complex")
-    return (d_out.cols - rank(d_out)) - rank(d_in)

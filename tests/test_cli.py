@@ -1,7 +1,12 @@
+import copy
+import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oridial.cli import build_parser, main
 
@@ -115,7 +120,7 @@ def _constant_order1_bundle():
     ("config.max_degree", 3.0),
     ("config.max_group", "24"),
     ("config.max_dim", 4.5),
-    ("config.max_dense_cells", 1e6),
+    ("config.max_cochain_dim", 1e6),
 ])
 def test_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
     section, key = field.split(".")
@@ -414,3 +419,131 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 0]
     separate = [run_cli_process(argv) for argv in argvs]
     assert in_process == [(r.returncode, r.stdout) for r in separate]
+
+
+@functools.cache
+def _every_section_bundle() -> dict:
+    """The dual-sign bundle with every section, all valid; do not mutate the result."""
+    from oridial import cohomology as coh
+    from oridial.cli import _emit_cocycle, _emit_matrix, _emit_tensor
+    from oridial.extensions import build_extension, canonical_section
+    from oridial.linalg import Matrix
+    from conftest import oriented_dual_sign
+
+    OD = oriented_dual_sign()
+    alpha, beta = coh.degree1_coboundary(OD, Matrix.from_rows([[1, 2], [0, 1]]))
+    E = build_extension(OD, alpha, beta)
+    bundle = _transported_bundle()
+    bundle["cocycle"] = _emit_cocycle(alpha, beta)
+    bundle["extension"] = {
+        "dialgebra": {"dim": 4, "left": _emit_tensor(E.total.base.left),
+                      "right": _emit_tensor(E.total.base.right)},
+        "action": [_emit_matrix(m) for m in E.total.action],
+        "inclusion": _emit_matrix(E.inclusion),
+        "projection": _emit_matrix(E.projection),
+    }
+    bundle["section"] = _emit_matrix(canonical_section(E))
+    bundle["config"] = dataclasses.asdict(coh.DEFAULT_CONFIG)
+    return bundle
+
+
+COMMANDS = [
+    ["trees", "--n", "2"],
+    ["check"],
+    ["cohomology", "--n", "1"],
+    ["equivariant-cohomology", "--n", "1"],
+    ["cocycle-check"],
+    ["extend"],
+    ["extract"],
+    ["deform-check"],
+    ["infinitesimal", "--order", "1"],
+    ["equivalence-check"],
+    ["rigidity"],
+]
+
+
+def _argv(command: list, path: str) -> list:
+    return command if command[0] == "trees" else command + ["--input", path]
+
+
+def test_every_command_accepts_the_every_section_bundle(tmp_path, capsys):
+    parser_commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(c[0] for c in COMMANDS) == sorted(parser_commands)
+    path = write_bundle(tmp_path / "all.json", _every_section_bundle())
+    for command in COMMANDS:
+        assert run_cli(capsys, _argv(command, path))[0] == 0, command
+
+
+@pytest.mark.parametrize("command,section,value", [
+    (["cocycle-check"], "cocycle", []),
+    (["extract"], "extension", "dialgebra"),
+    (["check"], "dialgebra", [1]),
+    (["rigidity"], "group", "sign"),
+    (["deform-check"], "deformation", None),
+    (["equivalence-check"], "deformation2", 2),
+    (["equivalence-check"], "equivalence", ["order"]),
+    (["cohomology", "--n", "0"], "config", []),
+])
+def test_object_section_of_another_type_exits_2(tmp_path, capsys, command, section, value):
+    bundle = copy.deepcopy(_every_section_bundle())
+    bundle[section] = value
+    path = write_bundle(tmp_path / "bad.json", bundle)
+    code, out, err = run_cli(capsys, command + ["--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{section}: section must be a JSON object"
+
+
+@pytest.mark.parametrize("key", ["max_levle", "max_dense_cells"])
+def test_unknown_config_field_exits_2(tmp_path, capsys, key):
+    bundle = zero_trivial_bundle()
+    bundle["config"] = {key: 1}
+    path = write_bundle(tmp_path / "config.json", bundle)
+    code, out, err = run_cli(capsys, ["cohomology", "--n", "1", "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"config: unknown field {key!r}"
+
+
+BAD_RATIONALS = ["1/0", "1e0", "0.0", " 1/2", "1_0", "+1", "1/-2", "x"]
+OTHER_JSON = [None, True, 0, 3, 1.5, "1", [], {}, [[]]]
+
+
+@st.composite
+def mutated_bundles(draw) -> dict:
+    """The every-section bundle with one node dropped, retyped, resized or made a bad rational.
+
+    The node is reached by a random walk from the root; a bad rational
+    always replaces a leaf.
+    """
+    bundle = copy.deepcopy(_every_section_bundle())
+    kind = draw(st.sampled_from(["drop", "retype", "shorten", "lengthen", "rational"]))
+    parent, key, node = None, None, bundle
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or kind == "rational" or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from(OTHER_JSON))
+    elif kind == "rational":
+        parent[key] = draw(st.sampled_from(BAD_RATIONALS))
+    else:
+        target = node if isinstance(node, list) and node else parent
+        if isinstance(target, list):
+            if kind == "shorten":
+                target.pop()
+            else:
+                target.append(copy.deepcopy(target[-1]))
+    return bundle
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS), bundle=mutated_bundles())
+def test_mutated_bundles_exit_cleanly(tmp_path, capsys, command, bundle):
+    # any exception escaping main fails the example
+    path = write_bundle(tmp_path / "fuzz.json", bundle)
+    code, out, _ = run_cli(capsys, _argv(command, path))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""

@@ -1,21 +1,28 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oridial import cohomology as coh
+from oridial.cli import main
 from oridial.dialgebra import Dialgebra, bilinear, zero_tensor
-from oridial.linalg import Matrix, NonComplexError, nullspace, rank
+from oridial.linalg import Matrix, NonComplexError, in_image, nullspace, rank
 from oridial.oriented import OrientedDialgebra, OrientedGroup, sign_group
 from oridial.trees import ResourceLimitError, enumerate_trees
 
+from bundles import write_bundle
 from conftest import (
+    diff3_dialgebra,
     dual_numbers_dialgebra,
     oriented_dual_s3,
     oriented_dual_sign,
     oriented_split_sign,
     oriented_trivial,
     oriented_zero_sign,
+    poly3_dialgebra,
     scalar_product_dialgebra,
     split_products_dialgebra,
     zero_dialgebra,
@@ -33,7 +40,7 @@ def test_delta_zero_level_is_inner_defect():
     # (δm)(x) = x ⊣ m - m ⊢ x; for the split-products fixture with m = e1:
     # x ⊣ e1 = 0 unless x = e2 (giving e1), and e1 ⊢ x = 0
     D = split_products_dialgebra()
-    d0 = coh.delta_matrix(D, 0)
+    d0 = coh.delta_entries(D, 0)
     m = [0, 1]  # e2
     image = d0.matvec(m)
     # coordinates of CY(1): (input i, output k)
@@ -83,7 +90,7 @@ def _level1_delta_by_hand(D):
 
 def test_level1_delta_matches_independent_evaluator(dia_scalar, dia_dual, dia_diff3):
     for D in (dia_scalar, dia_dual, dia_diff3):
-        assert coh.delta_matrix(D, 1) == _level1_delta_by_hand(D)
+        assert coh.delta_entries(D, 1).to_matrix() == _level1_delta_by_hand(D)
 
 
 def test_equivariance_matrix_identity(od_dual_sign, od_dual_s3):
@@ -144,17 +151,6 @@ def test_level1_action_is_plain_conjugation(od_dual_sign):
                     if v:
                         by_hand.add(i * 2 + k, a * 2 + b, v)
     assert coh.act_entries(od_dual_sign, g, 1).equals(by_hand)
-
-
-def test_act_on_cochain_identity_and_matrix_agreement(od_dual_sign):
-    rng = random.Random(6)
-    for n in (0, 1, 2):
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(coh.cochain_dim(2, n))]
-        f = coh.Cochain(n, coeffs)
-        assert coh.act_on_cochain(od_dual_sign, 0, f).coeffs == coeffs
-        moved = coh.act_on_cochain(od_dual_sign, 1, f)
-        assert moved.coeffs == coh.act_entries(od_dual_sign, 1, n).matvec(coeffs)
 
 
 def test_vertical_differential_p0_and_alternation(od_dual_sign):
@@ -270,6 +266,45 @@ def test_quotient_on_fraction_structure_constants(od_dual_sign):
         assert all(next(x for x in rep if x) == 1 for rep in res.representatives)
 
 
+def _oriented_fixtures() -> list:
+    plain = [scalar_product_dialgebra(), dual_numbers_dialgebra(), zero_dialgebra(2),
+             split_products_dialgebra(), poly3_dialgebra(), diff3_dialgebra()]
+    return [oriented_dual_sign(), oriented_zero_sign(), oriented_dual_s3(),
+            oriented_split_sign()] + [oriented_trivial(D) for D in plain]
+
+
+def _degree0_routes_agree(OD) -> bool:
+    """The explicit degree-0 coboundary γ -> (α, β) against Tot(0) -> Tot(1)."""
+    return coh.degree1_coboundary_matrix(OD) == coh.total_entries(OD, 0).to_matrix()
+
+
+def test_degree0_coboundary_matches_total_differential():
+    assert all(_degree0_routes_agree(OD) for OD in _oriented_fixtures())
+
+
+@st.composite
+def unimodular_bases(draw, d: int) -> Matrix:
+    """P = L·U with unit triangular L and U, so det P = 1."""
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    def triangular(lower: bool) -> Matrix:
+        return Matrix(d, d, [1 if i == j else draw(entries) if (i > j) == lower else 0
+                             for i in range(d) for j in range(d)])
+
+    return triangular(True).mul(triangular(False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_degree0_coboundary_matches_total_differential_after_basis_change(data):
+    OD = data.draw(st.sampled_from(_oriented_fixtures()))
+    P = data.draw(unimodular_bases(OD.dim))
+    P_inv = Matrix.from_rows([in_image(P, unit) for unit in Matrix.identity(OD.dim).to_rows()])
+    P_inv = P_inv.transpose()
+    assert P.mul(P_inv) == Matrix.identity(OD.dim)
+    assert _degree0_routes_agree(_basis_changed(OD, P, P_inv))
+
+
 def test_degree_zero_is_joint_kernel(od_dual_sign):
     result = coh.equivariant_cohomology(od_dual_sign, 0)
     h = coh.horizontal_entries(od_dual_sign, 0, 1).to_matrix()
@@ -288,7 +323,7 @@ def test_trivial_group_collapse(dia_scalar, dia_dual, dia_zero, dia_split):
 
 def test_zero_products_dimensions():
     for d in (1, 2):
-        assert coh.delta_matrix(zero_dialgebra(d), 0).is_zero()
+        assert coh.delta_entries(zero_dialgebra(d), 0).is_zero()
     D = zero_dialgebra(2)
     # all coboundaries vanish, so HY(1) is the whole of CY(1)
     res = coh.dialgebra_cohomology(D, 1)
@@ -377,35 +412,36 @@ def test_pack_unpack_roundtrip(od_dual_sign):
         coh.normalize_scalar(x) for x in vec]
 
 
-def test_total_element_pack_roundtrip(od_dual_sign):
-    vec = list(range(coh.total_dim(od_dual_sign, 2)))
-    element = coh.unpack_total(od_dual_sign, 2, vec)
-    assert sorted(element.blocks) == [(0, 3), (1, 2), (2, 1)]
-    assert coh.pack_total(od_dual_sign, element) == vec
-
-
-def test_cochain_serialization_roundtrip(od_dual_sign):
-    f = coh.Cochain(1, [Fraction(1, 2), 0, -3, Fraction(7, 5)])
-    data = coh.cochain_to_json(f)
-    assert data == {"level": 1, "coeffs": ["1/2", "0", "-3", "7/5"]}
-    assert coh.cochain_from_json(data, 2) == f
-    with pytest.raises(ValueError):
-        coh.cochain_from_json({"level": 2, "coeffs": ["1"]}, 2)
-
-    vec = [Fraction(i, 3) for i in range(coh.total_dim(od_dual_sign, 1))]
-    element = coh.unpack_total(od_dual_sign, 1, vec)
-    data = coh.total_element_to_json(element)
-    assert set(data["blocks"]) == {"0,2", "1,1"}
-    back = coh.total_element_from_json(od_dual_sign, data)
-    assert coh.pack_total(od_dual_sign, back) == [coh.normalize_scalar(x) for x in vec]
-
-
 def test_resource_caps(od_dual_sign, dia_dual):
     with pytest.raises(ResourceLimitError):
         coh.equivariant_cohomology(od_dual_sign, 3)
-    tight = coh.EngineConfig(max_dense_cells=10)
-    with pytest.raises(ResourceLimitError):
-        coh.delta_matrix(dia_dual, 2, tight)
     small_levels = coh.EngineConfig(max_level=2)
     with pytest.raises(ResourceLimitError):
         coh.delta_entries(dia_dual, 2, small_levels)
+
+
+def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
+    # δ: CY(5) -> CY(6) of a dim-4 algebra is 2,162,688 x 172,032; the
+    # refusal must come before a single entry is written
+    def refuse(*args):
+        raise AssertionError("an entry was written before the size check")
+
+    monkeypatch.setattr(coh.SparseMap, "add", refuse)
+    with pytest.raises(ResourceLimitError, match="CY\\(6\\) has dimension 2162688"):
+        coh.dialgebra_cohomology(zero_dialgebra(4), 5)
+    zero4 = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+    path = write_bundle(tmp_path / "d4.json", {"dialgebra": {"dim": 4, "left": zero4,
+                                                             "right": zero4}})
+    assert main(["cohomology", "--n", "5", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "resource cap" in json.loads(err)["error"]
+
+
+def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
+    for build, args, rows in (
+        (coh.delta_entries, (dia_dual, 2), coh.cochain_dim(2, 3)),
+        (coh.total_entries, (od_dual_sign, 1), coh.total_dim(od_dual_sign, 2)),
+    ):
+        assert build(*args, coh.EngineConfig(max_cochain_dim=rows)).rows == rows
+        with pytest.raises(ResourceLimitError):
+            build(*args, coh.EngineConfig(max_cochain_dim=rows - 1))

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oridial.cohomology import SparseMap
+from oridial.cohomology import SparseMap, _quotient
 from oridial.dialgebra import bilinear
 from oridial.linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
-    cohomology_dim,
     column_space_complement,
     format_rational,
     in_image,
@@ -58,19 +57,21 @@ def test_in_image_examples():
         in_image(eye, [1, 2])
 
 
-def test_cohomology_dim_examples():
+def _sparse_of(m: Matrix) -> SparseMap:
+    return sparse(m.to_rows(), m.cols)
+
+
+def test_quotient_dim_examples():
     n = 4
-    d_out = Matrix.zeros(1, n)
-    d_in = Matrix.zeros(n, 1)
-    assert cohomology_dim(d_out, d_in) == n
-    assert cohomology_dim(Matrix.identity(n), Matrix.zeros(n, 1)) == 0
+    assert _quotient(SparseMap(1, n), SparseMap(n, 1)).dim == n
+    assert _quotient(_sparse_of(Matrix.identity(n)), SparseMap(n, 1)).dim == 0
     with pytest.raises(NonComplexError):
-        cohomology_dim(Matrix.identity(2), Matrix.identity(2))
+        _quotient(_sparse_of(Matrix.identity(2)), _sparse_of(Matrix.identity(2)))
     with pytest.raises(ShapeMismatchError):
-        cohomology_dim(Matrix.zeros(2, 3), Matrix.zeros(2, 2))
+        _quotient(SparseMap(2, 3), SparseMap(2, 2))
 
 
-def test_cohomology_dim_invariant_under_middle_permutation():
+def test_quotient_dim_invariant_under_middle_permutation():
     rng = random.Random(0)
     for _ in range(10):
         mid = 5
@@ -79,12 +80,12 @@ def test_cohomology_dim_invariant_under_middle_permutation():
         basis = nullspace(Matrix.from_rows([[d_in.at(i, j) for i in range(mid)]
                                             for j in range(2)]))
         d_out = Matrix.from_rows([list(v) for v in basis]) if basis else Matrix.zeros(0, mid)
-        dim = cohomology_dim(d_out, d_in)
+        dim = _quotient(_sparse_of(d_out), _sparse_of(d_in)).dim
         perm = list(range(mid))
         rng.shuffle(perm)
         p = Matrix(mid, mid, [1 if perm[i] == j else 0 for i in range(mid) for j in range(mid)])
         p_inv = p.transpose()
-        assert cohomology_dim(d_out.mul(p_inv), p.mul(d_in)) == dim
+        assert _quotient(_sparse_of(d_out.mul(p_inv)), _sparse_of(p.mul(d_in))).dim == dim
 
 
 @settings(max_examples=60, deadline=None)
