@@ -61,7 +61,7 @@ def _sparse_of(m: Matrix) -> SparseMap:
     return sparse(m.to_rows(), m.cols)
 
 
-def test_quotient_dim_examples():
+def test_cohomology_dim_examples():
     n = 4
     assert _quotient(SparseMap(1, n), SparseMap(n, 1)).dim == n
     assert _quotient(_sparse_of(Matrix.identity(n)), SparseMap(n, 1)).dim == 0
@@ -71,7 +71,7 @@ def test_quotient_dim_examples():
         _quotient(SparseMap(2, 3), SparseMap(2, 2))
 
 
-def test_quotient_dim_invariant_under_middle_permutation():
+def test_cohomology_dim_invariant_under_middle_permutation():
     rng = random.Random(0)
     for _ in range(10):
         mid = 5
