@@ -22,7 +22,8 @@ Bundle sections (all optional, each command states what it needs):
     "config":      {"max_level": 6, "max_degree": 3, "max_group": 24,
                     "max_dim": 4, "max_cochain_dim": 32768}
 
-A section written {..} above must be a JSON object.  The "config" fields
+A section written {..} above must be a JSON object, and a key not listed
+above is malformed.  The "config" fields
 are the engine's resource caps (``cohomology.EngineConfig``, defaults
 shown), each optional and a JSON integer; an unknown field is malformed.
 
@@ -51,6 +52,12 @@ from .oriented import (
     check_oriented_group,
 )
 from .trees import ResourceLimitError, enumerate_trees
+
+
+# the sections of the docstring above; any other top-level key is malformed,
+# so a misspelled section cannot be skipped without a word
+BUNDLE_KEYS = frozenset({"dialgebra", "group", "action", "cocycle", "extension", "section",
+                         "deformation", "deformation2", "equivalence", "config"})
 
 
 class BundleError(ValueError):
@@ -251,6 +258,9 @@ def load_bundle(path: str) -> dict:
         raise BundleError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(bundle, dict):
         raise BundleError("bundle must be a JSON object")
+    unknown = next((key for key in bundle if key not in BUNDLE_KEYS), None)
+    if unknown is not None:
+        raise BundleError(f"unknown bundle section {unknown!r}")
     return bundle
 
 

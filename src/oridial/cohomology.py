@@ -92,11 +92,12 @@ def sign_exponent_default(n: int) -> int:
 # Every coboundary, action and total differential is assembled as a
 # SparseMap, and cohomology eliminates these maps directly: the functions of
 # ``linalg`` accept them as they are, and nothing in the engine densifies.
-# The one size cap is ``EngineConfig.max_cochain_dim``: ``delta_entries``
-# and ``total_entries`` check the dimension of their target space before
-# they write an entry, and both cohomology entry points assemble through
-# them, outgoing map first.  ``to_matrix`` has no cap; tests use it to
-# compare a map with a dense one.
+# The one size cap is ``EngineConfig.max_cochain_dim``: every assembly
+# function (``delta_entries``, ``act_entries``, ``vertical_entries``,
+# ``horizontal_entries`` and ``total_entries``) checks the dimension of its
+# target space before it writes an entry, and both cohomology entry points
+# assemble their outgoing map first.  ``to_matrix`` has no cap; tests use
+# it to compare a map with a dense one.
 
 
 class SparseMap:
@@ -316,6 +317,7 @@ def act_entries(
         raise ResourceLimitError(f"level {n} exceeds cap {config.max_level}")
     d = OD.dim
     dim = cochain_dim(d, n)
+    _check_target_size(f"CY({n})", dim, config)
     sm = SparseMap(dim, dim)
     eps = OD.sign(g)
     rho = OD.action[g]
@@ -389,6 +391,7 @@ def vertical_entries(
     m = OD.group.order
     if m > config.max_group:
         raise ResourceLimitError(f"group order {m} exceeds cap {config.max_group}")
+    _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q), config)
     cd = cochain_dim(OD.dim, q)
     sm = SparseMap(m ** (p + 1) * cd, m ** p * cd)
     acts = [act_entries(OD, g, q, config) for g in range(m)]
@@ -415,6 +418,7 @@ def horizontal_entries(
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
     m = OD.group.order
+    _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1), config)
     delta = delta_entries(OD.base, q, config)
     sm = SparseMap(m ** p * delta.rows, m ** p * delta.cols)
     for t in range(m ** p):

@@ -14,6 +14,15 @@ and divided by their pivots, which gives the reduced row echelon form.
 That form is unique, so ranks, pivot columns, nullspace bases and
 preimages do not depend on the order of elimination and are reproducible
 bit for bit across runs and platforms.
+
+Coboundaries are tall: many more rows than columns.  So ``rank``
+eliminates the shorter side, rows or columns, and ``nullspace`` eliminates
+the columns, each tagged with an identity entry that records which
+combination of columns it stands for.  A tagged vector whose column part
+vanishes is a kernel vector, and the reduced echelon form of those
+vectors, keyed so that the largest column leads, is the canonical kernel
+basis of the row route (see ``nullspace``).  A tall map thus costs at most
+one insertion per column instead of one per row.
 """
 
 from __future__ import annotations
@@ -293,8 +302,8 @@ def _reduced(echelon: dict) -> list[tuple[int, dict]]:
 
 
 def rank(m) -> int:
-    """Rank over the rationals."""
-    return len(_echelon(_row_dicts(m)))
+    """Rank over the rationals, eliminating the shorter side of m."""
+    return len(_echelon(_row_dicts(m, transpose=m.rows > m.cols)))
 
 
 def rref(m) -> tuple[list[int], list[list]]:
@@ -318,19 +327,29 @@ def nullspace(m) -> list[list]:
     One basis vector per free column f, with entry 1 at f, the negated
     reduced-echelon column above the pivots, and 0 at the other free
     columns.  Size is always cols - rank.
+
+    The basis comes from the cols columns, not the rows, so a tall map
+    costs at most cols insertions.  Column j is tagged with an identity
+    entry at key rows + cols - 1 - j, which records the combination of
+    columns a vector stands for.  Once the row part of a vector vanishes,
+    the vector lies in the kernel and leads with the tag of the largest
+    column in its support.  Those echelon rows are back-substituted and
+    read back in reverse pivot order.  For each free column f exactly one
+    kernel vector has 1 at f and 0 at every other free column, so this is
+    the basis above, in the same order and with the same scalars.
     """
-    pivots, reduced = rref(m)
-    pivot_set = set(pivots)
-    basis = {}
-    for f in range(m.cols):
-        if f not in pivot_set:
-            basis[f] = [0] * m.cols
-            basis[f][f] = 1
-    for pc, row in zip(pivots, reduced):
-        for f, x in enumerate(row):
-            if x and f != pc:
-                basis[f][pc] = -x
-    return list(basis.values())
+    r, c = m.rows, m.cols
+    columns = _row_dicts(m, transpose=True)
+    for j, col in enumerate(columns):
+        col[r + c - 1 - j] = 1
+    kernel = {key: row for key, row in _echelon(columns).items() if key >= r}
+    basis = []
+    for _, row in reversed(_reduced(kernel)):
+        v = [0] * c
+        for key, x in row.items():
+            v[r + c - 1 - key] = x
+        basis.append(v)
+    return basis
 
 
 def in_image(m, v: list):

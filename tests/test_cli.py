@@ -503,6 +503,19 @@ def test_unknown_config_field_exits_2(tmp_path, capsys, key):
     assert json.loads(err)["error"] == f"config: unknown field {key!r}"
 
 
+def test_unknown_bundle_section_exits_2(tmp_path, capsys):
+    # a broken cocycle fails `check`; under a misspelled key it must not be skipped
+    bundle = copy.deepcopy(_every_section_bundle())
+    bundle["cocycle"]["beta_left"][0][0][0] = "7"
+    path = write_bundle(tmp_path / "broken.json", bundle)
+    assert run_cli(capsys, ["check", "--input", path])[0] == 1
+    bundle["cocyle"] = bundle.pop("cocycle")
+    path = write_bundle(tmp_path / "misspelled.json", bundle)
+    code, out, err = run_cli(capsys, ["check", "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "unknown bundle section 'cocyle'"
+
+
 BAD_RATIONALS = ["1/0", "1e0", "0.0", " 1/2", "1_0", "+1", "1/-2", "x"]
 OTHER_JSON = [None, True, 0, 3, 1.5, "1", [], {}, [[]]]
 

@@ -437,9 +437,27 @@ def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
     assert out == "" and "resource cap" in json.loads(err)["error"]
 
 
+def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an entry was written before the size check")
+
+    monkeypatch.setattr(coh.SparseMap, "add", refuse)
+    dim4, s3 = oriented_trivial(zero_dialgebra(4)), oriented_dual_s3()
+    for build, args, target in (
+        (coh.act_entries, (dim4, 0, 6), "CY\\(6\\) has dimension 2162688"),
+        (coh.vertical_entries, (s3, 6, 1), "block \\(7, 1\\) has dimension 1119744"),
+        (coh.horizontal_entries, (s3, 5, 1), "block \\(5, 2\\) has dimension 124416"),
+    ):
+        with pytest.raises(ResourceLimitError, match=target):
+            build(*args)
+
+
 def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
     for build, args, rows in (
         (coh.delta_entries, (dia_dual, 2), coh.cochain_dim(2, 3)),
+        (coh.act_entries, (od_dual_sign, 1, 2), coh.cochain_dim(2, 2)),
+        (coh.vertical_entries, (od_dual_sign, 1, 1), coh.bicochain_dim(od_dual_sign, 2, 1)),
+        (coh.horizontal_entries, (od_dual_sign, 1, 1), coh.bicochain_dim(od_dual_sign, 1, 2)),
         (coh.total_entries, (od_dual_sign, 1), coh.total_dim(od_dual_sign, 2)),
     ):
         assert build(*args, coh.EngineConfig(max_cochain_dim=rows)).rows == rows

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oridial.cohomology import SparseMap, _quotient
-from oridial.dialgebra import bilinear
+from oridial import linalg
+from oridial.cohomology import SparseMap, _quotient, delta_entries
+from oridial.dialgebra import Dialgebra, bilinear
 from oridial.linalg import (
     Matrix,
     NonComplexError,
@@ -19,6 +20,8 @@ from oridial.linalg import (
     rank,
     rref,
 )
+
+from conftest import dual_numbers_dialgebra, poly3_dialgebra, split_products_dialgebra
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -197,8 +200,15 @@ sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
 
 @st.composite
 def parity_cases(draw):
-    """(rows, ncols): small, often sparse, often rank deficient, shapes down to 0."""
-    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    """(rows, ncols): small, often sparse, often rank deficient, shapes down to 0.
+
+    Half of the cases are tall like a coboundary: up to 12 rows, at most 4 columns.
+    """
+    if draw(st.booleans()):
+        ncols = draw(st.integers(0, 4))
+        nrows = draw(st.integers(ncols, 12))
+    else:
+        nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     if nrows >= 2 and draw(st.booleans()):   # a combination of two rows
@@ -247,6 +257,51 @@ def test_elimination_matches_dense_reference(build, case, data):
         candidates.append([2 * x for x in candidates[0]])
     assert column_space_complement(m, candidates) == \
         reference_complement(rows, ncols, candidates)
+
+
+def _dual_in_another_basis() -> Dialgebra:
+    """K[u]/(u²) in the basis (1, u + 1/2): T'(a, b) = P⁻¹T(Pa, Pb)."""
+    half = Fraction(1, 2)
+    P, P_inv = Matrix.from_rows([[1, half], [0, 1]]), Matrix.from_rows([[1, -half], [0, 1]])
+    D, cols = dual_numbers_dialgebra(), P.transpose().to_rows()
+
+    def tensor(T):
+        return [[P_inv.matvec(bilinear(T, a, b)) for b in cols] for a in cols]
+
+    return Dialgebra(D.dim, tensor(D.left), tensor(D.right))
+
+
+@pytest.mark.parametrize("D", [dual_numbers_dialgebra(), split_products_dialgebra(),
+                               poly3_dialgebra(), _dual_in_another_basis()],
+                         ids=["dual", "split", "poly3", "dual-copy"])
+def test_coboundary_kernel_and_rank_match_dense_reference(D):
+    for n in range(3):
+        sm = delta_entries(D, n)
+        rows = sm.to_matrix().to_rows()
+        kernel = reference_nullspace(rows, sm.cols)
+        pivots, _ = reference_rref(rows, sm.cols)
+        for m in (sm, sm.to_matrix()):
+            got = nullspace(m)
+            assert got == kernel
+            assert all(canonical(x) for vec in got for x in vec)
+            assert rank(m) == len(pivots)
+
+
+def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
+    # poly3's δ(2) is 405 x 54; eliminating its rows would insert every nonzero row
+    sm = delta_entries(poly3_dialgebra(), 2)
+    assert (sm.rows, sm.cols) == (405, 54)
+    insert, calls = linalg._insert, []
+
+    def counted(row, echelon):
+        calls.append(row)
+        return insert(row, echelon)
+
+    monkeypatch.setattr(linalg, "_insert", counted)
+    for eliminate in (nullspace, rank):
+        calls.clear()
+        eliminate(sm)
+        assert 0 < len(calls) <= sm.cols, eliminate.__name__
 
 
 def _fraction_sum(terms) -> Fraction:
