@@ -23,12 +23,14 @@ Bundle sections (all optional, each command states what it needs):
                     "max_dim": 4, "max_cochain_dim": 32768}
 
 A section written {..} above must be a JSON object, and a key not listed
-above is malformed.  The "config" fields
-are the engine's resource caps (``cohomology.EngineConfig``, defaults
-shown), each optional and a JSON integer; an unknown field is malformed.
+above is malformed.  The "config" fields are the engine's resource caps
+(``cohomology.EngineConfig``, defaults shown), each optional and a JSON
+integer; an unknown field is malformed.
 
 Rationals are written "p" or "p/q" in lowest terms; structure-constant
-tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.
+tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.  An
+array of another shape is malformed, and the error names the path of
+the offending list, e.g. "dialgebra.left[1]: expected a list of 2 entries".
 """
 
 from __future__ import annotations
@@ -68,46 +70,41 @@ class BundleError(ValueError):
 # parsing
 
 
+def _rationals(data, shape, what):
+    """``data`` as nested lists of rationals, ``shape`` giving each level's length.
+
+    Every level must be a JSON list of its length; an error starts with the
+    path of the offending list, e.g. ``dialgebra.left[1]``.
+    """
+    n, *inner = shape
+    if not isinstance(data, list) or len(data) != n:
+        raise BundleError(f"{what}: expected a list of {n} entries")
+    if inner:
+        return [_rationals(x, inner, f"{what}[{i}]") for i, x in enumerate(data)]
+    try:
+        return [parse_rational(x) for x in data]
+    except ValueError as exc:
+        raise BundleError(f"{what}: {exc}") from exc
+
+
 def _parse_matrix(data, rows, cols, what) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise BundleError(f"{what}: expected {rows} rows")
-    flat = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != cols:
-            raise BundleError(f"{what}: expected rows of length {cols}")
-        for x in row:
-            try:
-                flat.append(parse_rational(x))
-            except ValueError as exc:
-                raise BundleError(f"{what}: {exc}") from exc
-    return Matrix(rows, cols, flat)
+    return Matrix.from_rows(_rationals(data, (rows, cols), what))
 
 
-def _parse_tensor(data, dim, what):
-    if not isinstance(data, list) or len(data) != dim:
-        raise BundleError(f"{what}: expected {dim} slices")
-    out = []
-    for plane in data:
-        if not isinstance(plane, list) or len(plane) != dim:
-            raise BundleError(f"{what}: expected {dim} rows per slice")
-        out_plane = []
-        for row in plane:
-            if not isinstance(row, list) or len(row) != dim:
-                raise BundleError(f"{what}: expected rows of length {dim}")
-            try:
-                out_plane.append([parse_rational(x) for x in row])
-            except ValueError as exc:
-                raise BundleError(f"{what}: {exc}") from exc
-        out.append(out_plane)
-    return out
+def _per_element(data, order: int, dim: int, what: str) -> list[Matrix]:
+    """One dim x dim matrix per group element."""
+    if not isinstance(data, list) or len(data) != order:
+        raise BundleError(f"{what}: need one matrix per group element")
+    return [_parse_matrix(m, dim, dim, f"{what}[{g}]") for g, m in enumerate(data)]
 
 
-def _parse_dialgebra(data, config) -> Dialgebra:
-    dim = _int_field(data, "dim", "dialgebra")
+def _parse_dialgebra(data, config, what="dialgebra") -> Dialgebra:
+    dim = _int_field(data, "dim", what)
     if not 1 <= dim <= config.max_dim:
-        raise BundleError(f"dialgebra: dim {dim} outside 1..{config.max_dim}")
-    left = _parse_tensor(data.get("left"), dim, "dialgebra.left")
-    right = _parse_tensor(data.get("right"), dim, "dialgebra.right")
+        raise BundleError(f"{what}: dim {dim} outside 1..{config.max_dim}")
+    cube = (dim, dim, dim)
+    left = _rationals(data.get("left"), cube, f"{what}.left")
+    right = _rationals(data.get("right"), cube, f"{what}.right")
     return Dialgebra(dim, left, right)
 
 
@@ -154,25 +151,16 @@ def _section(bundle, key: str) -> dict:
     return data
 
 
-def _parse_oriented(bundle, config) -> OrientedDialgebra:
-    base = _parse_dialgebra(_section(bundle, "dialgebra"), config)
-    group = _parse_group(_section(bundle, "group"), config)
-    action_data = bundle.get("action")
-    if not isinstance(action_data, list) or len(action_data) != group.order:
-        raise BundleError("action: need one matrix per group element")
-    action = [_parse_matrix(m, base.dim, base.dim, f"action[{g}]")
-              for g, m in enumerate(action_data)]
+def _parse_oriented(bundle, base: Dialgebra, group: OrientedGroup) -> OrientedDialgebra:
+    action = _per_element(bundle.get("action"), group.order, base.dim, "action")
     return OrientedDialgebra(base, group, action)
 
 
 def _parse_cocycle(data, OD):
     d = OD.dim
-    alpha_data = data.get("alpha")
-    if not isinstance(alpha_data, list) or len(alpha_data) != OD.group.order:
-        raise BundleError("cocycle.alpha: need one matrix per group element")
-    alpha = [_parse_matrix(m, d, d, f"cocycle.alpha[{g}]") for g, m in enumerate(alpha_data)]
-    beta_l = _parse_tensor(data.get("beta_left"), d, "cocycle.beta_left")
-    beta_r = _parse_tensor(data.get("beta_right"), d, "cocycle.beta_right")
+    alpha = _per_element(data.get("alpha"), OD.group.order, d, "cocycle.alpha")
+    beta_l = _rationals(data.get("beta_left"), (d, d, d), "cocycle.beta_left")
+    beta_r = _rationals(data.get("beta_right"), (d, d, d), "cocycle.beta_right")
     return alpha, (beta_l, beta_r)
 
 
@@ -181,14 +169,10 @@ def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
     d = OD.dim
     if "dialgebra" not in data:
         raise BundleError("extension: missing middle-term dialgebra")
-    base2 = _parse_dialgebra(data["dialgebra"], _widen(config))
+    base2 = _parse_dialgebra(data["dialgebra"], _widen(config), "extension.dialgebra")
     if base2.dim != 2 * d:
         raise BundleError(f"extension middle term must have dimension {2 * d}")
-    action_data = data.get("action")
-    if not isinstance(action_data, list) or len(action_data) != OD.group.order:
-        raise BundleError("extension.action: need one matrix per group element")
-    action = [_parse_matrix(m, 2 * d, 2 * d, f"extension.action[{g}]")
-              for g, m in enumerate(action_data)]
+    action = _per_element(data.get("action"), OD.group.order, 2 * d, "extension.action")
     total = OrientedDialgebra(base2, OD.group, action)
     inclusion = _parse_matrix(data.get("inclusion"), 2 * d, d, "extension.inclusion")
     projection = _parse_matrix(data.get("projection"), d, 2 * d, "extension.projection")
@@ -211,14 +195,10 @@ def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
     for name, arr in (("ml", ml), ("mr", mr), ("phi", phi)):
         if not isinstance(arr, list) or len(arr) != order + 1:
             raise BundleError(f"deformation.{name}: need order+1 = {order + 1} entries")
-    mlt = [_parse_tensor(t, d, f"deformation.ml[{i}]") for i, t in enumerate(ml)]
-    mrt = [_parse_tensor(t, d, f"deformation.mr[{i}]") for i, t in enumerate(mr)]
-    phis = []
-    for i, per_g in enumerate(phi):
-        if not isinstance(per_g, list) or len(per_g) != OD.group.order:
-            raise BundleError(f"deformation.phi[{i}]: need one matrix per group element")
-        phis.append([_parse_matrix(m, d, d, f"deformation.phi[{i}][{g}]")
-                     for g, m in enumerate(per_g)])
+    mlt = [_rationals(t, (d, d, d), f"deformation.ml[{i}]") for i, t in enumerate(ml)]
+    mrt = [_rationals(t, (d, d, d), f"deformation.mr[{i}]") for i, t in enumerate(mr)]
+    phis = [_per_element(per_g, OD.group.order, d, f"deformation.phi[{i}]")
+            for i, per_g in enumerate(phi)]
     return defm.TruncatedDeformation(order, mlt, mrt, phis)
 
 
@@ -268,38 +248,27 @@ def load_bundle(path: str) -> dict:
 # emission
 
 
-def _emit_scalar(x) -> str:
+def _emit(x):
+    """Rationals as canonical strings, through nested lists and matrices."""
+    if isinstance(x, Matrix):
+        x = x.to_rows()
+    if isinstance(x, list):
+        return [_emit(y) for y in x]
     return format_rational(x)
-
-
-def _emit_vector(v) -> list:
-    return [_emit_scalar(x) for x in v]
-
-
-def _emit_matrix(m: Matrix) -> list:
-    return [[_emit_scalar(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def _emit_tensor(t) -> list:
-    return [[[_emit_scalar(x) for x in row] for row in plane] for plane in t]
 
 
 def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
     if isinstance(obj, Fraction):
-        return _emit_scalar(obj)
+        return format_rational(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     return obj
 
 
 def _emit_cocycle(alpha, beta) -> dict:
-    return {
-        "alpha": [_emit_matrix(m) for m in alpha],
-        "beta_left": _emit_tensor(beta[0]),
-        "beta_right": _emit_tensor(beta[1]),
-    }
+    return {"alpha": _emit(alpha), "beta_left": _emit(beta[0]), "beta_right": _emit(beta[1])}
 
 
 def _emit_checks(report) -> list[dict]:
@@ -308,11 +277,20 @@ def _emit_checks(report) -> list[dict]:
 
 def _emit_residual(residual) -> list:
     label, value = residual
-    return [list(label), _emit_scalar(value)]
+    return [list(label), format_rational(value)]
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _load(args) -> tuple:
+    """The bundle at ``--input``, its config and its oriented dialgebra."""
+    bundle = load_bundle(args.input)
+    config = _parse_config(bundle)
+    base = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+    group = _parse_group(_section(bundle, "group"), config)
+    return bundle, config, _parse_oriented(bundle, base, group)
 
 
 def cmd_trees(args) -> tuple:
@@ -324,32 +302,29 @@ def cmd_check(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     reports = {}
-    OD = None
+    D = G = OD = None
     if "dialgebra" in bundle:
         D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
         reports["dialgebra axioms"] = check_axioms(D)
     if "group" in bundle:
         G = _parse_group(_section(bundle, "group"), config)
         reports["oriented group"] = check_oriented_group(G)
-    if "group" in bundle and "action" in bundle and "dialgebra" in bundle:
-        OD = _parse_oriented(bundle, config)
+    if D is not None and G is not None and "action" in bundle:
+        OD = _parse_oriented(bundle, D, G)
         reports["oriented dialgebra"] = check_oriented_dialgebra(OD)
+    needing = [key for key in ("cocycle", "extension", "deformation") if key in bundle]
+    if needing and OD is None:
+        raise BundleError(f"{needing[0]} checking needs dialgebra, group and action sections")
     if "cocycle" in bundle:
-        if OD is None:
-            raise BundleError("cocycle checking needs dialgebra, group and action sections")
         alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
         (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
         # the payload names the first nonzero residual only
         witness = None if c.ok else _emit_residual(c.witness[0])
         reports["degree-1 cocycle"] = Report([Check(c.name, c.ok, witness)])
     if "extension" in bundle:
-        if OD is None:
-            raise BundleError("extension checking needs dialgebra, group and action sections")
         E = _parse_extension(bundle, OD, config)
         reports["singular extension"] = ext.check_extension(OD, E)
     if "deformation" in bundle:
-        if OD is None:
-            raise BundleError("deformation checking needs dialgebra, group and action sections")
         dfm = _parse_deformation(_section(bundle, "deformation"), OD)
         reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
@@ -365,7 +340,7 @@ def _cohomology_payload(result) -> dict:
         "dim": result.dim,
         "kernel_dim": result.kernel_dim,
         "image_rank": result.image_rank,
-        "representatives": [_emit_vector(v) for v in result.representatives],
+        "representatives": _emit(result.representatives),
     }
 
 
@@ -381,9 +356,7 @@ def cmd_cohomology(args) -> tuple:
 
 
 def cmd_equivariant(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    _, config, OD = _load(args)
     report = check_oriented_dialgebra(OD)
     if not report.ok:
         return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
@@ -392,9 +365,7 @@ def cmd_equivariant(args) -> tuple:
 
 
 def cmd_cocycle_check(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, _, OD = _load(args)
     alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
     (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
     payload = {
@@ -405,9 +376,7 @@ def cmd_cocycle_check(args) -> tuple:
 
 
 def cmd_extend(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, _, OD = _load(args)
     alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
     try:
         E = ext.build_extension(OD, alpha, beta)
@@ -417,21 +386,19 @@ def cmd_extend(args) -> tuple:
         "extension": {
             "dialgebra": {
                 "dim": E.total.dim,
-                "left": _emit_tensor(E.total.base.left),
-                "right": _emit_tensor(E.total.base.right),
+                "left": _emit(E.total.base.left),
+                "right": _emit(E.total.base.right),
             },
-            "action": [_emit_matrix(m) for m in E.total.action],
-            "inclusion": _emit_matrix(E.inclusion),
-            "projection": _emit_matrix(E.projection),
+            "action": _emit(E.total.action),
+            "inclusion": _emit(E.inclusion),
+            "projection": _emit(E.projection),
         }
     }
     return payload, 0
 
 
 def cmd_extract(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, config, OD = _load(args)
     E = _parse_extension(bundle, OD, config)
     if "section" in bundle:
         section = _parse_matrix(bundle["section"], 2 * OD.dim, OD.dim, "section")
@@ -445,18 +412,14 @@ def cmd_extract(args) -> tuple:
 
 
 def cmd_deform_check(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, _, OD = _load(args)
     dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     report = defm.check_deformation(OD, dfm)
     return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
 
 def cmd_infinitesimal(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, _, OD = _load(args)
     dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     try:
         inf = defm.infinitesimal(OD, dfm, args.order)
@@ -472,9 +435,7 @@ def cmd_infinitesimal(args) -> tuple:
 
 
 def cmd_equivalence_check(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    bundle, _, OD = _load(args)
     def1 = _parse_deformation(_section(bundle, "deformation"), OD)
     def2 = _parse_deformation(_section(bundle, "deformation2"), OD)
     eq = _parse_equivalence(_section(bundle, "equivalence"), OD)
@@ -482,14 +443,12 @@ def cmd_equivalence_check(args) -> tuple:
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:
         psi1 = defm.infinitesimals_cohomologous(OD, def1, def2, eq)
-        payload["certificate_psi1"] = _emit_matrix(psi1)
+        payload["certificate_psi1"] = _emit(psi1)
     return payload, 0 if report.ok else 1
 
 
 def cmd_rigidity(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    OD = _parse_oriented(bundle, config)
+    _, config, OD = _load(args)
     report = check_oriented_dialgebra(OD)
     if not report.ok:
         return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
@@ -547,6 +506,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "n", 0) < 0:
             raise BundleError(f"--n must be non-negative, got {args.n}")
+        if getattr(args, "order", 1) < 1:
+            raise BundleError(f"--order must be at least 1, got {args.order}")
         payload, code = args.fn(args)
     except BundleError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -82,7 +82,8 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
-def sign_exponent_default(n: int) -> int:
+def sign_exponent(n: int) -> int:
+    """σ(n): an element with ε = -1 acts on CY(n) with the sign (-1)^σ(n)."""
     return (n - 1) * (n - 2) // 2
 
 
@@ -127,18 +128,15 @@ class SparseMap:
                     del entries[key]
 
     def add_block(self, other: "SparseMap", row_off: int, col_off: int, scale=1) -> None:
-        """Add scale·other at the offset; a scale of ±1 copies or negates."""
+        """Add scale·other at the offset; the scale is 1 (copy) or -1 (negate)."""
         add = self.add
         items = other.entries.items()
         if scale == 1:
             for (r, c), v in items:
                 add(r + row_off, c + col_off, v)
-        elif scale == -1:
-            for (r, c), v in items:
-                add(r + row_off, c + col_off, -v)
         else:
             for (r, c), v in items:
-                add(r + row_off, c + col_off, scale * v)
+                add(r + row_off, c + col_off, -v)
 
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
@@ -310,7 +308,6 @@ def act_entries(
     g: int,
     n: int,
     config: EngineConfig = DEFAULT_CONFIG,
-    sign_exponent=sign_exponent_default,
 ) -> SparseMap:
     """Sparse matrix of the action of g on CY(n)."""
     if n > config.max_level:

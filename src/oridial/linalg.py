@@ -77,7 +77,7 @@ def vec_sub(u: list, v: list) -> list:
                              else a - b) for a, b in zip(u, v)]
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(value) -> Fraction:
@@ -91,15 +91,16 @@ def parse_rational(value) -> Fraction:
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
     raise ValueError(f"malformed rational {value!r}")
 
 
 def format_rational(x) -> str:
     """Canonical string form: "p" when the denominator is 1, else "p/q"."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(x if type(x) in (int, Fraction) else Fraction(x))
 
 
 class Matrix:
@@ -201,9 +202,6 @@ class Matrix:
             and self.shape() == other.shape()
             and all(Fraction(a) == Fraction(b) for a, b in zip(self.entries, other.entries))
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(Fraction, self.entries))))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"

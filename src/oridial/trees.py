@@ -19,7 +19,8 @@ words decode uniquely.  Examples: Y(1) = {(1,)}, Y(2) = {(1,2), (2,1)} with
 (2,1) = leaf ∨ Y(1) and (1,2) = Y(1) ∨ leaf, and
 Y(3) = {(1,2,3), (2,1,3), (1,3,2), (3,1,2), (3,2,1)}.
 
-Trees are immutable and hash-consed per word; all functions here are pure.
+Trees are immutable and compared and hashed by their word; all functions here
+are pure.
 """
 
 from __future__ import annotations

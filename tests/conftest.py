@@ -2,6 +2,7 @@
 
 import pytest
 
+from oridial import cohomology as coh
 from oridial.dialgebra import Dialgebra, from_associative, from_differential, zero_tensor
 from oridial.linalg import Matrix
 from oridial.oriented import OrientedDialgebra, sign_group, symmetric_group, trivial_group
@@ -98,6 +99,17 @@ def oriented_split_sign() -> OrientedDialgebra:
         sign_group(),
         [Matrix.identity(2), Matrix.from_rows([[1, 0], [0, -1]])],
     )
+
+
+def alt_sign_action(OD, g, n):
+    """The action on CY(n) of g with ε(g) = -1 under the sign exponent n(n-1)/2.
+
+    That is the shipped action times (-1)^(n(n-1)/2 - σ(n)).
+    """
+    shipped = coh.act_entries(OD, g, n)
+    alt = coh.SparseMap(shipped.rows, shipped.cols)
+    alt.add_block(shipped, 0, 0, (-1) ** ((n * (n - 1) // 2 - coh.sign_exponent(n)) % 2))
+    return alt
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from oridial.trees import catalan, enumerate_trees, face
 
 from bundles import dual_sign_bundle, run_cli_process, write_bundle
 from conftest import (
+    alt_sign_action,
     diff3_dialgebra,
     dual_numbers_dialgebra,
     oriented_dual_sign,
@@ -105,12 +106,11 @@ def test_criterion_3_equivariance_pins_the_sign():
             after = coh.act_entries(OD, g, n + 1)
             if not after.mul(delta).equals(delta.mul(before)):
                 default_ok = False
-    alt = lambda n: n * (n - 1) // 2
     alt_fails = False
     for n in (2, 3):
         delta = coh.delta_entries(OD.base, n)
-        before = coh.act_entries(OD, 1, n, sign_exponent=alt)
-        after = coh.act_entries(OD, 1, n + 1, sign_exponent=alt)
+        before = alt_sign_action(OD, 1, n)
+        after = alt_sign_action(OD, 1, n + 1)
         if not after.mul(delta).equals(delta.mul(before)):
             alt_fails = True
     elapsed = time.monotonic() - start

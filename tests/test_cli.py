@@ -2,12 +2,15 @@ import copy
 import dataclasses
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oridial import cli
+from oridial import cohomology as coh
 from oridial.cli import build_parser, main
 
 from bundles import (
@@ -148,6 +151,18 @@ def test_equivalence_order_below_one_exits_2(tmp_path, capsys, order, psi):
     assert json.loads(err)["error"] == "equivalence: order must be >= 1"
 
 
+def test_infinitesimal_order_below_one_exits_2(tmp_path, capsys):
+    path = write_bundle(tmp_path / "order1.json", _constant_order1_bundle())
+    for order in (0, -1):
+        code, out, err = run_cli(capsys, ["infinitesimal", "--input", path, "--order", str(order)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"--order must be at least 1, got {order}"
+    # an order above the deformation's own is a semantic failure, not malformed input
+    code, out, err = run_cli(capsys, ["infinitesimal", "--input", path, "--order", "2"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError: order 2 outside 1..1"
+
+
 def test_negative_tree_level_exits_2(capsys):
     code, out, err = run_cli(capsys, ["trees", "--n", "-1"])
     assert code == 2 and out == ""
@@ -236,7 +251,7 @@ def test_extend_extract_round_trip_through_json(tmp_path, capsys):
 def test_extract_with_bad_section_exits_1(tmp_path, capsys):
     bundle = dual_sign_bundle()
     from oridial import cohomology as coh
-    from oridial.cli import _emit_cocycle, _emit_matrix
+    from oridial.cli import _emit
     from oridial.extensions import build_extension
     from conftest import oriented_dual_sign
 
@@ -249,9 +264,9 @@ def test_extract_with_bad_section_exits_1(tmp_path, capsys):
                                for plane in E.total.base.left],
                       "right": [[[str(x) for x in row] for row in plane]
                                 for plane in E.total.base.right]},
-        "action": [_emit_matrix(m) for m in E.total.action],
-        "inclusion": _emit_matrix(E.inclusion),
-        "projection": _emit_matrix(E.projection),
+        "action": _emit(E.total.action),
+        "inclusion": _emit(E.inclusion),
+        "projection": _emit(E.projection),
     }))
     bundle["section"] = [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]
     path = write_bundle(tmp_path / "e.json", bundle)
@@ -261,7 +276,7 @@ def test_extract_with_bad_section_exits_1(tmp_path, capsys):
 
 
 def _transported_bundle():
-    from oridial.cli import _emit_matrix, _emit_tensor
+    from oridial.cli import _emit
     from oridial.deformations import constant_deformation, transport_constant
     from oridial.linalg import Matrix
     from conftest import oriented_dual_sign
@@ -274,9 +289,9 @@ def _transported_bundle():
     def emit_deformation(dfm):
         return {
             "order": dfm.order,
-            "ml": [_emit_tensor(t) for t in dfm.mlt],
-            "mr": [_emit_tensor(t) for t in dfm.mrt],
-            "phi": [[_emit_matrix(m) for m in per_g] for per_g in dfm.phi],
+            "ml": _emit(dfm.mlt),
+            "mr": _emit(dfm.mrt),
+            "phi": _emit(dfm.phi),
         }
 
     bundle = dual_sign_bundle()
@@ -284,7 +299,7 @@ def _transported_bundle():
     bundle["deformation2"] = emit_deformation(moved)
     bundle["equivalence"] = {
         "order": 2,
-        "psi": [_emit_matrix(Matrix.identity(2))] + [_emit_matrix(p) for p in psis],
+        "psi": _emit([Matrix.identity(2)] + psis),
     }
     return bundle
 
@@ -425,7 +440,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
 def _every_section_bundle() -> dict:
     """The dual-sign bundle with every section, all valid; do not mutate the result."""
     from oridial import cohomology as coh
-    from oridial.cli import _emit_cocycle, _emit_matrix, _emit_tensor
+    from oridial.cli import _emit, _emit_cocycle
     from oridial.extensions import build_extension, canonical_section
     from oridial.linalg import Matrix
     from conftest import oriented_dual_sign
@@ -436,13 +451,13 @@ def _every_section_bundle() -> dict:
     bundle = _transported_bundle()
     bundle["cocycle"] = _emit_cocycle(alpha, beta)
     bundle["extension"] = {
-        "dialgebra": {"dim": 4, "left": _emit_tensor(E.total.base.left),
-                      "right": _emit_tensor(E.total.base.right)},
-        "action": [_emit_matrix(m) for m in E.total.action],
-        "inclusion": _emit_matrix(E.inclusion),
-        "projection": _emit_matrix(E.projection),
+        "dialgebra": {"dim": 4, "left": _emit(E.total.base.left),
+                      "right": _emit(E.total.base.right)},
+        "action": _emit(E.total.action),
+        "inclusion": _emit(E.inclusion),
+        "projection": _emit(E.projection),
     }
-    bundle["section"] = _emit_matrix(canonical_section(E))
+    bundle["section"] = _emit(canonical_section(E))
     bundle["config"] = dataclasses.asdict(coh.DEFAULT_CONFIG)
     return bundle
 
@@ -560,3 +575,39 @@ def test_mutated_bundles_exit_cleanly(tmp_path, capsys, command, bundle):
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
+
+
+@pytest.mark.parametrize("change", ["shorten", "lengthen"])
+@pytest.mark.parametrize("path,command", [
+    ("dialgebra.left", ["check"]),
+    ("action[1]", ["check"]),
+    ("cocycle.alpha[1]", ["check"]),
+    ("cocycle.beta_right", ["check"]),
+    ("extension.inclusion", ["check"]),
+    ("extension.dialgebra.right", ["extract"]),
+    ("section", ["extract"]),
+    ("deformation.ml[1]", ["check"]),
+    ("deformation.phi[1][0]", ["check"]),
+    ("equivalence.psi[1]", ["equivalence-check"]),
+])
+def test_wrong_length_array_exits_2_naming_its_path(tmp_path, capsys, path, command, change):
+    bundle = copy.deepcopy(_every_section_bundle())
+    *keys, last = [int(k[1:-1]) if k.startswith("[") else k
+                   for k in re.findall(r"\[\d+\]|\w+", path)]
+    parent = functools.reduce(lambda node, key: node[key], keys, bundle)
+    node = parent[last]
+    parent[last] = node[:-1] if change == "shorten" else node + node[-1:]
+    path_file = write_bundle(tmp_path / "bad.json", bundle)
+    code, out, err = run_cli(capsys, command + ["--input", path_file])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"{path}: ")
+
+
+def test_docstring_names_every_bundle_section_and_config_field():
+    # the bundle format in the module docstring is the one the code reads
+    doc = cli.__doc__
+    assert set(re.findall(r'^    "(\w+)":', doc, re.MULTILINE)) == cli.BUNDLE_KEYS
+    config = doc[doc.index('"config":'):]
+    config = config[:config.index("}")]
+    shown = {key: int(value) for key, value in re.findall(r'"(\w+)": (\d+)', config)}
+    assert shown == dataclasses.asdict(coh.DEFAULT_CONFIG)

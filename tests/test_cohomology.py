@@ -15,6 +15,7 @@ from oridial.trees import ResourceLimitError, enumerate_trees
 
 from bundles import write_bundle
 from conftest import (
+    alt_sign_action,
     diff3_dialgebra,
     dual_numbers_dialgebra,
     oriented_dual_s3,
@@ -105,14 +106,13 @@ def test_equivariance_matrix_identity(od_dual_sign, od_dual_s3):
 
 def test_sign_exponent_is_pinned_by_equivariance(od_dual_sign):
     # the alternative exponent n(n-1)/2 breaks commutation at n = 2 and 3
-    alt = lambda n: n * (n - 1) // 2
     for n in (2, 3):
         delta = coh.delta_entries(od_dual_sign.base, n)
         good_b = coh.act_entries(od_dual_sign, 1, n)
         good_a = coh.act_entries(od_dual_sign, 1, n + 1)
         assert good_a.mul(delta).equals(delta.mul(good_b))
-        alt_b = coh.act_entries(od_dual_sign, 1, n, sign_exponent=alt)
-        alt_a = coh.act_entries(od_dual_sign, 1, n + 1, sign_exponent=alt)
+        alt_b = alt_sign_action(od_dual_sign, 1, n)
+        alt_a = alt_sign_action(od_dual_sign, 1, n + 1)
         assert not alt_a.mul(delta).equals(delta.mul(alt_b))
 
 

@@ -382,6 +382,13 @@ def test_rational_serialization():
     assert parse_rational(-7) == Fraction(-7)
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
+    for p in range(-6, 7):
+        for q in range(1, 7):
+            x = parse_rational(f"{p}/{q}")
+            assert x == Fraction(p, q) and type(x) is Fraction
+            assert parse_rational(format_rational(x)) == x
+        assert format_rational(p) == format_rational(Fraction(p)) == str(p)
+    assert parse_rational("-0") == 0 and parse_rational("007/14") == Fraction(1, 2)
     for bad in ("1/0", "x", None, 1.5, True):
         with pytest.raises(ValueError):
             parse_rational(bad)
