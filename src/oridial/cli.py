@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Reads JSON input bundles, dispatches to the engine, and emits
-deterministic JSON (or a human-readable summary with --pretty).  Exit
-codes: 0 all checks pass / result computed, 1 semantic failure or
-resource cap, 2 malformed input.
+deterministic JSON, indented with --pretty.  Exit codes: 0 all checks
+pass / result computed, 1 semantic failure or resource cap, 2 malformed
+input.
 
 Bundle sections (all optional, each command states what it needs):
 
@@ -27,10 +27,11 @@ above is malformed.  The "config" fields are the engine's resource caps
 (``cohomology.EngineConfig``, defaults shown), each optional and a JSON
 integer; an unknown field is malformed.
 
-Rationals are written "p" or "p/q" in lowest terms; structure-constant
-tensors are indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.  An
-array of another shape is malformed, and the error names the path of
-the offending list, e.g. "dialgebra.left[1]: expected a list of 2 entries".
+Rationals are read as "p" or "p/q" with any q > 0 ("3/6" is accepted)
+and always written in lowest terms; structure-constant tensors are
+indexed T[i][j][k] = coefficient of e_k in e_i ∘ e_j.  An array of
+another shape is malformed, and the error names the path of the
+offending list, e.g. "dialgebra.left[1]: expected a list of 2 entries".
 """
 
 from __future__ import annotations
@@ -309,9 +310,16 @@ def cmd_check(args) -> tuple:
     if "group" in bundle:
         G = _parse_group(_section(bundle, "group"), config)
         reports["oriented group"] = check_oriented_group(G)
-    if D is not None and G is not None and "action" in bundle:
+    if "action" in bundle:
+        for key, part in (("dialgebra", D), ("group", G)):
+            if part is None:
+                raise BundleError(f"action checking needs a {key!r} section")
         OD = _parse_oriented(bundle, D, G)
         reports["oriented dialgebra"] = check_oriented_dialgebra(OD)
+    if "section" in bundle:
+        if D is None:
+            raise BundleError("section checking needs a 'dialgebra' section")
+        _parse_matrix(bundle["section"], 2 * D.dim, D.dim, "section")
     needing = [key for key in ("cocycle", "extension", "deformation") if key in bundle]
     if needing and OD is None:
         raise BundleError(f"{needing[0]} checking needs dialgebra, group and action sections")

@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
-from .dialgebra import Check, Dialgebra, Report, bilinear
+from .dialgebra import Check, Dialgebra, Report
 from .linalg import (
     Matrix,
     NonComplexError,
@@ -545,6 +546,15 @@ def equivariant_cohomology(
 # level-2 tree).  α is carried as one Matrix per group element and β as
 # the tensor pair (β at tree [2 1], β at tree [1 2]) — the ⊣ and ⊢ defects
 # respectively.
+#
+# ``degree1_residuals`` evaluates the explicit equations in Python ints.  It
+# scales each input once by its common denominator: nL for the two product
+# tensors, nA for α, nB for β and nP for the action matrices.  A residual is
+# then an integer numerator over a denominator fixed by its equation family:
+# nP²·nA for the group-cocycle law, lcm(nL·nA, nP³·nB) for the left and
+# right defects, and nL·nB for the five compatibility linearizations, whose
+# every term is one product tensor composed with one β tensor.  Only a
+# nonzero numerator becomes a scalar, so a valid cocycle builds no Fraction.
 
 
 def degree1_zero(OD: OrientedDialgebra):
@@ -601,79 +611,168 @@ def degree1_unpack(OD: OrientedDialgebra, vec: list):
     return alpha, (tensors[(2, 1)], tensors[(1, 2)])
 
 
+def _denominator(scalars) -> int:
+    """The least common denominator of exact scalars."""
+    n = 1
+    for x in scalars:
+        if x.denominator != 1:
+            n = lcm(n, x.denominator)
+    return n
+
+
+def _scaled_rows(rows, n: int) -> list:
+    """Rows of scalars times their common denominator n, as ints."""
+    return [[x.numerator * (n // x.denominator) for x in row] for row in rows]
+
+
+def _matmul(X, Y) -> list:
+    """X·Y on integer matrices given by rows."""
+    cols = list(zip(*Y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in X]
+
+
+def _flat(blocks) -> list:
+    """The entries of a list of matrices, block by block, row by row."""
+    return [x for block in blocks for row in block for x in row]
+
+
+def _pairs(T) -> list:
+    """A d×d×d tensor as the d²×d matrix with rows T[i][j], i major."""
+    return [row for plane in T for row in plane]
+
+
+def _last_two(T) -> list:
+    """A d×d×d tensor as the d×d² matrix whose row i is T[i] flattened."""
+    return [[x for row in plane for x in row] for plane in T]
+
+
+def _derivation_map(T: list) -> list:
+    """α ↦ x∘αy + αx∘y - α(x∘y) on basis pairs, as a d³×d² matrix.
+
+    Rows are flat over (x, y, output), columns over the entries of α by rows.
+    """
+    d = len(T)
+    rd = range(d)
+    M = [[0] * (d * d) for _ in range(d ** 3)]
+    for x, y, k in product(rd, repeat=3):
+        row = M[(x * d + y) * d + k]
+        for m in rd:
+            row[m * d + y] += T[x][m][k]
+            row[m * d + x] += T[m][y][k]
+            row[k * d + m] -= T[x][y][m]
+    return M
+
+
+def _transported(Pg: list, Q: list, B: list) -> list:
+    """g·β(g⁻¹x, g⁻¹y) on basis pairs, nested [x][y][output]; Q acts as g⁻¹."""
+    Qt, Pt = list(zip(*Q)), list(zip(*Pg))
+    d = len(Q)
+    first = _matmul(Qt, _last_two(B))    # β(g⁻¹x, e_b), rows by x
+    # g·β(g⁻¹x, e_b), rows by (x, b)
+    valued = _matmul([row[b * d:(b + 1) * d] for row in first for b in range(d)], Pt)
+    return [_matmul(Qt, valued[x * d:(x + 1) * d]) for x in range(d)]
+
+
+def _x_yz(outer: list, inner: list) -> list:
+    """outer(x, inner(y, z)) on basis triples, flat over (x, y, z, output)."""
+    return _flat(_matmul(_pairs(inner), plane) for plane in outer)
+
+
+def _xy_z(outer: list, inner: list) -> list:
+    """outer(inner(x, y), z) on basis triples, flat over (x, y, z, output)."""
+    return _flat([_matmul(_pairs(inner), _last_two(outer))])
+
+
+def _over(labels: list, nums: list, den: int) -> list:
+    """(label, num/den) pairs; a zero numerator stays the int 0 and builds no Fraction."""
+    return [(label, num and normalize_scalar(Fraction(num, den)))
+            for label, num in zip(labels, nums)]
+
+
 def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     """Residuals of the explicit degree-1 cocycle equations, with labels.
 
     Evaluated directly from the displayed equations (group 1-cocycle law,
     the two twisted defect equations, and the five compatibility
-    linearizations of β); shares no code with the differential matrices.
+    linearizations of β) on basis vectors; shares no code with the
+    differential matrices.  The equations run in integers: each input is
+    scaled once by a common denominator, and each family of equations has
+    one denominator for all of its residuals.
     """
-    D = OD.base
+    D, G = OD.base, OD.group
     d = D.dim
+    rd = range(d)
     beta_l, beta_r = beta
-    basis = D.basis()
-    residuals = []
+    if any(m.shape() != (d, d) for m in alpha):
+        raise ShapeMismatchError(f"α must be {d}x{d} matrices")
+    nL = _denominator(_flat([*D.left, *D.right]))
+    nA = _denominator(x for m in alpha for x in m.entries)
+    nB = _denominator(_flat([*beta_l, *beta_r]))
+    nP = _denominator(x for m in OD.action for x in m.entries)
+    l, r, bl, br = ([_scaled_rows(plane, n) for plane in T] for T, n in (
+        (D.left, nL), (D.right, nL), (beta_l, nB), (beta_r, nB)))
+    A = [_scaled_rows(m.to_rows(), nA) for m in alpha]
+    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
+    elements = G.elements()
 
-    def emit(label, vec):
-        for k, v in enumerate(vec):
-            residuals.append((label + (k,), v))
+    # α(gh) - g∘α(h)∘g⁻¹ - α(g), over nP²·nA
+    p2 = nP * nP
+    wide = [[x for h in elements for x in A[h][k]] for k in rd]   # every α(h), side by side
+    nums = []
+    for g in elements:
+        Ag = A[g]
+        wide_g = _matmul(P[g], wide)   # every g∘α(h), side by side
+        # every g∘α(h)∘g⁻¹, stacked: row h·d + k is row k of the h-th
+        conj = _matmul([row[h * d:(h + 1) * d] for h in elements for row in wide_g],
+                       P[G.inv(g)])
+        nums += [p2 * (A[G.mul(g, h)][k][i] - Ag[k][i]) - conj[h * d + k][i]
+                 for h in elements for i in rd for k in rd]
+    residuals = _over([("group-cocycle", g, h, i, k)
+                       for g in elements for h in elements for i in rd for k in rd],
+                      nums, p2 * nA)
 
-    def bl(x, y):
-        return bilinear(beta_l, x, y)
+    # x₁∘α(g)x₂ - α(g)(x₁∘x₂) + α(g)x₁∘x₂ - β(x₁, x₂) + g·moved for ∘ = ⊣, ⊢:
+    # the α terms are over nL·nA, β over nB and g·moved over nP³·nB
+    p3 = p2 * nP
+    den = lcm(nL * nA, p3 * nB)
+    s_alpha, s_beta, s_moved = den // (nL * nA), den // nB, den // (p3 * nB)
+    betas = (bl, br)
+    derivations = [_derivation_map(T) for T in (l, r)]
+    nums = []
+    for g in elements:
+        Pg, Q = P[g], P[G.inv(g)]
+        a = [x for row in A[g] for x in row]
+        families = []
+        for f, M in enumerate(derivations):
+            if G.sign(g) == 1:
+                moved = _transported(Pg, Q, betas[f])                # g·β(g⁻¹x₁, g⁻¹x₂)
+            else:
+                moved = list(zip(*_transported(Pg, Q, betas[f])))    # g·β(g⁻¹x₂, g⁻¹x₁)
+            families.append([s_alpha * sum(map(mul, row, a)) - s_beta * b + s_moved * m
+                             for row, b, m in zip(M, _flat(betas[f]), _flat(moved))])
+        nums += [families[f][(i * d + j) * d + k]
+                 for i in rd for j in rd for f in (0, 1) for k in rd]
+    residuals += _over([(name, g, i, j, k) for g in elements for i in rd for j in rd
+                        for name in ("left-defect", "right-defect") for k in rd],
+                       nums, den)
 
-    def br(x, y):
-        return bilinear(beta_r, x, y)
-
-    for g in OD.group.elements():
-        for h in OD.group.elements():
-            gh = OD.group.mul(g, h)
-            for i, x in enumerate(basis):
-                lhs = alpha[gh].matvec(x)
-                rhs = vec_sum([OD.act(g, alpha[h].matvec(OD.act(OD.group.inv(g), x))),
-                               alpha[g].matvec(x)], d)
-                emit(("group-cocycle", g, h, i), vec_sub(lhs, rhs))
-
-    ginv = OD.group.inv
-    for g in OD.group.elements():
-        eps = OD.sign(g)
-        ag = alpha[g]
-        for i, x1 in enumerate(basis):
-            gi_x1 = OD.act(ginv(g), x1)
-            for j, x2 in enumerate(basis):
-                gi_x2 = OD.act(ginv(g), x2)
-                for name, prod, defect in (
-                    ("left-defect", D.lmul, bl),
-                    ("right-defect", D.rmul, br),
-                ):
-                    lhs = vec_sum([
-                        prod(x1, ag.matvec(x2)),
-                        [-v for v in ag.matvec(prod(x1, x2))],
-                        prod(ag.matvec(x1), x2),
-                    ], d)
-                    moved = defect(gi_x1, gi_x2) if eps == 1 else defect(gi_x2, gi_x1)
-                    rhs = vec_sub(defect(x1, x2), OD.act(g, moved))
-                    emit((name, g, i, j), vec_sub(lhs, rhs))
-
-    # each linearization as (terms summed on one side, terms on the other)
-    l, r = D.lmul, D.rmul
-    compat = [
-        ("beta-ll", lambda x, y, z: ([l(x, bl(y, z)), bl(x, l(y, z))],
-                                     [bl(l(x, y), z), l(bl(x, y), z)])),
-        ("beta-lr", lambda x, y, z: ([l(x, br(y, z)), bl(x, r(y, z))],
-                                     [bl(l(x, y), z), l(bl(x, y), z)])),
-        ("beta-ml", lambda x, y, z: ([r(x, bl(y, z)), br(x, l(y, z))],
-                                     [bl(r(x, y), z), l(br(x, y), z)])),
-        ("beta-rr", lambda x, y, z: ([r(x, br(y, z)), br(x, r(y, z))],
-                                     [br(r(x, y), z), r(br(x, y), z)])),
-        ("beta-outer", lambda x, y, z: ([br(l(x, y), z), r(bl(x, y), z)],
-                                        [br(r(x, y), z), r(br(x, y), z)])),
-    ]
-    for name, fn in compat:
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    lhs, rhs = fn(x, y, z)
-                    emit((name, i, j, k), vec_sub(vec_sum(lhs, d), vec_sum(rhs, d)))
+    # the five compatibility linearizations of β, each as (terms summed on one
+    # side, terms on the other); every term is one product composed with one
+    # β tensor, so the 16 tables are over nL·nB
+    bl_l, l_bl = _xy_z(bl, l), _xy_z(l, bl)
+    br_r, r_br = _xy_z(br, r), _xy_z(r, br)
+    compat = (
+        ("beta-ll", (_x_yz(l, bl), _x_yz(bl, l)), (bl_l, l_bl)),
+        ("beta-lr", (_x_yz(l, br), _x_yz(bl, r)), (bl_l, l_bl)),
+        ("beta-ml", (_x_yz(r, bl), _x_yz(br, l)), (_xy_z(bl, r), _xy_z(l, br))),
+        ("beta-rr", (_x_yz(r, br), _x_yz(br, r)), (br_r, r_br)),
+        ("beta-outer", (_xy_z(br, l), _xy_z(r, bl)), (br_r, r_br)),
+    )
+    quads = list(product(rd, repeat=4))
+    residuals += _over([(name, i, j, k, n) for name, _, _ in compat for i, j, k, n in quads],
+                       [w + x - y - z for _, (a, b), (c, e) in compat
+                        for w, x, y, z in zip(a, b, c, e)],
+                       nL * nB)
     return residuals
 
 

@@ -248,6 +248,26 @@ def test_extend_extract_round_trip_through_json(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"group": None, "action": "garbage"}, "action checking needs a 'group' section"),
+    ({"dialgebra": None}, "action checking needs a 'dialgebra' section"),
+    ({"section": "garbage"}, "section: expected a list of 4 entries"),
+    ({"section": [["0", "0"]] * 4, "dialgebra": None, "group": None, "action": None},
+     "section checking needs a 'dialgebra' section"),
+])
+def test_check_parses_action_and_section(tmp_path, capsys, change, message):
+    bundle = dual_sign_bundle()
+    for key, value in change.items():
+        if value is None:
+            del bundle[key]
+        else:
+            bundle[key] = value
+    path = write_bundle(tmp_path / "bad.json", bundle)
+    code, out, err = run_cli(capsys, ["check", "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message
+
+
 def test_extract_with_bad_section_exits_1(tmp_path, capsys):
     bundle = dual_sign_bundle()
     from oridial import cohomology as coh

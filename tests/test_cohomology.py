@@ -1,15 +1,26 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial import cohomology as coh
+from oridial import cli
 from oridial.cli import main
 from oridial.dialgebra import Dialgebra, bilinear, zero_tensor
-from oridial.linalg import Matrix, NonComplexError, in_image, nullspace, rank
+from oridial.linalg import (
+    Matrix,
+    NonComplexError,
+    ShapeMismatchError,
+    in_image,
+    nullspace,
+    rank,
+    vec_sub,
+    vec_sum,
+)
 from oridial.oriented import OrientedDialgebra, OrientedGroup, sign_group
 from oridial.trees import ResourceLimitError, enumerate_trees
 
@@ -28,6 +39,8 @@ from conftest import (
     split_products_dialgebra,
     zero_dialgebra,
 )
+
+GOLDEN_BUNDLES = Path(__file__).parent / "golden" / "bundles"
 
 
 def test_cochain_dims():
@@ -294,15 +307,20 @@ def unimodular_bases(draw, d: int) -> Matrix:
     return triangular(True).mul(triangular(False))
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_degree0_coboundary_matches_total_differential_after_basis_change(data):
+def _draw_basis_changed(data) -> OrientedDialgebra:
+    """A fixture of ``_oriented_fixtures`` in a drawn unimodular basis."""
     OD = data.draw(st.sampled_from(_oriented_fixtures()))
     P = data.draw(unimodular_bases(OD.dim))
     P_inv = Matrix.from_rows([in_image(P, unit) for unit in Matrix.identity(OD.dim).to_rows()])
     P_inv = P_inv.transpose()
     assert P.mul(P_inv) == Matrix.identity(OD.dim)
-    assert _degree0_routes_agree(_basis_changed(OD, P, P_inv))
+    return _basis_changed(OD, P, P_inv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_degree0_coboundary_matches_total_differential_after_basis_change(data):
+    assert _degree0_routes_agree(_draw_basis_changed(data))
 
 
 def test_degree_zero_is_joint_kernel(od_dual_sign):
@@ -402,6 +420,153 @@ def test_is_degree1_cocycle_rejects_with_residuals(od_dual_sign):
     assert check.witness and all(v != 0 for _, v in check.witness)
     # the witness lists exactly the nonzero residuals, in their order
     assert check.witness == [r for r in coh.degree1_residuals(od_dual_sign, alpha, beta) if r[1]]
+
+
+def reference_degree1_residuals(OD: OrientedDialgebra, alpha, beta):
+    """The explicit degree-1 equations evaluated vector by vector in exact scalars."""
+    D = OD.base
+    d = D.dim
+    beta_l, beta_r = beta
+    basis = D.basis()
+    residuals = []
+
+    def emit(label, vec):
+        for k, v in enumerate(vec):
+            residuals.append((label + (k,), v))
+
+    def bl(x, y):
+        return bilinear(beta_l, x, y)
+
+    def br(x, y):
+        return bilinear(beta_r, x, y)
+
+    for g in OD.group.elements():
+        for h in OD.group.elements():
+            gh = OD.group.mul(g, h)
+            for i, x in enumerate(basis):
+                lhs = alpha[gh].matvec(x)
+                rhs = vec_sum([OD.act(g, alpha[h].matvec(OD.act(OD.group.inv(g), x))),
+                               alpha[g].matvec(x)], d)
+                emit(("group-cocycle", g, h, i), vec_sub(lhs, rhs))
+
+    ginv = OD.group.inv
+    for g in OD.group.elements():
+        eps = OD.sign(g)
+        ag = alpha[g]
+        for i, x1 in enumerate(basis):
+            gi_x1 = OD.act(ginv(g), x1)
+            for j, x2 in enumerate(basis):
+                gi_x2 = OD.act(ginv(g), x2)
+                for name, prod, defect in (
+                    ("left-defect", D.lmul, bl),
+                    ("right-defect", D.rmul, br),
+                ):
+                    lhs = vec_sum([
+                        prod(x1, ag.matvec(x2)),
+                        [-v for v in ag.matvec(prod(x1, x2))],
+                        prod(ag.matvec(x1), x2),
+                    ], d)
+                    moved = defect(gi_x1, gi_x2) if eps == 1 else defect(gi_x2, gi_x1)
+                    rhs = vec_sub(defect(x1, x2), OD.act(g, moved))
+                    emit((name, g, i, j), vec_sub(lhs, rhs))
+
+    l, r = D.lmul, D.rmul
+    compat = [
+        ("beta-ll", lambda x, y, z: ([l(x, bl(y, z)), bl(x, l(y, z))],
+                                     [bl(l(x, y), z), l(bl(x, y), z)])),
+        ("beta-lr", lambda x, y, z: ([l(x, br(y, z)), bl(x, r(y, z))],
+                                     [bl(l(x, y), z), l(bl(x, y), z)])),
+        ("beta-ml", lambda x, y, z: ([r(x, bl(y, z)), br(x, l(y, z))],
+                                     [bl(r(x, y), z), l(br(x, y), z)])),
+        ("beta-rr", lambda x, y, z: ([r(x, br(y, z)), br(x, r(y, z))],
+                                     [br(r(x, y), z), r(br(x, y), z)])),
+        ("beta-outer", lambda x, y, z: ([br(l(x, y), z), r(bl(x, y), z)],
+                                        [br(r(x, y), z), r(br(x, y), z)])),
+    ]
+    for name, fn in compat:
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                for k, z in enumerate(basis):
+                    lhs, rhs = fn(x, y, z)
+                    emit((name, i, j, k), vec_sub(vec_sum(lhs, d), vec_sum(rhs, d)))
+    return residuals
+
+
+def _typed(residuals) -> list:
+    return [(label, v, type(v)) for label, v in residuals]
+
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def degree1_pairs(draw, OD: OrientedDialgebra):
+    """A random (α, β), the zero pair or the coboundary of a random γ."""
+    d = OD.dim
+    kind = draw(st.sampled_from(["random", "zero", "coboundary"]))
+    if kind == "zero":
+        return coh.degree1_zero(OD)
+    if kind == "coboundary":
+        gamma = Matrix(d, d, [draw(_small_fractions) for _ in range(d * d)])
+        return coh.degree1_coboundary(OD, gamma)
+    alpha = [Matrix(d, d, [draw(_small_fractions) for _ in range(d * d)])
+             for _ in OD.group.elements()]
+    beta = tuple([[[draw(_small_fractions) for _ in range(d)] for _ in range(d)]
+                  for _ in range(d)] for _ in range(2))
+    return alpha, beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_degree1_residuals_match_the_vector_evaluator(data):
+    OD = _draw_basis_changed(data)
+    alpha, beta = data.draw(degree1_pairs(OD))
+    assert _typed(coh.degree1_residuals(OD, alpha, beta)) == _typed(
+        reference_degree1_residuals(OD, alpha, beta))
+
+
+def test_degree1_residuals_match_on_a_group_without_inverses():
+    # the check_all_sections group: 1·1 = 1, so inv(1) is -1 and picks the
+    # last action matrix
+    bundle = json.loads((GOLDEN_BUNDLES / "check_all_sections.json").read_text())
+    config = coh.DEFAULT_CONFIG
+    G = cli._parse_group(bundle["group"], config)
+    assert G.inv(1) == -1
+    OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config), G)
+    alpha, beta = cli._parse_cocycle(bundle["cocycle"], OD)
+    residuals = coh.degree1_residuals(OD, alpha, beta)
+    assert any(v for _, v in residuals)
+    assert _typed(residuals) == _typed(reference_degree1_residuals(OD, alpha, beta))
+
+
+def test_valid_cocycle_is_checked_without_fractions(monkeypatch):
+    # dual-S₃ in a basis with denominators: the evaluation runs in integers,
+    # so a cocycle with every residual zero builds no Fraction
+    half = Fraction(1, 2)
+    OD = _basis_changed(oriented_dual_s3(), Matrix.from_rows([[1, half], [0, 1]]),
+                        Matrix.from_rows([[1, -half], [0, 1]]))
+    alpha, beta = coh.degree1_coboundary(OD, Matrix.from_rows([[1, Fraction(1, 3)], [2, -1]]))
+    assert any(type(x) is Fraction for m in alpha for x in m.entries)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results since Python 3.12
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or coprime(*args)))
+    assert coh.is_degree1_cocycle(OD, alpha, beta).ok
+    assert built == []
+
+
+def test_degree1_residuals_refuse_a_wrongly_shaped_alpha(od_dual_sign):
+    _, beta = coh.degree1_zero(od_dual_sign)
+    with pytest.raises(ShapeMismatchError):
+        coh.is_degree1_cocycle(od_dual_sign, [Matrix.identity(3)] * 2, beta)
 
 
 def test_pack_unpack_roundtrip(od_dual_sign):
