@@ -450,8 +450,7 @@ def cmd_equivalence_check(args) -> tuple:
     report = defm.check_equivalence(OD, def1, def2, eq)
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:
-        psi1 = defm.infinitesimals_cohomologous(OD, def1, def2, eq)
-        payload["certificate_psi1"] = _emit(psi1)
+        payload["certificate_psi1"] = _emit(defm._certificate(OD, def1, def2, eq))
     return payload, 0 if report.ok else 1
 
 

@@ -44,7 +44,20 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .dialgebra import Check, Dialgebra, Report
+from .dialgebra import (
+    Check,
+    Dialgebra,
+    Report,
+    _denominator,
+    _flat,
+    _matmul,
+    _on_inputs,
+    _scaled,
+    _scaled_rows,
+    _valued,
+    _x_yz,
+    _xy_z,
+)
 from .linalg import (
     Matrix,
     NonComplexError,
@@ -547,7 +560,8 @@ def equivariant_cohomology(
 # the tensor pair (β at tree [2 1], β at tree [1 2]) — the ⊣ and ⊢ defects
 # respectively.
 #
-# ``degree1_residuals`` evaluates the explicit equations in Python ints.  It
+# ``degree1_residuals`` evaluates the explicit equations in Python ints, with
+# the integer helpers of ``dialgebra`` that every structure checker uses.  It
 # scales each input once by its common denominator: nL for the two product
 # tensors, nA for α, nB for β and nP for the action matrices.  A residual is
 # then an integer numerator over a denominator fixed by its equation family:
@@ -611,41 +625,6 @@ def degree1_unpack(OD: OrientedDialgebra, vec: list):
     return alpha, (tensors[(2, 1)], tensors[(1, 2)])
 
 
-def _denominator(scalars) -> int:
-    """The least common denominator of exact scalars."""
-    n = 1
-    for x in scalars:
-        if x.denominator != 1:
-            n = lcm(n, x.denominator)
-    return n
-
-
-def _scaled_rows(rows, n: int) -> list:
-    """Rows of scalars times their common denominator n, as ints."""
-    return [[x.numerator * (n // x.denominator) for x in row] for row in rows]
-
-
-def _matmul(X, Y) -> list:
-    """X·Y on integer matrices given by rows."""
-    cols = list(zip(*Y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in X]
-
-
-def _flat(blocks) -> list:
-    """The entries of a list of matrices, block by block, row by row."""
-    return [x for block in blocks for row in block for x in row]
-
-
-def _pairs(T) -> list:
-    """A d×d×d tensor as the d²×d matrix with rows T[i][j], i major."""
-    return [row for plane in T for row in plane]
-
-
-def _last_two(T) -> list:
-    """A d×d×d tensor as the d×d² matrix whose row i is T[i] flattened."""
-    return [[x for row in plane for x in row] for plane in T]
-
-
 def _derivation_map(T: list) -> list:
     """α ↦ x∘αy + αx∘y - α(x∘y) on basis pairs, as a d³×d² matrix.
 
@@ -665,22 +644,7 @@ def _derivation_map(T: list) -> list:
 
 def _transported(Pg: list, Q: list, B: list) -> list:
     """g·β(g⁻¹x, g⁻¹y) on basis pairs, nested [x][y][output]; Q acts as g⁻¹."""
-    Qt, Pt = list(zip(*Q)), list(zip(*Pg))
-    d = len(Q)
-    first = _matmul(Qt, _last_two(B))    # β(g⁻¹x, e_b), rows by x
-    # g·β(g⁻¹x, e_b), rows by (x, b)
-    valued = _matmul([row[b * d:(b + 1) * d] for row in first for b in range(d)], Pt)
-    return [_matmul(Qt, valued[x * d:(x + 1) * d]) for x in range(d)]
-
-
-def _x_yz(outer: list, inner: list) -> list:
-    """outer(x, inner(y, z)) on basis triples, flat over (x, y, z, output)."""
-    return _flat(_matmul(_pairs(inner), plane) for plane in outer)
-
-
-def _xy_z(outer: list, inner: list) -> list:
-    """outer(inner(x, y), z) on basis triples, flat over (x, y, z, output)."""
-    return _flat([_matmul(_pairs(inner), _last_two(outer))])
+    return _valued(Pg, _on_inputs(B, Q, Q))
 
 
 def _over(labels: list, nums: list, den: int) -> list:
@@ -709,7 +673,7 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     nA = _denominator(x for m in alpha for x in m.entries)
     nB = _denominator(_flat([*beta_l, *beta_r]))
     nP = _denominator(x for m in OD.action for x in m.entries)
-    l, r, bl, br = ([_scaled_rows(plane, n) for plane in T] for T, n in (
+    l, r, bl, br = (_scaled(T, n) for T, n in (
         (D.left, nL), (D.right, nL), (beta_l, nB), (beta_r, nB)))
     A = [_scaled_rows(m.to_rows(), nA) for m in alpha]
     P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]

@@ -25,13 +25,20 @@ Every law and every transport here works on truncated power series, each
 a list of its N + 1 coefficients by power of t.  A vector series is a list
 of coordinate vectors, a tensor series a list of structure-constant
 tensors (``mlt``, ``mrt``), and a matrix series a list of ``Matrix``
-(``psi``, or one group element's ``phi[n][g]`` over n).  Three truncated
-Cauchy products combine them: ``_bilinear`` (a tensor series on two vector
-series), ``_matvec`` (a matrix series on a vector series) and ``_mul`` (two
-matrix series).  A truncated deformation is an oriented dialgebra over
-K[t]/(t^(N+1)), so ``check_deformation`` runs the undeformed laws with these
-products in place of ``bilinear``, ``Matrix.matvec`` and ``Matrix.mul``; the
-five axioms come from the table of ``dialgebra.check_axioms``.  A failing
+(``psi``, or one group element's ``phi[n][g]`` over n).  The transports
+combine them with three truncated Cauchy products in exact scalars:
+``_bilinear`` (a tensor series on two vector series), ``_matvec`` (a matrix
+series on a vector series) and ``_mul`` (two matrix series).
+
+A truncated deformation is an oriented dialgebra over K[t]/(t^(N+1)), so
+``check_deformation`` and ``check_equivalence`` run the undeformed laws
+over power series, in integers as the checkers of ``dialgebra`` and
+``oriented`` do.  Each scales its tensor series and each of its matrix
+series once by one common denominator (nL for the products, nP for Φ or
+Ψ), takes truncated Cauchy sums (``_cauchy``) of the integer composition
+tables of the undeformed laws, and compares both sides of every law over
+one denominator: nP·lhs against rhs in the twisted law, for example.  A
+valid deformation is thus checked without building a Fraction.  A failing
 law's witness is (power, indices): the lowest power at which it fails,
 then the first basis indices or group elements there.
 """
@@ -49,8 +56,25 @@ from .cohomology import (
     EngineConfig,
     DEFAULT_CONFIG,
 )
-from .dialgebra import Check, Report, _axiom_table, bilinear, validated_tensor, zero_tensor
-from .linalg import Matrix, vec_sub, vec_sum
+from .dialgebra import (
+    Check,
+    Report,
+    _axiom_sides,
+    _cauchy,
+    _denominator,
+    _differing,
+    _flat,
+    _matmul,
+    _on_first,
+    _on_second,
+    _scaled,
+    _scaled_rows,
+    _valued,
+    bilinear,
+    validated_tensor,
+    zero_tensor,
+)
+from .linalg import Matrix, ShapeMismatchError, vec_sub, vec_sum
 from .oriented import OrientedDialgebra
 
 
@@ -159,33 +183,59 @@ def _mul(A: list, B: list) -> list:
     return [Matrix(rows, cols, vec_sum(t, rows * cols)) for t in terms]
 
 
-def _memoized(T: list):
-    """``_bilinear`` on T, each distinct pair of argument series evaluated once."""
-    cache = {}
-
-    def mult(x: list, y: list) -> list:
-        key = (tuple(map(tuple, x)), tuple(map(tuple, y)))
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = _bilinear(T, x, y)
-        return value
-    return mult
-
-
 def _constant(x: list, order: int) -> list:
     """The vector series x + 0·t + ... + 0·t^order."""
     return [x] + [[0] * len(x) for _ in range(order)]
 
 
-def _law(name: str, sides) -> Check:
-    """A law from (indices, lhs series, rhs series) triples.
+def _scaled_matrices(matrices, n: int) -> list:
+    """A series of matrices, each times the common denominator n, as ints."""
+    return [_scaled_rows(m.to_rows(), n) for m in matrices]
 
-    It fails at the lowest power where two sides differ, and there at the
-    smallest indices: the first failing ones of a loop over that power,
-    since every caller lists its index tuples in lexicographic order.
+
+def _require_square(matrices, d: int, what: str) -> None:
+    # integer products would truncate a wrongly shaped matrix silently
+    if any(m.shape() != (d, d) for m in matrices):
+        raise ShapeMismatchError(f"{what} must be {d}x{d} matrices")
+
+
+def _matrix_product(X: list, Y: list) -> list:
+    return _flat([_matmul(X, Y)])
+
+
+def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int):
+    """Both sides of P(inner(x, y)) = outer(Px, Py) per power of t.
+
+    P is an integer matrix series with common denominator nP, inner and
+    outer are integer tensor series with one common denominator.  Each side
+    is a list over powers of flat tables over (x, y, output); the left one
+    is multiplied by nP, so that both are over the same denominator.  With
+    ``swap`` the right side is outer(Py, Px).
     """
-    return Check.first(name, sorted((n, idx) for idx, lhs, rhs in sides
-                                    for n, (u, v) in enumerate(zip(lhs, rhs)) if u != v))
+    d = len(P[0])
+    lhs = _cauchy(lambda p, T: [nP * x for x in _flat(_valued(p, T))], P, inner)
+    # outer_i(P_j x, e_b) summed over i + j, then the second argument moved too
+    first = _cauchy(_on_first, outer, P)
+
+    def second(f, p):
+        moved = _on_second(f, p, d)
+        return _flat(zip(*moved) if swap else moved)
+    return lhs, _cauchy(second, first, P)
+
+
+def _concatenated(per_index: list) -> list:
+    """Series of flat tables, one series per index, as one series of tables."""
+    return [[x for series in per_index for x in series[n]] for n in range(len(per_index[0]))]
+
+
+def _law(name: str, lhs: list, rhs: list, *shape) -> Check:
+    """A law whose sides are series of flat tables over ``shape``.
+
+    It fails at the lowest power where the sides differ, and there at the
+    first differing index tuple.
+    """
+    return Check.first(name, ((n, idx) for n, (u, v) in enumerate(zip(lhs, rhs))
+                              for idx in _differing(u, v, *shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +263,38 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
     ml = [validated_tensor(d, t) for t in deformation.mlt]
     mr = [validated_tensor(d, t) for t in deformation.mrt]
     phi = list(zip(*deformation.phi))   # one series per group element
-    basis = [_constant(e, deformation.order) for e in OD.base.basis()]
+    _require_square((m for series in phi for m in series), d, "phi")
 
     base_ok = (ml[0] == OD.base.left and mr[0] == OD.base.right
-               and all(series[0] == OD.action[g] for g, series in enumerate(phi)))
+               and all(series[0].entries == OD.action[g].entries
+                       for g, series in enumerate(phi)))
     checks = [Check("order-0 terms equal the undeformed structure", base_ok,
                     None if base_ok else (0, ()))]
 
-    # the axioms share their inner products and the twisted law reuses
-    # the products of basis pairs: each series is evaluated once
-    l, r = _memoized(ml), _memoized(mr)
-    triples = list(product(enumerate(basis), repeat=3))
-    table = _axiom_table(l, r)
-    for name, (_, lhs, rhs) in zip(DEFORMED_AXIOMS, table):
-        checks.append(_law(f"deformed dialgebra axiom: {name}", (
-            ((a, b, c), lhs(x, y, z), rhs(x, y, z)) for (a, x), (b, y), (c, z) in triples)))
+    nL = _denominator(_flat([plane for series in (ml, mr) for T in series for plane in T]))
+    nP = _denominator(x for series in phi for m in series for x in m.entries)
+    products = [[_scaled(T, nL) for T in series] for series in (ml, mr)]
+    Phi = [_scaled_matrices(series, nP) for series in phi]
 
-    checks.append(_law("deformed action composes: Φ(gh) = Φ(g)Φ(h)", (
-        ((g, h), phi[G.mul(g, h)], _mul(phi[g], phi[h]))
-        for g, h in product(G.elements(), repeat=2))))
+    # the axioms over nL²
+    for name, (lhs, rhs) in zip(DEFORMED_AXIOMS, _axiom_sides(*products)):
+        checks.append(_law(f"deformed dialgebra axiom: {name}", lhs, rhs, d, d, d))
 
-    moved = [[_matvec(series, e) for e in basis] for series in phi]
-    cells = [(g, a, b) for g in G.elements() for a, b in product(range(d), repeat=2)]
-    for name, m in (("left", l), ("right", r)):
+    # nP·Φ(gh) against Φ(g)Φ(h), over nP²
+    pairs = list(product(G.elements(), repeat=2))
+    checks.append(_law(
+        "deformed action composes: Φ(gh) = Φ(g)Φ(h)",
+        _concatenated([[[nP * x for x in _flat([m])] for m in Phi[G.mul(g, h)]]
+                       for g, h in pairs]),
+        _concatenated([_cauchy(_matrix_product, Phi[g], Phi[h]) for g, h in pairs]),
+        G.order, G.order))
+
+    for name, m in zip(("left", "right"), products):
         # Φ(g)(y1 ∘ y2) = Φ(g)y1 ∘ Φ(g)y2, arguments swapped when ε(g) = -1
-        checks.append(_law(f"deformed action respects the {name} product (ε-twisted)", (
-            ((g, a, b), _matvec(phi[g], m(basis[a], basis[b])),
-             m(moved[g][a], moved[g][b]) if OD.sign(g) == 1
-             else m(moved[g][b], moved[g][a]))
-            for g, a, b in cells)))
+        sides = [_intertwining(Phi[g], m, m, OD.sign(g) != 1, nP) for g in G.elements()]
+        checks.append(_law(f"deformed action respects the {name} product (ε-twisted)",
+                           _concatenated([lhs for lhs, _ in sides]),
+                           _concatenated([rhs for _, rhs in sides]), G.order, d, d))
     return Report(checks)
 
 
@@ -282,20 +335,53 @@ def check_equivalence(
     """
     if not def1.order == def2.order == eq.order:
         raise ValueError("orders of the deformations and the intertwiner must match")
-    psi = eq.psi
-    basis = [_constant(e, eq.order) for e in OD.base.basis()]
-    moved = [_matvec(psi, e) for e in basis]
-    pairs = list(product(range(OD.dim), repeat=2))
+    d = OD.dim
+    _require_square(eq.psi, d, "psi")
+    phis = [list(zip(*dfm.phi)) for dfm in (def1, def2)]
+    _require_square((m for phi in phis for series in phi for m in series), d, "phi")
+    tensors = [[validated_tensor(d, t) for t in series]
+               for series in (def1.mlt, def2.mlt, def1.mrt, def2.mrt)]
+    nM = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
+    nS = _denominator(x for m in eq.psi for x in m.entries)
+    nF = _denominator(x for phi in phis for series in phi for m in series for x in m.entries)
+    m1l, m2l, m1r, m2r = ([_scaled(T, nM) for T in series] for series in tensors)
+    psi = _scaled_matrices(eq.psi, nS)
+    # Ψ(m²(y1, y2)) against m¹(Ψy1, Ψy2), over nM·nS²
     checks = [
-        _law(f"Ψ intertwines the {name} products", (
-            ((a, b), _matvec(psi, _bilinear(m2, basis[a], basis[b])),
-             _bilinear(m1, moved[a], moved[b])) for a, b in pairs))
-        for name, m2, m1 in (("left", def2.mlt, def1.mlt), ("right", def2.mrt, def1.mrt))
+        _law(f"Ψ intertwines the {name} products", *_intertwining(psi, m2, m1, False, nS), d, d)
+        for name, m2, m1 in (("left", m2l, m1l), ("right", m2r, m1r))
     ]
-    checks.append(_law("Ψ intertwines the actions", (
-        ((g,), _mul(psi, phi2), _mul(phi1, psi))
-        for g, phi2, phi1 in zip(OD.group.elements(), zip(*def2.phi), zip(*def1.phi)))))
+    # ΨΦ²(g) against Φ¹(g)Ψ, over nS·nF
+    phi1, phi2 = ([_scaled_matrices(series, nF) for series in phi] for phi in phis)
+    per_g = list(zip(phi2, phi1))[:OD.group.order]
+    checks.append(_law(
+        "Ψ intertwines the actions",
+        _concatenated([_cauchy(_matrix_product, psi, f2) for f2, _ in per_g]),
+        _concatenated([_cauchy(_matrix_product, f1, psi) for _, f1 in per_g]),
+        len(per_g)))
     return Report(checks)
+
+
+def _certificate(
+    OD: OrientedDialgebra,
+    def1: TruncatedDeformation,
+    def2: TruncatedDeformation,
+    eq: DeformationEquivalence,
+) -> Matrix:
+    """ψ_1, once its coboundary is verified to be infinitesimal(def2) - infinitesimal(def1).
+
+    For an equivalence that ``check_equivalence`` accepts.  A mismatch
+    means an engine bug, not bad input, so it raises.
+    """
+    inf1 = infinitesimal(OD, def1, 1)
+    inf2 = infinitesimal(OD, def2, 1)
+    psi1 = eq.psi[1]
+    alpha, beta = degree1_coboundary(OD, psi1)
+    got = degree1_pack(OD, alpha, beta)
+    want = vec_sub(degree1_pack(OD, *inf2.as_pair()), degree1_pack(OD, *inf1.as_pair()))
+    if got != want:
+        raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
+    return psi1
 
 
 def infinitesimals_cohomologous(
@@ -306,21 +392,14 @@ def infinitesimals_cohomologous(
 ) -> Matrix:
     """ψ_1 as the certificate: its coboundary is infinitesimal(def2) - infinitesimal(def1).
 
-    The equality is verified exactly; failure means an engine bug, not bad
-    input, so it raises instead of reporting.
+    The equivalence and then the equality are verified exactly; failure of
+    the second means an engine bug, not bad input, so it raises instead of
+    reporting.
     """
     report = check_equivalence(OD, def1, def2, eq)
     if not report.ok:
         raise ValueError(f"deformations are not equivalent via the given Ψ: {report.failures()[0]}")
-    inf1 = infinitesimal(OD, def1, 1)
-    inf2 = infinitesimal(OD, def2, 1)
-    psi1 = eq.psi[1]
-    alpha, beta = degree1_coboundary(OD, psi1)
-    got = degree1_pack(OD, alpha, beta)
-    want = vec_sub(degree1_pack(OD, *inf2.as_pair()), degree1_pack(OD, *inf1.as_pair()))
-    if got != want:
-        raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
-    return psi1
+    return _certificate(OD, def1, def2, eq)
 
 
 def _series_inverse(psi: list) -> list:

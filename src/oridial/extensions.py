@@ -31,8 +31,25 @@ from .cohomology import (
     degree1_pack,
     is_degree1_cocycle,
 )
-from .dialgebra import Check, Dialgebra, Report, zero_tensor
-from .linalg import Matrix, in_image, normalize_scalar, rank, vec_sub
+from .dialgebra import (
+    Check,
+    Dialgebra,
+    Report,
+    _denominator,
+    _differing,
+    _flat,
+    _identity,
+    _interleaved,
+    _matmul,
+    _on_first,
+    _on_inputs,
+    _on_second,
+    _scaled,
+    _scaled_rows,
+    _valued,
+    zero_tensor,
+)
+from .linalg import Matrix, ShapeMismatchError, in_image, normalize_scalar, rank, vec_sub
 from .oriented import OrientedDialgebra, check_oriented_dialgebra
 
 
@@ -128,42 +145,68 @@ def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> Report:
     """Verify every clause of the singular-extension definition.
 
     Witnesses name the failing map or product and the basis indices of D
-    (i, j) and of B (bi, bj) involved.
+    (i, j) and of B (bi, bj) involved.  The clauses run in integers, with
+    one common denominator for each of: the products of D (nD) and of B
+    (nB), the actions on D (nP) and on B (nQ), i (nI) and p (nJ).
     """
     B = E.total
     inc, proj = E.inclusion, E.projection
-    d = OD.dim
+    d, n = OD.dim, B.dim
+    if inc.shape() != (n, d) or proj.shape() != (d, n):
+        raise ShapeMismatchError(f"i must be {n}x{d} and p {d}x{n}")
     base_report = check_oriented_dialgebra(B)
-    dbasis = list(enumerate(OD.base.basis()))
-    bbasis = list(enumerate(B.base.basis()))
-    incl = [inc.matvec(x) for _, x in dbasis]
-    projected = [proj.matvec(b) for _, b in bbasis]
-    prods = (("left", B.base.lmul, OD.base.lmul), ("right", B.base.rmul, OD.base.rmul))
+    nD = _denominator(_flat([*OD.base.left, *OD.base.right]))
+    nB = _denominator(_flat([*B.base.left, *B.base.right]))
+    nP, nQ, nI, nJ = (_denominator(x for m in ms for x in m.entries)
+                      for ms in (OD.action, B.action, [inc], [proj]))
+    dprods = [_scaled(T, nD) for T in (OD.base.left, OD.base.right)]
+    bprods = [_scaled(T, nB) for T in (B.base.left, B.base.right)]
+    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
+    Q = [_scaled_rows(m.to_rows(), nQ) for m in B.action]
+    I, J = _scaled_rows(inc.to_rows(), nI), _scaled_rows(proj.to_rows(), nJ)
+    names = ("left", "right")
+
+    def scaled(c, flat):
+        return [c * x for x in flat]
+
+    def equivariance():
+        # i∘ρ(g) = ρ_B(g)∘i and ρ(g)∘p = p∘ρ_B(g), each side times the other's nP or nQ
+        for g in OD.group.elements():
+            for side, lhs, rhs in (("i", _matmul(I, P[g]), _matmul(Q[g], I)),
+                                   ("p", _matmul(P[g], J), _matmul(J, Q[g]))):
+                if scaled(nQ, _flat([lhs])) != scaled(nP, _flat([rhs])):
+                    yield side, g
+
+    # p(b1 ∘ b2) = p(b1) ∘ p(b2): nD·nJ·lhs against nB·rhs, over nD·nB·nJ²
+    morphism = (_interleaved([scaled(nD * nJ, _flat(_valued(J, T))) for T in bprods], n * n),
+                _interleaved([scaled(nB, _flat(_on_inputs(T, J, J))) for T in dprods], n * n))
+    # i(x) ∘ b = i(x ∘ p(b)) and b ∘ i(x) = i(p(b) ∘ x), tables by (x, b):
+    # nD·nJ·lhs against nB·rhs, over nD·nB·nI·nJ.  A flat tensor is its own
+    # ``_on_first`` table with Q the identity.
+    factor = (
+        _interleaved([scaled(nD * nJ, table) for T in bprods for table in (
+            _on_first(T, I),                                  # i(x) ∘ b
+            _flat(zip(*_on_second(_flat(T), I, n))))], d * n),  # b ∘ i(x)
+        _interleaved([scaled(nB, _flat(_valued(I, table))) for T in dprods for table in (
+            _on_second(_flat(T), J, d),                       # x ∘ p(b)
+            zip(*_on_inputs(T, J, _identity(d))))], d * n),   # p(b) ∘ x
+    )
+    included = [_on_inputs(T, I, I) for T in bprods]
     return Report([
         Check("middle term is an oriented dialgebra", base_report.ok,
               [c.name for c in base_report.failures()] or None),
-        Check("p . i = 0", proj.mul(inc).is_zero()),
+        Check("p . i = 0", not any(_flat([_matmul(J, I)]))),
         Check("sequence is exact (ranks d, d on dimension 2d)",
-              rank(inc) == d and rank(proj) == d and B.dim == 2 * d),
-        Check.first("i and p are G-equivariant", (
-            (side, g) for g in OD.group.elements() for side, ok in (
-                ("i", inc.mul(OD.action[g]) == B.action[g].mul(inc)),
-                ("p", OD.action[g].mul(proj) == proj.mul(B.action[g])))
-            if not ok)),
+              rank(inc) == d and rank(proj) == d and n == 2 * d),
+        Check.first("i and p are G-equivariant", equivariance()),
         Check.first("p is a dialgebra morphism", (
-            (name, bi, bj) for (bi, b1), (bj, b2) in product(bbasis, repeat=2)
-            for name, bprod, dprod in prods
-            if proj.matvec(bprod(b1, b2)) != dprod(projected[bi], projected[bj]))),
+            (names[f], bi, bj) for bi, bj, f in _differing(*morphism, n, n, 2))),
         Check.first("included copy multiplies to zero", (
             (i, j) for i, j in product(range(d), repeat=2)
-            if any(B.base.lmul(incl[i], incl[j])) or any(B.base.rmul(incl[i], incl[j])))),
+            if any(included[0][i][j]) or any(included[1][i][j]))),
         Check.first("kernel products factor through p", (
-            (name, side, i, bj) for (i, x), (bj, b) in product(dbasis, bbasis)
-            for name, bprod, dprod in prods
-            for side, lhs, rhs in (
-                ("i(x) . b", bprod(incl[i], b), inc.matvec(dprod(x, projected[bj]))),
-                ("b . i(x)", bprod(b, incl[i]), inc.matvec(dprod(projected[bj], x))))
-            if lhs != rhs)),
+            (names[f], ("i(x) . b", "b . i(x)")[s], i, bj)
+            for i, bj, f, s in _differing(*factor, d, n, 2, 2))),
     ])
 
 

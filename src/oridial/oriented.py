@@ -19,8 +19,21 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .dialgebra import Check, Dialgebra, Report
-from .linalg import Matrix, rank
+from .dialgebra import (
+    Check,
+    Dialgebra,
+    Report,
+    _denominator,
+    _differing,
+    _flat,
+    _identity,
+    _matmul,
+    _on_inputs,
+    _scaled,
+    _scaled_rows,
+    _valued,
+)
+from .linalg import rank
 
 
 class OrientedGroup:
@@ -165,29 +178,34 @@ def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
     """G-module axioms and the ε-twisted product compatibility, with witnesses.
 
     Witnesses are group elements, pairs (g, h), or (g, i, j) for the basis
-    pair (e_i, e_j) on which g breaks a product.
+    pair (e_i, e_j) on which g breaks a product.  The laws run in integers:
+    nL is the common denominator of the products and nP of the action
+    matrices, and each law compares its sides over one denominator.
     """
     G = OD.group
     D = OD.base
-    basis = D.basis()
-    cells = list(product(G.elements(), range(D.dim), range(D.dim)))
-    moved = [[OD.act(g, x) for x in basis] for g in G.elements()]
+    d = D.dim
+    nL = _denominator(_flat([*D.left, *D.right]))
+    nP = _denominator(x for m in OD.action for x in m.entries)
+    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
 
-    def twisted(prod):
-        # g(x ∘ y) = gx ∘ gy, or gy ∘ gx when ε(g) = -1
-        return ((g, i, j) for g, i, j in cells
-                if OD.act(g, prod(basis[i], basis[j])) != (
-                    prod(moved[g][i], moved[g][j]) if G.sign(g) == 1
-                    else prod(moved[g][j], moved[g][i])))
+    def twisted(T):
+        # g(x ∘ y) = gx ∘ gy, or gy ∘ gx when ε(g) = -1: nP·lhs against rhs, over nL·nP²
+        for g in G.elements():
+            lhs = [nP * x for x in _flat(_valued(P[g], T))]
+            moved = _on_inputs(T, P[g], P[g])
+            rhs = _flat(moved if G.sign(g) == 1 else zip(*moved))
+            yield from ((g,) + cell for cell in _differing(lhs, rhs, d, d))
 
-    ident = OD.action[0] == Matrix.identity(D.dim)
+    ident = P[0] == [[nP * x for x in row] for row in _identity(d)]
+    over_p2 = [[[nP * x for x in row] for row in m] for m in P]    # ρ(g) over nP²
     return Report([
         Check("identity acts as the identity matrix", ident, None if ident else 0),
         Check.first("action is a group homomorphism",
                     ((a, b) for a, b in product(G.elements(), repeat=2)
-                     if OD.action[a].mul(OD.action[b]) != OD.action[G.mul(a, b)])),
+                     if _matmul(P[a], P[b]) != over_p2[G.mul(a, b)])),
         Check.first("action matrices are invertible",
                     (g for g in G.elements() if rank(OD.action[g]) != D.dim)),
-        Check.first("twisted compatibility of the left product", twisted(D.lmul)),
-        Check.first("twisted compatibility of the right product", twisted(D.rmul)),
+        Check.first("twisted compatibility of the left product", twisted(_scaled(D.left, nL))),
+        Check.first("twisted compatibility of the right product", twisted(_scaled(D.right, nL))),
     ])

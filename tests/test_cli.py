@@ -340,6 +340,21 @@ def test_deform_check_and_equivalence(tmp_path, capsys):
     assert payload["certificate_psi1"] == [["0", "1"], ["0", "0"]]
 
 
+def test_equivalence_check_runs_the_checker_once(tmp_path, capsys, monkeypatch):
+    # the CLI reports the check and then certifies ψ_1 without checking again
+    from oridial import deformations
+
+    calls = []
+    check = deformations.check_equivalence
+    monkeypatch.setattr(deformations, "check_equivalence",
+                        lambda *args: calls.append(args) or check(*args))
+    path = write_bundle(tmp_path / "eq.json", _transported_bundle())
+    code, out, _ = run_cli(capsys, ["equivalence-check", "--input", path])
+    assert code == 0
+    assert json.loads(out)["certificate_psi1"] == [["0", "1"], ["0", "0"]]
+    assert len(calls) == 1
+
+
 def test_infinitesimal_command(tmp_path, capsys):
     bundle = _transported_bundle()
     bundle["deformation"] = bundle.pop("deformation2")

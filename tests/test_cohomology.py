@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from oridial import cohomology as coh
 from oridial import cli
 from oridial.cli import main
-from oridial.dialgebra import Dialgebra, bilinear, zero_tensor
+from oridial.dialgebra import bilinear, zero_tensor
 from oridial.linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
-    in_image,
     nullspace,
     rank,
     vec_sub,
@@ -26,15 +25,15 @@ from oridial.trees import ResourceLimitError, enumerate_trees
 
 from bundles import write_bundle
 from conftest import (
+    _basis_changed,
+    _draw_basis_changed,
+    _oriented_fixtures,
     alt_sign_action,
-    diff3_dialgebra,
+    basis_changed_dual_s3,
     dual_numbers_dialgebra,
     oriented_dual_s3,
-    oriented_dual_sign,
     oriented_split_sign,
     oriented_trivial,
-    oriented_zero_sign,
-    poly3_dialgebra,
     scalar_product_dialgebra,
     split_products_dialgebra,
     zero_dialgebra,
@@ -237,17 +236,6 @@ def test_square_check_is_exact_with_denominators():
         coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 5)))
 
 
-def _basis_changed(OD: OrientedDialgebra, P: Matrix, P_inv: Matrix) -> OrientedDialgebra:
-    """OD in the basis of P's columns: T'(a, b) = P⁻¹T(Pa, Pb), ρ'(g) = P⁻¹ρ(g)P."""
-    cols = P.transpose().to_rows()
-
-    def tensor(T):
-        return [[P_inv.matvec(bilinear(T, a, b)) for b in cols] for a in cols]
-
-    base = Dialgebra(OD.dim, tensor(OD.base.left), tensor(OD.base.right))
-    return OrientedDialgebra(base, OD.group, [P_inv.mul(rho).mul(P) for rho in OD.action])
-
-
 def _annihilated(sm, vec) -> bool:
     """Is sm·vec = 0, summed in Fractions from the unscaled entries?"""
     out = {}
@@ -279,13 +267,6 @@ def test_quotient_on_fraction_structure_constants(od_dual_sign):
         assert all(next(x for x in rep if x) == 1 for rep in res.representatives)
 
 
-def _oriented_fixtures() -> list:
-    plain = [scalar_product_dialgebra(), dual_numbers_dialgebra(), zero_dialgebra(2),
-             split_products_dialgebra(), poly3_dialgebra(), diff3_dialgebra()]
-    return [oriented_dual_sign(), oriented_zero_sign(), oriented_dual_s3(),
-            oriented_split_sign()] + [oriented_trivial(D) for D in plain]
-
-
 def _degree0_routes_agree(OD) -> bool:
     """The explicit degree-0 coboundary γ -> (α, β) against Tot(0) -> Tot(1)."""
     return coh.degree1_coboundary_matrix(OD) == coh.total_entries(OD, 0).to_matrix()
@@ -293,28 +274,6 @@ def _degree0_routes_agree(OD) -> bool:
 
 def test_degree0_coboundary_matches_total_differential():
     assert all(_degree0_routes_agree(OD) for OD in _oriented_fixtures())
-
-
-@st.composite
-def unimodular_bases(draw, d: int) -> Matrix:
-    """P = L·U with unit triangular L and U, so det P = 1."""
-    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-
-    def triangular(lower: bool) -> Matrix:
-        return Matrix(d, d, [1 if i == j else draw(entries) if (i > j) == lower else 0
-                             for i in range(d) for j in range(d)])
-
-    return triangular(True).mul(triangular(False))
-
-
-def _draw_basis_changed(data) -> OrientedDialgebra:
-    """A fixture of ``_oriented_fixtures`` in a drawn unimodular basis."""
-    OD = data.draw(st.sampled_from(_oriented_fixtures()))
-    P = data.draw(unimodular_bases(OD.dim))
-    P_inv = Matrix.from_rows([in_image(P, unit) for unit in Matrix.identity(OD.dim).to_rows()])
-    P_inv = P_inv.transpose()
-    assert P.mul(P_inv) == Matrix.identity(OD.dim)
-    return _basis_changed(OD, P, P_inv)
 
 
 @settings(max_examples=30, deadline=None)
@@ -539,27 +498,14 @@ def test_degree1_residuals_match_on_a_group_without_inverses():
     assert _typed(residuals) == _typed(reference_degree1_residuals(OD, alpha, beta))
 
 
-def test_valid_cocycle_is_checked_without_fractions(monkeypatch):
+def test_valid_cocycle_is_checked_without_fractions(fractions_built):
     # dual-S₃ in a basis with denominators: the evaluation runs in integers,
     # so a cocycle with every residual zero builds no Fraction
-    half = Fraction(1, 2)
-    OD = _basis_changed(oriented_dual_s3(), Matrix.from_rows([[1, half], [0, 1]]),
-                        Matrix.from_rows([[1, -half], [0, 1]]))
+    OD = basis_changed_dual_s3()
     alpha, beta = coh.degree1_coboundary(OD, Matrix.from_rows([[1, Fraction(1, 3)], [2, -1]]))
     assert any(type(x) is Fraction for m in alpha for x in m.entries)
-    built = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results since Python 3.12
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
-            lambda cls, *args: built.append(args) or coprime(*args)))
-    assert coh.is_degree1_cocycle(OD, alpha, beta).ok
+    report, built = fractions_built(coh.is_degree1_cocycle, OD, alpha, beta)
+    assert report.ok
     assert built == []
 
 
