@@ -49,6 +49,7 @@ from . import extensions as ext
 from .dialgebra import Check, Dialgebra, Report, check_axioms
 from .linalg import Matrix, format_rational, parse_rational
 from .oriented import (
+    NoInverseError,
     OrientedDialgebra,
     OrientedGroup,
     check_oriented_dialgebra,
@@ -325,10 +326,15 @@ def cmd_check(args) -> tuple:
         raise BundleError(f"{needing[0]} checking needs dialgebra, group and action sections")
     if "cocycle" in bundle:
         alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
-        (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
-        # the payload names the first nonzero residual only
-        witness = None if c.ok else _emit_residual(c.witness[0])
-        reports["degree-1 cocycle"] = Report([Check(c.name, c.ok, witness)])
+        try:
+            (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
+        except NoInverseError as exc:
+            # the equations need g⁻¹; the witness is the element without one
+            c = Check("explicit cocycle equations", False, exc.witness)
+        else:
+            # the payload names the first nonzero residual only
+            c = Check(c.name, c.ok, None if c.ok else _emit_residual(c.witness[0]))
+        reports["degree-1 cocycle"] = Report([c])
     if "extension" in bundle:
         E = _parse_extension(bundle, OD, config)
         reports["singular extension"] = ext.check_extension(OD, E)

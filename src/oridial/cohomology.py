@@ -104,15 +104,31 @@ def sign_exponent(n: int) -> int:
 # ---------------------------------------------------------------------------
 # sparse matrices
 #
-# Every coboundary, action and total differential is assembled as a
-# SparseMap, and cohomology eliminates these maps directly: the functions of
-# ``linalg`` accept them as they are, and nothing in the engine densifies.
+# Every coboundary, action and total differential is a SparseMap, and
+# cohomology eliminates these maps directly: the functions of ``linalg``
+# accept them as they are, and nothing in the engine densifies.  Two
+# builders make every entry, ``_delta`` and ``_act``; ``_write_horizontal``
+# and ``_write_vertical`` write their maps, and the ±1 identities of the
+# group direction, into a block at its offset.
+#
+# The cohomology entry points assemble integer maps.  δ is linear in the
+# structure constants, so δ built from the products scaled by their common
+# denominator nL is nL·δ.  The action on CY(q) is multilinear of degree
+# q + 1 in the action matrices, so built from them scaled by their common
+# denominator nR it is nR^(q+1)·act(g, q).  A total differential Tot(n) ->
+# Tot(n+1) carries one factor L = lcm(nL, nR^(n+2)) in all of its blocks:
+# δ blocks times L/nL, action blocks times L/nR^(q+1) and the identities
+# times L.  A map times a nonzero constant has the same kernel, rank and
+# column space, so the quotient eliminates these maps as they are.  The
+# public maps (``delta_entries``, ``act_entries``, ``vertical_entries``,
+# ``horizontal_entries`` and ``total_entries``) come from the same builders
+# and writers, run on the unscaled structure with unit scales: they are the
+# exact rational maps.
+#
 # The one size cap is ``EngineConfig.max_cochain_dim``: every assembly
-# function (``delta_entries``, ``act_entries``, ``vertical_entries``,
-# ``horizontal_entries`` and ``total_entries``) checks the dimension of its
-# target space before it writes an entry, and both cohomology entry points
-# assemble their outgoing map first.  ``to_matrix`` has no cap; tests use
-# it to compare a map with a dense one.
+# checks the dimension of its target space before it writes an entry, and
+# both cohomology entry points check their outgoing map first.
+# ``to_matrix`` has no cap; tests use it to compare a map with a dense one.
 
 
 class SparseMap:
@@ -120,10 +136,10 @@ class SparseMap:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         self.rows = rows
         self.cols = cols
-        self.entries: dict = {}
+        self.entries: dict = {} if entries is None else entries
 
     def add(self, r: int, c: int, v) -> None:
         """Add v at (r, c); the first write stores v as given, a zero sum drops the key."""
@@ -140,17 +156,6 @@ class SparseMap:
                     entries[key] = cur
                 else:
                     del entries[key]
-
-    def add_block(self, other: "SparseMap", row_off: int, col_off: int, scale=1) -> None:
-        """Add scale·other at the offset; the scale is 1 (copy) or -1 (negate)."""
-        add = self.add
-        items = other.entries.items()
-        if scale == 1:
-            for (r, c), v in items:
-                add(r + row_off, c + col_off, v)
-        else:
-            for (r, c), v in items:
-                add(r + row_off, c + col_off, -v)
 
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
@@ -182,21 +187,6 @@ class SparseMap:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries.values())
-
-    def integral(self, axis: int) -> "SparseMap":
-        """A copy with each row (axis 0) or column (axis 1) scaled to integers.
-
-        Scaling the rows of d_out and the columns of d_in keeps whether
-        d_out·d_in is zero, and lets the product run on integers.
-        """
-        denoms: dict = {}
-        for key, v in self.entries.items():
-            if v.denominator != 1:
-                denoms[key[axis]] = lcm(denoms.get(key[axis], 1), v.denominator)
-        out = SparseMap(self.rows, self.cols)
-        out.entries = {key: v.numerator * (denoms.get(key[axis], 1) // v.denominator)
-                       for key, v in self.entries.items()}
-        return out
 
     def equals(self, other: "SparseMap") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -246,65 +236,85 @@ def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
         )
 
 
+def _scaled_products(D: Dialgebra) -> tuple[int, list, list]:
+    """nL and the two product tensors times nL, as ints."""
+    nL = _denominator(_flat([*D.left, *D.right]))
+    return nL, _scaled(D.left, nL), _scaled(D.right, nL)
+
+
 # ---------------------------------------------------------------------------
 # the tree-direction coboundary
 
 
-def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> SparseMap:
-    """Sparse matrix of the coboundary CY(n) -> CY(n+1)."""
+def _check_delta(D: Dialgebra, n: int, config: EngineConfig) -> None:
     if n < 0:
         raise ValueError("cochain level must be non-negative")
     if n + 1 > config.max_level:
         raise ResourceLimitError(f"coboundary to level {n + 1} exceeds cap {config.max_level}")
     _check_dialgebra_size(D.dim, config)
+    _check_target_size(f"CY({n + 1})", cochain_dim(D.dim, n + 1), config)
+
+
+def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> SparseMap:
+    """Sparse matrix of the coboundary CY(n) -> CY(n+1)."""
+    _check_delta(D, n, config)
     d = D.dim
-    _check_target_size(f"CY({n + 1})", cochain_dim(d, n + 1), config)
-    sm = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n))
-    add = sm.add
+    return SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), _delta(D.left, D.right, d, n))
+
+
+def _leaf_terms(T: list, sign: int, d: int) -> tuple[list, list, list]:
+    """The nonzero entries of sign·T, grouped for the three kinds of leaf term.
+
+    ``first[a]`` lists (m, k, x) with x = sign·T[a][m][k], ``inner[a][b]``
+    lists (m, x) with x = sign·T[a][b][m] and ``last[b]`` lists (m, k, x)
+    with x = sign·T[m][b][k].
+    """
+    rd = range(d)
+    first = [[(m, k, sign * T[a][m][k]) for m in rd for k in rd if T[a][m][k]] for a in rd]
+    inner = [[[(m, sign * x) for m, x in enumerate(T[a][b]) if x] for b in rd] for a in rd]
+    last = [[(m, k, sign * T[m][b][k]) for m in rd for k in rd if T[m][b][k]] for b in rd]
+    return first, inner, last
+
+
+def _delta(left: list, right: list, d: int, n: int) -> dict:
+    """The entries of δ: CY(n) -> CY(n+1) built from the product tensors given."""
+    e: dict = {}
+    get = e.get
     t_in = tree_index(n)
     dn = d ** n
     # each leaf's product with the leaf's sign already applied
-    signed = {
-        (LeafOrientation.LEFT, 1): D.left,
-        (LeafOrientation.RIGHT, 1): D.right,
-        (LeafOrientation.LEFT, -1): _negated(D.left),
-        (LeafOrientation.RIGHT, -1): _negated(D.right),
-    }
+    terms = {(o, s): _leaf_terms(T, s, d)
+             for o, T in ((LeafOrientation.LEFT, left), (LeafOrientation.RIGHT, right))
+             for s in (1, -1)}
     for ti, y in enumerate(enumerate_trees(n + 1)):
-        spots = [(t_in[face(i, y).word], signed[leaf_orientation(i, y), -1 if i % 2 else 1])
+        spots = [(t_in[face(i, y).word] * dn, terms[leaf_orientation(i, y), -1 if i % 2 else 1])
                  for i in range(n + 2)]
-        for I in product(range(d), repeat=n + 1):
-            row_base = (ti * d ** (n + 1) + multi_index(I, d)) * d
+        first_tree, first = spots[0][0], spots[0][1][0]
+        last_tree, last = spots[n + 1][0], spots[n + 1][1][2]
+        for mi, I in enumerate(product(range(d), repeat=n + 1)):
+            row_base = (ti * d ** (n + 1) + mi) * d
 
-            t_idx, tensor = spots[0]  # multiply by the first argument
-            col_base = (t_idx * dn + multi_index(I[1:], d)) * d
-            plane = tensor[I[0]]
-            for m in range(d):
-                for k, x in enumerate(plane[m]):
-                    if x:
-                        add(row_base + k, col_base + m, x)
+            col_base = (first_tree + mi % dn) * d  # multiply by the first argument
+            for m, k, x in first[I[0]]:
+                key = (row_base + k, col_base + m)
+                e[key] = get(key, 0) + x
 
             for i in range(1, n + 1):  # contract arguments i and i+1
-                t_idx, tensor = spots[i]
-                for m, x in enumerate(tensor[I[i - 1]][I[i]]):
-                    if x:
-                        sub = I[:i - 1] + (m,) + I[i + 1:]
-                        col_base = (t_idx * dn + multi_index(sub, d)) * d
-                        for k in range(d):
-                            add(row_base + k, col_base + k, x)
+                t_off, (_, inner, _) = spots[i]
+                low = d ** (n - i)
+                # the index of I[:i-1] + (m,) + I[i+1:] is hi + m·low + lo
+                hi, lo = mi // (low * d * d) * (low * d), mi % low
+                for m, x in inner[I[i - 1]][I[i]]:
+                    col_base = (t_off + hi + m * low + lo) * d
+                    for k in range(d):
+                        key = (row_base + k, col_base + k)
+                        e[key] = get(key, 0) + x
 
-            t_idx, tensor = spots[n + 1]  # multiply by the last argument
-            col_base = (t_idx * dn + multi_index(I[:n], d)) * d
-            b = I[n]
-            for m in range(d):
-                for k, x in enumerate(tensor[m][b]):
-                    if x:
-                        add(row_base + k, col_base + m, x)
-    return sm
-
-
-def _negated(tensor: list) -> list:
-    return [[[-x for x in row] for row in plane] for plane in tensor]
+            col_base = (last_tree + mi // d) * d  # multiply by the last argument
+            for m, k, x in last[I[n]]:
+                key = (row_base + k, col_base + m)
+                e[key] = get(key, 0) + x
+    return e if all(e.values()) else {key: x for key, x in e.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +339,22 @@ def act_entries(
     d = OD.dim
     dim = cochain_dim(d, n)
     _check_target_size(f"CY({n})", dim, config)
-    sm = SparseMap(dim, dim)
-    eps = OD.sign(g)
-    rho = OD.action[g]
-    rho_inv = OD.action[OD.group.inv(g)]
-    add = sm.add
+    rho, rho_inv = OD.action[g], OD.action[OD.group.inv(g)]
+    return SparseMap(dim, dim, _act(rho.to_rows(), rho_inv.to_rows(), OD.sign(g), d, n))
+
+
+def _act(rho: list, rho_inv: list, eps: int, d: int, n: int) -> dict:
+    """The entries of the action on CY(n) of an element of sign ``eps``.
+
+    ``rho`` and ``rho_inv`` are the rows of the matrices of the element and
+    of its inverse.  Distinct terms land on distinct entries, so each entry
+    is written once.
+    """
+    e: dict = {}
     # the nonzero entries of each row of rho
-    rho_rows = [[(kp, w) for kp, w in enumerate(rho.row(k)) if w] for k in range(d)]
-    if n == 0:
-        sign = (-1) ** sign_exponent(0) if eps == -1 else 1
-        for k, row in enumerate(rho_rows):
-            for j, v in row:
-                add(k, j, v if sign == 1 else -v)
-        return sm
+    rho_rows = [[(kp, w) for kp, w in enumerate(row) if w] for row in rho]
     # nonzero rows of each column of rho_inv, for pruning the J-sum
-    inv_cols = [[(j, rho_inv.at(j, i)) for j in range(d) if rho_inv.at(j, i)] for i in range(d)]
+    inv_cols = [[(j, rho_inv[j][i]) for j in range(d) if rho_inv[j][i]] for i in range(d)]
     sign = 1
     perm = list(range(catalan(n)))
     if eps == -1:
@@ -351,23 +362,21 @@ def act_entries(
         perm = _mirror_perm(n)
     dn = d ** n
     for ti in range(catalan(n)):
-        src_tree = perm[ti]
-        for I in product(range(d), repeat=n):
-            row_base = (ti * dn + multi_index(I, d)) * d
+        src_base = perm[ti] * dn
+        for mi, I in enumerate(product(range(d), repeat=n)):
+            row_base = (ti * dn + mi) * d
             slots = I if eps == 1 else I[::-1]
             for J_parts in product(*(inv_cols[i] for i in slots)):
-                # signs by negation; a Fraction operand on the left, as in bilinear
-                coeff = J_parts[0][1] if sign == 1 else -J_parts[0][1]
-                for _, v in J_parts[1:]:
-                    coeff = coeff * v if type(coeff) is Fraction else v * coeff
-                J = tuple(j for j, _ in J_parts)
-                col_base = (src_tree * dn + multi_index(J, d)) * d
+                coeff, pos = sign, 0
+                for j, v in J_parts:
+                    coeff *= v
+                    pos = pos * d + j
+                col_base = (src_base + pos) * d
                 for k, row in enumerate(rho_rows):
+                    r = row_base + k
                     for kp, w in row:
-                        add(row_base + k, col_base + kp,
-                            coeff if w == 1 else -coeff if w == -1 else
-                            coeff * w if type(coeff) is Fraction else w * coeff)
-    return sm
+                        e[r, col_base + kp] = coeff * w
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +385,11 @@ def act_entries(
 
 def bicochain_dim(OD: OrientedDialgebra, p: int, q: int) -> int:
     return OD.group.order ** p * cochain_dim(OD.dim, q)
+
+
+def _check_group_order(OD: OrientedDialgebra, config: EngineConfig) -> None:
+    if OD.group.order > config.max_group:
+        raise ResourceLimitError(f"group order {OD.group.order} exceeds cap {config.max_group}")
 
 
 def _tuples(m: int, p: int):
@@ -389,36 +403,67 @@ def _tuple_pos(t: tuple, m: int) -> int:
     return pos
 
 
+def _write_horizontal(e: dict, delta: dict, slots: int, rows: int, cols: int,
+                      row_off: int, col_off: int, scale: int) -> None:
+    """Write scale·δ into each of ``slots`` group slots of a block at the offset."""
+    items = list(delta.items()) if scale == 1 else [(key, x * scale) for key, x in delta.items()]
+    for t in range(slots):
+        ro, co = row_off + t * rows, col_off + t * cols
+        e.update({(r + ro, c + co): x for (r, c), x in items})
+
+
+def _write_vertical(e: dict, acts: list, G, p: int, cd: int,
+                    row_off: int, col_off: int, act_scale: int, id_scale: int) -> None:
+    """Write the group-direction block (p, q) -> (p+1, q) at the offset.
+
+    The first face acts by g1 on the cochain (``acts[g1]`` times
+    ``act_scale``), the middle faces merge adjacent group arguments and
+    the last face forgets the final argument (±``id_scale`` identities).
+    """
+    m = G.order
+    scaled = [list(a.items()) if act_scale == 1 else [(key, x * act_scale) for key, x in a.items()]
+              for a in acts]
+    for gt in _tuples(m, p + 1):
+        ro = row_off + _tuple_pos(gt, m) * cd
+        ident: dict = {}  # column slot -> coefficient of the identity there
+        for i in range(1, p + 1):
+            merged = _tuple_pos(gt[:i - 1] + (G.mul(gt[i - 1], gt[i]),) + gt[i + 1:], m)
+            ident[merged] = ident.get(merged, 0) + (-1 if i % 2 else 1)
+        last = _tuple_pos(gt[:p], m)
+        ident[last] = ident.get(last, 0) + (-1 if (p + 1) % 2 else 1)
+        slot = _tuple_pos(gt[1:], m)
+        co = col_off + slot * cd
+        block = {(r + ro, c + co): x for (r, c), x in scaled[gt[0]]}
+        x = ident.pop(slot, 0) * id_scale
+        if x:  # the identity shares its slot with the action: add, and drop zero sums
+            for i in range(cd):
+                key = (ro + i, co + i)
+                v = block.get(key, 0) + x
+                if v:
+                    block[key] = v
+                else:
+                    del block[key]
+        e.update(block)
+        for slot, x in ident.items():
+            if x:
+                co = col_off + slot * cd
+                x *= id_scale
+                e.update({(ro + i, co + i): x for i in range(cd)})
+
+
 def vertical_entries(
     OD: OrientedDialgebra, p: int, q: int, config: EngineConfig = DEFAULT_CONFIG
 ) -> SparseMap:
-    """Group-direction coboundary (p, q) -> (p+1, q).
-
-    The first face acts by g1 on the cochain, the middle faces merge
-    adjacent group arguments, the last face forgets the final argument.
-    """
+    """Group-direction coboundary (p, q) -> (p+1, q)."""
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
+    _check_group_order(OD, config)
     m = OD.group.order
-    if m > config.max_group:
-        raise ResourceLimitError(f"group order {m} exceeds cap {config.max_group}")
     _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q), config)
     cd = cochain_dim(OD.dim, q)
     sm = SparseMap(m ** (p + 1) * cd, m ** p * cd)
-    acts = [act_entries(OD, g, q, config) for g in range(m)]
-    for gt in _tuples(m, p + 1):
-        row_off = _tuple_pos(gt, m) * cd
-        sm.add_block(acts[gt[0]], row_off, _tuple_pos(gt[1:], m) * cd)
-        for i in range(1, p + 1):
-            merged = gt[:i - 1] + (OD.group.mul(gt[i - 1], gt[i]),) + gt[i + 1:]
-            col_off = _tuple_pos(merged, m) * cd
-            sgn = -1 if i % 2 else 1
-            for c in range(cd):
-                sm.add(row_off + c, col_off + c, sgn)
-        col_off = _tuple_pos(gt[:p], m) * cd
-        sgn = -1 if (p + 1) % 2 else 1
-        for c in range(cd):
-            sm.add(row_off + c, col_off + c, sgn)
+    acts = [act_entries(OD, g, q, config).entries for g in range(m)]
+    _write_vertical(sm.entries, acts, OD.group, p, cd, 0, 0, 1, 1)
     return sm
 
 
@@ -428,12 +473,11 @@ def horizontal_entries(
     """Tree-direction coboundary (p, q) -> (p, q+1): delta in each group slot."""
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
-    m = OD.group.order
+    slots = OD.group.order ** p
     _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1), config)
     delta = delta_entries(OD.base, q, config)
-    sm = SparseMap(m ** p * delta.rows, m ** p * delta.cols)
-    for t in range(m ** p):
-        sm.add_block(delta, t * delta.rows, t * delta.cols)
+    sm = SparseMap(slots * delta.rows, slots * delta.cols)
+    _write_horizontal(sm.entries, delta.entries, slots, delta.rows, delta.cols, 0, 0, 1)
     return sm
 
 
@@ -455,22 +499,56 @@ def _block_offsets(OD: OrientedDialgebra, n: int) -> dict[tuple[int, int], int]:
     return offsets
 
 
+def _check_total(OD: OrientedDialgebra, n: int, config: EngineConfig) -> None:
+    """The caps of Tot(n) -> Tot(n+1), in the order its blocks meet them.
+
+    Every block and cochain space the map touches is at most Tot(n+1), and
+    the δ of the block (0, n+1) has the highest level.
+    """
+    if n < 0:
+        raise ValueError("total degree must be non-negative")
+    _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)
+    _check_delta(OD.base, n + 1, config)
+    _check_group_order(OD, config)
+
+
+def _total_maps(OD: OrientedDialgebra, degrees, left: list, right: list, action: list,
+                nL: int = 1, nR: int = 1) -> list[SparseMap]:
+    """Tot(n) -> Tot(n+1) for each n in ``degrees``; the caps are the caller's.
+
+    ``left`` and ``right`` are the products times nL and ``action`` holds the
+    rows of each action matrix times nR.  The map for n is lcm(nL, nR^(n+2))
+    times D = ∂' + (-1)^q ∂'', blockwise.  Each δ_q and each action of an
+    element on CY(q) is built once, for all the maps.
+    """
+    G, d, m = OD.group, OD.dim, OD.group.order
+    deltas: dict = {}
+    acts: dict = {}
+    maps = []
+    for n in degrees:
+        L = lcm(nL, nR ** (n + 2))
+        src, dst = _block_offsets(OD, n), _block_offsets(OD, n + 1)
+        e: dict = {}
+        for p, q in total_blocks(OD, n):
+            if q not in deltas:
+                deltas[q] = _delta(left, right, d, q)
+                acts[q] = [_act(action[g], action[G.inv(g)], G.sign(g), d, q) for g in range(m)]
+            cd, sign, col = cochain_dim(d, q), (-1) ** q, src[(p, q)]
+            _write_horizontal(e, deltas[q], m ** p, cochain_dim(d, q + 1), cd,
+                              dst[(p, q + 1)], col, L // nL)
+            _write_vertical(e, acts[q], G, p, cd, dst[(p + 1, q)], col,
+                            sign * (L // nR ** (q + 1)), sign * L)
+        maps.append(SparseMap(total_dim(OD, n + 1), total_dim(OD, n), e))
+    return maps
+
+
 def total_entries(
     OD: OrientedDialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
 ) -> SparseMap:
     """Total differential Tot(n) -> Tot(n+1): D = ∂' + (-1)^q ∂'' blockwise."""
-    if n < 0:
-        raise ValueError("total degree must be non-negative")
-    _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)
-    src = _block_offsets(OD, n)
-    dst = _block_offsets(OD, n + 1)
-    sm = SparseMap(total_dim(OD, n + 1), total_dim(OD, n))
-    for p, q in total_blocks(OD, n):
-        col = src[(p, q)]
-        sm.add_block(horizontal_entries(OD, p, q, config), dst[(p, q + 1)], col)
-        sm.add_block(vertical_entries(OD, p, q, config), dst[(p + 1, q)], col,
-                     scale=(-1) ** q)
-    return sm
+    _check_total(OD, n, config)
+    D = OD.base
+    return _total_maps(OD, [n], D.left, D.right, [a.to_rows() for a in OD.action])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +579,12 @@ def _quotient(
 ) -> CohomologyResult:
     """Kernel of d_out modulo image of d_in, with canonical representatives.
 
-    The square d_out·d_in is checked to vanish exactly, as an integer
-    sparse product, before any elimination; ``fault`` names the failure.
-    The eliminations then run on the same integer maps: scaling the rows
-    of d_out keeps its row space, hence its RREF and canonical kernel
-    basis, and scaling the columns of d_in keeps its rank and column space.
+    The square d_out·d_in is checked to vanish exactly, as a sparse
+    product, before any elimination; ``fault`` names the failure.  Either
+    map may carry a nonzero factor: the cohomology entry points pass
+    integer multiples of the coboundaries, which have the same kernel,
+    canonical kernel basis, rank and column space.
     """
-    d_out, d_in = d_out.integral(0), d_in.integral(1)
     if not d_out.mul(d_in).is_zero():
         raise NonComplexError(fault)
     kernel = nullspace(d_out)
@@ -522,12 +599,19 @@ def _quotient(
 def dialgebra_cohomology(
     D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
 ) -> CohomologyResult:
-    """HY(n): kernel of the level-n coboundary modulo the image below."""
-    d_out = delta_entries(D, n, config)
+    """HY(n): kernel of the level-n coboundary modulo the image below.
+
+    Both coboundaries are assembled from the products times nL, so they
+    are nL·δ, in integers.
+    """
+    _check_delta(D, n, config)
+    d = D.dim
+    _, left, right = _scaled_products(D)
+    d_out = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), _delta(left, right, d, n))
     if n == 0:
-        d_in = SparseMap(cochain_dim(D.dim, 0), 0)
+        d_in = SparseMap(cochain_dim(d, 0), 0)
     else:
-        d_in = delta_entries(D, n - 1, config)
+        d_in = SparseMap(cochain_dim(d, n), cochain_dim(d, n - 1), _delta(left, right, d, n - 1))
     return _quotient(d_out, d_in)
 
 
@@ -536,19 +620,23 @@ def equivariant_cohomology(
 ) -> CohomologyResult:
     """Reduced equivariant cohomology at total degree n.
 
-    The square of the total differential is verified to vanish before any
-    rank is taken; a nonzero square signals a sign-convention bug.
+    Tot(n) and Tot(n-1) are assembled together in integers, from the
+    products times nL and the action matrices times nR (see "sparse
+    matrices").  The square of the total differential is verified to
+    vanish before any rank is taken; a nonzero square signals a
+    sign-convention bug.
     """
     if n + 1 > config.max_degree:
         raise ResourceLimitError(
             f"total degree {n} needs degree {n + 1} blocks; cap is {config.max_degree}"
         )
-    d_out = total_entries(OD, n, config)
-    if n == 0:
-        d_in = SparseMap(total_dim(OD, 0), 0)
-    else:
-        d_in = total_entries(OD, n - 1, config)
-    return _quotient(d_out, d_in, "total differential does not square to zero")
+    _check_total(OD, n, config)
+    nL, left, right = _scaled_products(OD.base)
+    nR = _denominator(x for a in OD.action for x in a.entries)
+    action = [_scaled_rows(a.to_rows(), nR) for a in OD.action]
+    maps = _total_maps(OD, [n, n - 1] if n else [n], left, right, action, nL, nR)
+    d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)
+    return _quotient(maps[0], d_in, "total differential does not square to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +757,11 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     beta_l, beta_r = beta
     if any(m.shape() != (d, d) for m in alpha):
         raise ShapeMismatchError(f"α must be {d}x{d} matrices")
-    nL = _denominator(_flat([*D.left, *D.right]))
+    nL, l, r = _scaled_products(D)
     nA = _denominator(x for m in alpha for x in m.entries)
     nB = _denominator(_flat([*beta_l, *beta_r]))
     nP = _denominator(x for m in OD.action for x in m.entries)
-    l, r, bl, br = (_scaled(T, n) for T, n in (
-        (D.left, nL), (D.right, nL), (beta_l, nB), (beta_r, nB)))
+    bl, br = _scaled(beta_l, nB), _scaled(beta_r, nB)
     A = [_scaled_rows(m.to_rows(), nA) for m in alpha]
     P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
     elements = G.elements()

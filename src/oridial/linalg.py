@@ -80,21 +80,25 @@ def vec_sub(u: list, v: list) -> list:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def parse_rational(value) -> Fraction:
-    """Read a rational from an int or a "p/q" / "p" string.
+def parse_rational(value):
+    """Read a rational from an int or a "p/q" / "p" string, as a canonical scalar.
 
     A string is an optional minus sign and digits, optionally followed by
     "/" and a positive denominator; nothing else (no spaces, exponents,
-    decimal points, underscores or plus signs).
+    decimal points, underscores or plus signs).  The value comes back as
+    ``normalize_scalar`` would give it: an int when it is integral, else a
+    ``Fraction`` in lowest terms.
     """
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match:
         num, den = match.groups()
-        return Fraction(int(num), int(den or 1))
+        if den is None:
+            return int(num)
+        return normalize_scalar(Fraction(int(num), int(den)))
     raise ValueError(f"malformed rational {value!r}")
 
 
@@ -200,7 +204,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape() == other.shape()
-            and all(Fraction(a) == Fraction(b) for a, b in zip(self.entries, other.entries))
+            and self.entries == other.entries   # exact scalars compare exactly
         )
 
     def __repr__(self) -> str:
@@ -225,7 +229,12 @@ def _row_dicts(m, transpose: bool = False) -> list[dict]:
 
 
 def _integral(row: dict) -> dict:
-    """The row scaled by the least common multiple of its denominators."""
+    """The row scaled by the least common multiple of its denominators.
+
+    A row of ints is returned as it is, not copied.
+    """
+    if all(type(x) is int for x in row.values()):
+        return row
     denom = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
 

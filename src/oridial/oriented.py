@@ -36,11 +36,21 @@ from .dialgebra import (
 from .linalg import rank
 
 
+class NoInverseError(ValueError):
+    """A group element has no inverse in the multiplication table."""
+
+    def __init__(self, element):
+        self.witness = element
+        super().__init__(f"group element {element} has no inverse")
+
+
 class OrientedGroup:
     """A finite group by multiplication table plus a sign character.
 
     ``table[a][b]`` is the index of the product ab; index 0 is the
-    identity.  ``epsilon`` lists the sign of each element.
+    identity.  ``epsilon`` lists the sign of each element.  ``inverse[a]``
+    is the first b with ab = 0, or -1 when the table has none; ``inv``
+    refuses such an element.
     """
 
     __slots__ = ("order", "table", "epsilon", "inverse")
@@ -62,7 +72,10 @@ class OrientedGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        b = self.inverse[a]
+        if b < 0:
+            raise NoInverseError(a)
+        return b
 
     def sign(self, a: int) -> int:
         return self.epsilon[a]

@@ -174,9 +174,9 @@ def alt_sign_action(OD, g, n):
     That is the shipped action times (-1)^(n(n-1)/2 - σ(n)).
     """
     shipped = coh.act_entries(OD, g, n)
-    alt = coh.SparseMap(shipped.rows, shipped.cols)
-    alt.add_block(shipped, 0, 0, (-1) ** ((n * (n - 1) // 2 - coh.sign_exponent(n)) % 2))
-    return alt
+    sign = (-1) ** ((n * (n - 1) // 2 - coh.sign_exponent(n)) % 2)
+    return coh.SparseMap(shipped.rows, shipped.cols,
+                         {key: sign * v for key, v in shipped.entries.items()})
 
 
 @pytest.fixture

@@ -1,0 +1,48 @@
+"""Cohomology from the exact rational maps, with each row or column made integral.
+
+This is the quotient as the engine ran it before it assembled integer maps:
+it takes the public rational maps (``delta_entries``, ``total_entries``),
+scales each row of d_out and each column of d_in to integers by the least
+common multiple of its denominators, checks the square and eliminates.
+Scaling the rows of d_out keeps its kernel and scaling the columns of d_in
+keeps its column space, so the parity tests require the engine's
+``CohomologyResult`` to have the same ``repr``.
+"""
+
+from math import lcm
+
+from oridial import cohomology as coh
+from oridial.linalg import NonComplexError, column_space_complement, nullspace, rank
+
+
+def integral(sm: coh.SparseMap, axis: int) -> coh.SparseMap:
+    """A copy with each row (axis 0) or column (axis 1) scaled to integers."""
+    denoms: dict = {}
+    for key, v in sm.entries.items():
+        denoms[key[axis]] = lcm(denoms.get(key[axis], 1), v.denominator)
+    return coh.SparseMap(sm.rows, sm.cols, {
+        key: v.numerator * (denoms[key[axis]] // v.denominator)
+        for key, v in sm.entries.items()})
+
+
+def reference_quotient(d_out, d_in, fault: str) -> coh.CohomologyResult:
+    d_out, d_in = integral(d_out, 0), integral(d_in, 1)
+    if not d_out.mul(d_in).is_zero():
+        raise NonComplexError(fault)
+    kernel = nullspace(d_out)
+    image_rank = rank(d_in)
+    reps = [coh._normalize_rep(kernel[i]) for i in column_space_complement(d_in, kernel)]
+    return coh.CohomologyResult(len(kernel) - image_rank, reps, len(kernel), image_rank)
+
+
+def reference_dialgebra_cohomology(D, n: int) -> coh.CohomologyResult:
+    d_in = (coh.delta_entries(D, n - 1) if n
+            else coh.SparseMap(coh.cochain_dim(D.dim, 0), 0))
+    return reference_quotient(coh.delta_entries(D, n), d_in,
+                              "coboundaries do not compose to zero")
+
+
+def reference_equivariant_cohomology(OD, n: int) -> coh.CohomologyResult:
+    d_in = coh.total_entries(OD, n - 1) if n else coh.SparseMap(coh.total_dim(OD, 0), 0)
+    return reference_quotient(coh.total_entries(OD, n), d_in,
+                              "total differential does not square to zero")

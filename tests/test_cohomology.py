@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from oridial.linalg import (
     vec_sub,
     vec_sum,
 )
-from oridial.oriented import OrientedDialgebra, OrientedGroup, sign_group
+from oridial.deformations import infinitesimal
+from oridial.oriented import NoInverseError, OrientedDialgebra, OrientedGroup, sign_group
 from oridial.trees import ResourceLimitError, enumerate_trees
 
 from bundles import write_bundle
@@ -31,6 +34,8 @@ from conftest import (
     alt_sign_action,
     basis_changed_dual_s3,
     dual_numbers_dialgebra,
+    in_basis,
+    oriented_dual_sign,
     oriented_dual_s3,
     oriented_split_sign,
     oriented_trivial,
@@ -38,6 +43,8 @@ from conftest import (
     split_products_dialgebra,
     zero_dialgebra,
 )
+
+from reference_quotient import reference_dialgebra_cohomology, reference_equivariant_cohomology
 
 GOLDEN_BUNDLES = Path(__file__).parent / "golden" / "bundles"
 
@@ -227,8 +234,7 @@ def test_square_check_is_exact_with_denominators():
     d_out = coh.SparseMap(1, 2)
     d_out.add(0, 0, 1)
     d_out.add(0, 1, Fraction(3, 2))
-    # 1·1/2 + 3/2·(-1/3) = 0; it stays 0 only if d_out is scaled by rows
-    # and d_in by columns
+    # 1·1/2 + 3/2·(-1/3) = 0: the square check is exact on rational maps too
     result = coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 3)))
     assert (result.dim, result.kernel_dim, result.image_rank) == (0, 1, 1)
     # 1·1/2 + 3/2·(-1/5) = 1/5
@@ -245,10 +251,9 @@ def _annihilated(sm, vec) -> bool:
 
 
 def test_quotient_on_fraction_structure_constants(od_dual_sign):
-    # The quotient eliminates integer-scaled copies of δ and Tot: the rows
-    # of d_out and the columns of d_in.  With Fraction structure constants
-    # a wrong axis or a lost scale shows as a changed dimension or as a
-    # representative that the unscaled map does not annihilate.
+    # The quotient eliminates integer multiples of δ and Tot.  With Fraction
+    # structure constants a lost or wrong scale shows as a changed dimension
+    # or as a representative that the unscaled map does not annihilate.
     half = Fraction(1, 2)
     copy = _basis_changed(od_dual_sign, Matrix.from_rows([[1, half], [0, 1]]),
                           Matrix.from_rows([[1, -half], [0, 1]]))
@@ -265,6 +270,94 @@ def test_quotient_on_fraction_structure_constants(od_dual_sign):
         assert len(res.representatives) == res.dim
         assert all(_annihilated(d_out, rep) for rep in res.representatives)
         assert all(next(x for x in rep if x) == 1 for rep in res.representatives)
+
+
+class _Captured(Exception):
+    """Raised by the patched quotient once it holds the maps it was given."""
+
+
+def _eliminated_maps(cohomology, *args) -> tuple:
+    """The (d_out, d_in) that ``cohomology`` hands to the quotient, not eliminated."""
+    seen = []
+
+    def capture(d_out, d_in, *rest):
+        seen.append((d_out, d_in))
+        raise _Captured
+
+    with mock.patch.object(coh, "_quotient", capture), pytest.raises(_Captured):
+        cohomology(*args)
+    return seen[0]
+
+
+def _is_scaled(sm, public, scale: int) -> bool:
+    """Is sm, entry for entry, the integer map scale·public?"""
+    return ((sm.rows, sm.cols) == (public.rows, public.cols)
+            and all(type(x) is int for x in sm.entries.values())
+            and sm.entries == {key: scale * v for key, v in public.entries.items()})
+
+
+def _eliminates_scaled_public_maps(OD) -> bool:
+    """δ_n and Tot(n), n ≤ 2, reach the quotient as nL·δ and lcm(nL, nR^(n+2))·Tot."""
+    D = OD.base
+    nL = lcm(*(x.denominator for T in (D.left, D.right) for plane in T for row in plane
+               for x in row))
+    nR = lcm(*(x.denominator for m in OD.action for x in m.entries))
+    for n in range(3):
+        d_out, d_in = _eliminated_maps(coh.dialgebra_cohomology, D, n)
+        if not _is_scaled(d_out, coh.delta_entries(D, n), nL):
+            return False
+        if n and not _is_scaled(d_in, coh.delta_entries(D, n - 1), nL):
+            return False
+        d_out, d_in = _eliminated_maps(coh.equivariant_cohomology, OD, n)
+        if not _is_scaled(d_out, coh.total_entries(OD, n), lcm(nL, nR ** (n + 2))):
+            return False
+        if n and not _is_scaled(d_in, coh.total_entries(OD, n - 1), lcm(nL, nR ** (n + 1))):
+            return False
+    return True
+
+
+def test_eliminated_maps_are_scaled_public_maps():
+    # dual-S₃ in the basis (1 + u, 1 + 4u) has nL = 3 and nR = 3
+    assert all(_eliminates_scaled_public_maps(OD)
+               for OD in _oriented_fixtures() + [basis_changed_dual_s3()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_eliminated_maps_are_scaled_public_maps_after_basis_change(data):
+    assert _eliminates_scaled_public_maps(_draw_basis_changed(data))
+
+
+def _outcome(cohomology, *args) -> str:
+    """The repr of a cohomology result, or the error it raised."""
+    try:
+        return repr(cohomology(*args))
+    except NonComplexError as exc:
+        return f"NonComplexError: {exc}"
+
+
+def _matches_rational_reference(OD, top: int) -> bool:
+    return all(
+        _outcome(coh.dialgebra_cohomology, OD.base, n)
+        == _outcome(reference_dialgebra_cohomology, OD.base, n)
+        and _outcome(coh.equivariant_cohomology, OD, n)
+        == _outcome(reference_equivariant_cohomology, OD, n)
+        for n in range(top + 1))
+
+
+def test_cohomology_matches_the_rational_reference():
+    # repr compares the representatives' scalars with their types
+    half = Fraction(1, 2)
+    copies = [basis_changed_dual_s3(),
+              in_basis(oriented_dual_sign(), Matrix.from_rows([[1, half], [-3, 1 - 3 * half]]))]
+    for OD in _oriented_fixtures() + copies:
+        assert _matches_rational_reference(OD, 1 if OD.group.order > 2 or OD.dim > 2 else 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cohomology_matches_the_rational_reference_after_basis_change(data):
+    assert _matches_rational_reference(_draw_basis_changed(data), 1)
 
 
 def _degree0_routes_agree(OD) -> bool:
@@ -484,18 +577,25 @@ def test_degree1_residuals_match_the_vector_evaluator(data):
         reference_degree1_residuals(OD, alpha, beta))
 
 
-def test_degree1_residuals_match_on_a_group_without_inverses():
-    # the check_all_sections group: 1·1 = 1, so inv(1) is -1 and picks the
-    # last action matrix
+def test_degree1_residuals_refuse_a_group_without_inverses():
+    # the check_all_sections group: 1·1 = 1, so element 1 has no inverse;
+    # whatever needs ρ(g⁻¹) refuses it instead of reading another matrix
     bundle = json.loads((GOLDEN_BUNDLES / "check_all_sections.json").read_text())
     config = coh.DEFAULT_CONFIG
     G = cli._parse_group(bundle["group"], config)
-    assert G.inv(1) == -1
+    with pytest.raises(NoInverseError, match="group element 1 has no inverse") as refused:
+        G.inv(1)
+    assert refused.value.witness == 1 and G.inv(0) == 0
     OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config), G)
     alpha, beta = cli._parse_cocycle(bundle["cocycle"], OD)
-    residuals = coh.degree1_residuals(OD, alpha, beta)
-    assert any(v for _, v in residuals)
-    assert _typed(residuals) == _typed(reference_degree1_residuals(OD, alpha, beta))
+    deformation = cli._parse_deformation(bundle["deformation"], OD)
+    for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
+                   lambda: coh.degree1_coboundary(OD, Matrix.identity(2)),
+                   lambda: coh.act_entries(OD, 1, 1),
+                   lambda: coh.equivariant_cohomology(OD, 1),
+                   lambda: infinitesimal(OD, deformation)):
+        with pytest.raises(NoInverseError):
+            refuse()
 
 
 def test_valid_cocycle_is_checked_without_fractions(fractions_built):
@@ -531,13 +631,20 @@ def test_resource_caps(od_dual_sign, dia_dual):
         coh.delta_entries(dia_dual, 2, small_levels)
 
 
-def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
-    # δ: CY(5) -> CY(6) of a dim-4 algebra is 2,162,688 x 172,032; the
-    # refusal must come before a single entry is written
+def _refuse_writes(monkeypatch) -> None:
+    """Fail on any entry written: by SparseMap.add, a builder or a block writer."""
     def refuse(*args):
         raise AssertionError("an entry was written before the size check")
 
     monkeypatch.setattr(coh.SparseMap, "add", refuse)
+    for writer in ("_delta", "_act", "_write_horizontal", "_write_vertical"):
+        monkeypatch.setattr(coh, writer, refuse)
+
+
+def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
+    # δ: CY(5) -> CY(6) of a dim-4 algebra is 2,162,688 x 172,032; the
+    # refusal must come before a single entry is written
+    _refuse_writes(monkeypatch)
     with pytest.raises(ResourceLimitError, match="CY\\(6\\) has dimension 2162688"):
         coh.dialgebra_cohomology(zero_dialgebra(4), 5)
     zero4 = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
@@ -549,15 +656,23 @@ def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
 
 
 def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an entry was written before the size check")
-
-    monkeypatch.setattr(coh.SparseMap, "add", refuse)
+    _refuse_writes(monkeypatch)
     dim4, s3 = oriented_trivial(zero_dialgebra(4)), oriented_dual_s3()
+    # Tot(6) of dual-S₃ holds the block (6, 1) of dimension 6⁶·4; the target
+    # is checked before the group order, and both before any entry
+    deep = coh.EngineConfig(max_degree=8)
+    small_group = coh.EngineConfig(max_degree=8, max_group=2)
+    tot6 = f"Tot\\(6\\) has dimension {coh.total_dim(s3, 6)}"
     for build, args, target in (
         (coh.act_entries, (dim4, 0, 6), "CY\\(6\\) has dimension 2162688"),
         (coh.vertical_entries, (s3, 6, 1), "block \\(7, 1\\) has dimension 1119744"),
         (coh.horizontal_entries, (s3, 5, 1), "block \\(5, 2\\) has dimension 124416"),
+        (coh.total_entries, (s3, 5, deep), tot6),
+        (coh.equivariant_cohomology, (s3, 5, deep), tot6),
+        (coh.equivariant_cohomology, (s3, 5, small_group), tot6),
+        (coh.equivariant_cohomology, (s3, 1, small_group), "group order 6 exceeds cap 2"),
+        (coh.equivariant_cohomology, (s3, 1, coh.EngineConfig(max_level=2)),
+         "coboundary to level 3 exceeds cap 2"),
     ):
         with pytest.raises(ResourceLimitError, match=target):
             build(*args)

@@ -370,8 +370,8 @@ def test_sparse_map_add_matches_fraction_reference(data):
         want[r, c] = want.get((r, c), Fraction(0)) + v
     for (r, c), v in block:
         other.add(r, c, v)
-    sm.add_block(other, off, off, scale)
-    for (r, c), v in other.entries.items():
+    for (r, c), v in other.entries.items():   # a scaled block written at an offset
+        sm.add(r + off, c + off, scale * v)
         want[r + off, c + off] = want.get((r + off, c + off), Fraction(0)) + scale * v
     assert sm.entries == {key: v for key, v in want.items() if v}
     assert all(v for v in sm.entries.values())   # no zero is ever stored
@@ -385,10 +385,11 @@ def test_rational_serialization():
     for p in range(-6, 7):
         for q in range(1, 7):
             x = parse_rational(f"{p}/{q}")
-            assert x == Fraction(p, q) and type(x) is Fraction
+            assert x == Fraction(p, q) and canonical(x)
             assert parse_rational(format_rational(x)) == x
         assert format_rational(p) == format_rational(Fraction(p)) == str(p)
     assert parse_rational("-0") == 0 and parse_rational("007/14") == Fraction(1, 2)
+    assert all(type(parse_rational(v)) is int for v in ("-0", "4/2", "12", 5))
     for bad in ("1/0", "x", None, 1.5, True):
         with pytest.raises(ValueError):
             parse_rational(bad)
