@@ -52,11 +52,14 @@ from .dialgebra import (
     _flat,
     _matmul,
     _on_inputs,
+    _rational,
     _scaled,
-    _scaled_rows,
+    _scaled_maps,
+    _tensor,
     _valued,
     _x_yz,
     _xy_z,
+    zero_tensor,
 )
 from .linalg import (
     Matrix,
@@ -66,8 +69,6 @@ from .linalg import (
     normalize_scalar,
     nullspace,
     rank,
-    vec_sub,
-    vec_sum,
 )
 from .oriented import OrientedDialgebra
 from .trees import (
@@ -150,8 +151,7 @@ class SparseMap:
             if cur is None:
                 entries[key] = v
             else:
-                # a Fraction operand on the left, as in dialgebra.bilinear
-                cur = cur + v if type(cur) is Fraction else v + cur
+                cur += v
                 if cur:
                     entries[key] = cur
                 else:
@@ -177,14 +177,6 @@ class SparseMap:
                     out.entries[(i, j)] = v
         return out
 
-    def matvec(self, v: list) -> list:
-        out = [0] * self.rows
-        for (r, c), val in self.entries.items():
-            x = v[c]
-            if x:
-                out[r] += val * x
-        return [normalize_scalar(x) for x in out]
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries.values())
 
@@ -192,9 +184,7 @@ class SparseMap:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         keys = set(self.entries) | set(other.entries)
-        return all(
-            Fraction(self.entries.get(k, 0)) == Fraction(other.entries.get(k, 0)) for k in keys
-        )
+        return all(self.entries.get(k, 0) == other.entries.get(k, 0) for k in keys)
 
     def to_matrix(self) -> Matrix:
         data = [0] * (self.rows * self.cols)
@@ -632,8 +622,7 @@ def equivariant_cohomology(
         )
     _check_total(OD, n, config)
     nL, left, right = _scaled_products(OD.base)
-    nR = _denominator(x for a in OD.action for x in a.entries)
-    action = [_scaled_rows(a.to_rows(), nR) for a in OD.action]
+    action, nR = _scaled_maps(OD.action)
     maps = _total_maps(OD, [n, n - 1] if n else [n], left, right, action, nL, nR)
     d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)
     return _quotient(maps[0], d_in, "total differential does not square to zero")
@@ -656,13 +645,13 @@ def equivariant_cohomology(
 # nP²·nA for the group-cocycle law, lcm(nL·nA, nP³·nB) for the left and
 # right defects, and nL·nB for the five compatibility linearizations, whose
 # every term is one product tensor composed with one β tensor.  Only a
-# nonzero numerator becomes a scalar, so a valid cocycle builds no Fraction.
+# non-integral quotient becomes a Fraction, so a valid cocycle builds none.
+# ``degree1_coboundary`` computes (α, β) from γ the same way, its β through
+# the derivation map that the defect equations use.
 
 
 def degree1_zero(OD: OrientedDialgebra):
     d = OD.dim
-    from .dialgebra import zero_tensor
-
     alpha = [Matrix.zeros(d, d) for _ in OD.group.elements()]
     return alpha, (zero_tensor(d), zero_tensor(d))
 
@@ -736,9 +725,8 @@ def _transported(Pg: list, Q: list, B: list) -> list:
 
 
 def _over(labels: list, nums: list, den: int) -> list:
-    """(label, num/den) pairs; a zero numerator stays the int 0 and builds no Fraction."""
-    return [(label, num and normalize_scalar(Fraction(num, den)))
-            for label, num in zip(labels, nums)]
+    """(label, num/den) pairs, each a canonical scalar."""
+    return [(label, _rational(num, den)) for label, num in zip(labels, nums)]
 
 
 def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
@@ -758,12 +746,9 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     if any(m.shape() != (d, d) for m in alpha):
         raise ShapeMismatchError(f"α must be {d}x{d} matrices")
     nL, l, r = _scaled_products(D)
-    nA = _denominator(x for m in alpha for x in m.entries)
     nB = _denominator(_flat([*beta_l, *beta_r]))
-    nP = _denominator(x for m in OD.action for x in m.entries)
     bl, br = _scaled(beta_l, nB), _scaled(beta_r, nB)
-    A = [_scaled_rows(m.to_rows(), nA) for m in alpha]
-    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
+    (A, nA), (P, nP) = _scaled_maps(alpha), _scaled_maps(OD.action)
     elements = G.elements()
 
     # α(gh) - g∘α(h)∘g⁻¹ - α(g), over nP²·nA
@@ -859,27 +844,24 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
     """The degree-0 coboundary of a linear map γ, as an (α, β) pair.
 
     α(g) = γ - g∘γ∘g⁻¹ (the group coboundary, with the sign it acquires
-    inside the total differential) and β is the product defect of γ.
+    inside the total differential) and β is the product defect
+    x∘γy + γx∘y - γ(x∘y) of γ.  In integers, with γ over nG and the action
+    over nP, α is over nP²·nG and β over nL·nG.
     """
-    D = OD.base
+    D, G = OD.base, OD.group
     d = D.dim
-    basis = D.basis()
+    if gamma.shape() != (d, d):
+        raise ShapeMismatchError(f"γ must be {d}x{d}")
+    ((C,), nG), (P, nP) = _scaled_maps([gamma]), _scaled_maps(OD.action)
+    p2, c = nP * nP, _flat([C])
     alpha = []
-    for g in OD.group.elements():
-        cols = []
-        for i, x in enumerate(basis):
-            gx = OD.act(g, gamma.matvec(OD.act(OD.group.inv(g), x)))
-            cols.append(vec_sub(gamma.matvec(x), gx))
-        alpha.append(Matrix.from_rows([[cols[i][k] for i in range(d)] for k in range(d)]))
-    beta_l = [[vec_sum([D.lmul(x, gamma.matvec(y)),
-                        [-v for v in gamma.matvec(D.lmul(x, y))],
-                        D.lmul(gamma.matvec(x), y)], d)
-               for y in basis] for x in basis]
-    beta_r = [[vec_sum([D.rmul(x, gamma.matvec(y)),
-                        [-v for v in gamma.matvec(D.rmul(x, y))],
-                        D.rmul(gamma.matvec(x), y)], d)
-               for y in basis] for x in basis]
-    return alpha, (beta_l, beta_r)
+    for g in G.elements():
+        conj = _flat([_matmul(_matmul(P[g], C), P[G.inv(g)])])
+        alpha.append(Matrix(d, d, [_rational(p2 * x - y, p2 * nG) for x, y in zip(c, conj)]))
+    nL, l, r = _scaled_products(D)
+    beta = tuple(_tensor([sum(map(mul, row, c)) for row in _derivation_map(T)], d, nL * nG)
+                 for T in (l, r))
+    return alpha, beta
 
 
 def degree1_coboundary_matrix(OD: OrientedDialgebra) -> Matrix:

@@ -22,25 +22,24 @@ along an arbitrary Ψ_t is the standard source of valid nontrivial
 examples and is provided as ``transport_constant``.
 
 Every law and every transport here works on truncated power series, each
-a list of its N + 1 coefficients by power of t.  A vector series is a list
-of coordinate vectors, a tensor series a list of structure-constant
-tensors (``mlt``, ``mrt``), and a matrix series a list of ``Matrix``
-(``psi``, or one group element's ``phi[n][g]`` over n).  The transports
-combine them with three truncated Cauchy products in exact scalars:
-``_bilinear`` (a tensor series on two vector series), ``_matvec`` (a matrix
-series on a vector series) and ``_mul`` (two matrix series).
+a list of its N + 1 coefficients by power of t.  A tensor series is a list
+of structure-constant tensors (``mlt``, ``mrt``), and a matrix series a
+list of ``Matrix`` (``psi``, or one group element's ``phi[n][g]`` over n).
 
 A truncated deformation is an oriented dialgebra over K[t]/(t^(N+1)), so
 ``check_deformation`` and ``check_equivalence`` run the undeformed laws
 over power series, in integers as the checkers of ``dialgebra`` and
-``oriented`` do.  Each scales its tensor series and each of its matrix
+``oriented`` do, and the transports push a deformation forward in the
+same integer series.  Each scales its tensor series and each of its matrix
 series once by one common denominator (nL for the products, nP for Φ or
 Ψ), takes truncated Cauchy sums (``_cauchy``) of the integer composition
 tables of the undeformed laws, and compares both sides of every law over
 one denominator: nP·lhs against rhs in the twisted law, for example.  A
 valid deformation is thus checked without building a Fraction.  A failing
 law's witness is (power, indices): the lowest power at which it fails,
-then the first basis indices or group elements there.
+then the first basis indices or group elements there.  A transport
+inverts Ψ in integers too: nS^N·Ψ⁻¹ has integer coefficients, and each
+coefficient of the result is divided by its denominator last.
 """
 
 from __future__ import annotations
@@ -64,17 +63,21 @@ from .dialgebra import (
     _denominator,
     _differing,
     _flat,
+    _identity,
+    _intertwining,
     _matmul,
-    _on_first,
-    _on_second,
+    _on_both,
+    _rational,
+    _rows,
     _scaled,
+    _scaled_maps,
     _scaled_rows,
+    _tensor,
     _valued,
-    bilinear,
     validated_tensor,
     zero_tensor,
 )
-from .linalg import Matrix, ShapeMismatchError, vec_sub, vec_sum
+from .linalg import Matrix, ShapeMismatchError, normalize_scalar
 from .oriented import OrientedDialgebra
 
 
@@ -150,44 +153,6 @@ def constant_deformation(OD: OrientedDialgebra, order: int) -> TruncatedDeformat
 # truncated series: coefficient lists of length N + 1
 
 
-def _bilinear(T: list, x: list, y: list) -> list:
-    """Σ_{i+j+k=n} T_i(x_j, y_k): a tensor series on two vector series."""
-    terms = [[] for _ in T]
-    for j, xj in enumerate(x):
-        if any(xj):
-            for k, yk in enumerate(y[:len(T) - j]):
-                if any(yk):
-                    for i, Ti in enumerate(T[:len(T) - j - k]):
-                        terms[i + j + k].append(bilinear(Ti, xj, yk))
-    return [vec_sum(t, len(x[0])) for t in terms]
-
-
-def _matvec(A: list, x: list) -> list:
-    """Σ_{i+j=n} A_i x_j: a matrix series on a vector series."""
-    terms = [[] for _ in A]
-    for j, xj in enumerate(x):
-        if any(xj):
-            for i, Ai in enumerate(A[:len(A) - j]):
-                terms[i + j].append(Ai.matvec(xj))
-    return [vec_sum(t, len(x[0])) for t in terms]
-
-
-def _mul(A: list, B: list) -> list:
-    """Σ_{i+j=n} A_i B_j: the product of two matrix series."""
-    rows, cols = A[0].rows, B[0].cols
-    terms = [[] for _ in A]
-    for j, Bj in enumerate(B):
-        if any(Bj.entries):
-            for i, Ai in enumerate(A[:len(A) - j]):
-                terms[i + j].append(Ai.mul(Bj).entries)
-    return [Matrix(rows, cols, vec_sum(t, rows * cols)) for t in terms]
-
-
-def _constant(x: list, order: int) -> list:
-    """The vector series x + 0·t + ... + 0·t^order."""
-    return [x] + [[0] * len(x) for _ in range(order)]
-
-
 def _scaled_matrices(matrices, n: int) -> list:
     """A series of matrices, each times the common denominator n, as ints."""
     return [_scaled_rows(m.to_rows(), n) for m in matrices]
@@ -201,26 +166,6 @@ def _require_square(matrices, d: int, what: str) -> None:
 
 def _matrix_product(X: list, Y: list) -> list:
     return _flat([_matmul(X, Y)])
-
-
-def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int):
-    """Both sides of P(inner(x, y)) = outer(Px, Py) per power of t.
-
-    P is an integer matrix series with common denominator nP, inner and
-    outer are integer tensor series with one common denominator.  Each side
-    is a list over powers of flat tables over (x, y, output); the left one
-    is multiplied by nP, so that both are over the same denominator.  With
-    ``swap`` the right side is outer(Py, Px).
-    """
-    d = len(P[0])
-    lhs = _cauchy(lambda p, T: [nP * x for x in _flat(_valued(p, T))], P, inner)
-    # outer_i(P_j x, e_b) summed over i + j, then the second argument moved too
-    first = _cauchy(_on_first, outer, P)
-
-    def second(f, p):
-        moved = _on_second(f, p, d)
-        return _flat(zip(*moved) if swap else moved)
-    return lhs, _cauchy(second, first, P)
 
 
 def _concatenated(per_index: list) -> list:
@@ -342,10 +287,9 @@ def check_equivalence(
     tensors = [[validated_tensor(d, t) for t in series]
                for series in (def1.mlt, def2.mlt, def1.mrt, def2.mrt)]
     nM = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
-    nS = _denominator(x for m in eq.psi for x in m.entries)
     nF = _denominator(x for phi in phis for series in phi for m in series for x in m.entries)
     m1l, m2l, m1r, m2r = ([_scaled(T, nM) for T in series] for series in tensors)
-    psi = _scaled_matrices(eq.psi, nS)
+    psi, nS = _scaled_maps(eq.psi)
     # Ψ(m²(y1, y2)) against m¹(Ψy1, Ψy2), over nM·nS²
     checks = [
         _law(f"Ψ intertwines the {name} products", *_intertwining(psi, m2, m1, False, nS), d, d)
@@ -378,7 +322,8 @@ def _certificate(
     psi1 = eq.psi[1]
     alpha, beta = degree1_coboundary(OD, psi1)
     got = degree1_pack(OD, alpha, beta)
-    want = vec_sub(degree1_pack(OD, *inf2.as_pair()), degree1_pack(OD, *inf1.as_pair()))
+    want = [normalize_scalar(a - b) for a, b in zip(degree1_pack(OD, *inf2.as_pair()),
+                                                     degree1_pack(OD, *inf1.as_pair()))]
     if got != want:
         raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
     return psi1
@@ -402,18 +347,57 @@ def infinitesimals_cohomologous(
     return _certificate(OD, def1, def2, eq)
 
 
-def _series_inverse(psi: list) -> list:
-    """Coefficients of Ψ⁻¹ mod t^(N+1), given ψ_0 = id.
+def _series_product(A: list, B: list) -> list:
+    """Σ_{i+j=n} A_i·B_j per power n of two integer matrix series."""
+    return [_rows(t, len(B[0][0])) for t in _cauchy(_matrix_product, A, B)]
+
+
+def _series_inverse(S: list, n: int) -> list:
+    """n^N·Ψ⁻¹ mod t^(N+1) in integers, for Ψ = S/n with ψ_0 = id.
 
     Ψ⁻¹ = id + Q + Q² + ... + Q^N with Q = id - Ψ, by Horner's rule: Q has
-    no constant term, so each round fixes one more coefficient.
+    no constant term, so each round fixes one more coefficient.  Over
+    n^(k+1) a round is R ↦ n^(k+1)·id + q·R with q = n·Q = n·id - S, an
+    integer series, and R the previous round over n^k.
     """
-    d = psi[0].rows
-    q = [Matrix.zeros(d, d)] + [Matrix(d, d, [-v for v in p.entries]) for p in psi[1:]]
-    inv = [Matrix.identity(d)] + [Matrix.zeros(d, d) for _ in psi[1:]]
-    for _ in psi[1:]:
-        inv = [Matrix.identity(d)] + _mul(q, inv)[1:]
+    d = len(S[0])
+    zero = [[0] * d for _ in range(d)]
+    q = [zero] + [[[-x for x in row] for row in s] for s in S[1:]]
+    inv, scale = [_identity(d)] + [zero] * (len(S) - 1), 1
+    for _ in S[1:]:
+        scale *= n
+        inv = [[[scale * x for x in row] for row in _identity(d)]] + _series_product(q, inv)[1:]
     return inv
+
+
+def _push_forward(OD: OrientedDialgebra, deformation: TruncatedDeformation,
+                  S: tuple, R: tuple) -> TruncatedDeformation:
+    """The deformation with products S∘m∘(R⊗R) and action S∘Φ∘R, truncated.
+
+    S and R are (integer matrix series, common denominator) pairs.  The
+    products are scaled by one common denominator nL and the action by nP,
+    so the new products are over nS·nL·nR² and the new action over
+    nS·nP·nR.
+    """
+    d = OD.dim
+    phi = list(zip(*deformation.phi))   # one series per group element
+    _require_square((m for series in phi for m in series), d, "phi")
+    tensors = [[validated_tensor(d, T) for T in series]
+               for series in (deformation.mlt, deformation.mrt)]
+    nL = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
+    nP = _denominator(x for series in phi for m in series for x in m.entries)
+    (S, nS), (R, nR) = S, R
+
+    def push(m):
+        moved = _on_both([_scaled(T, nL) for T in m], R)     # m(Rx, Ry)
+        out = _cauchy(lambda s, t: _flat(_valued(s, [_rows(t, d)])), S, moved)
+        return [_tensor(t, d, nS * nL * nR * nR) for t in out]
+
+    pushed = [[Matrix(d, d, [_rational(x, nS * nP * nR) for x in t])
+               for t in _cauchy(_matrix_product, _series_product(S, Phi), R)]
+              for Phi in (_scaled_matrices(series, nP) for series in phi)]
+    return TruncatedDeformation(deformation.order, *map(push, tensors),
+                                [list(per_g) for per_g in zip(*pushed)])
 
 
 def transport_deformation(
@@ -429,18 +413,9 @@ def transport_deformation(
     """
     if eq.order != deformation.order:
         raise ValueError("orders of the deformation and the intertwiner must match")
-    psi = eq.psi
-    inv = _series_inverse(psi)
-    pulled = [_matvec(inv, _constant(e, eq.order)) for e in OD.base.basis()]
-
-    def push(m):
-        # cells[i][j] is the series of the product of e_i and e_j; regroup by power
-        cells = [[_matvec(psi, _bilinear(m, u, v)) for v in pulled] for u in pulled]
-        return [[list(row) for row in plane] for plane in zip(*(zip(*row) for row in cells))]
-
-    phi = [_mul(_mul(psi, series), inv) for series in zip(*deformation.phi)]
-    return TruncatedDeformation(eq.order, push(deformation.mlt), push(deformation.mrt),
-                                [list(per_g) for per_g in zip(*phi)])
+    _require_square(eq.psi, OD.dim, "psi")
+    S, nS = _scaled_maps(eq.psi)
+    return _push_forward(OD, deformation, (S, nS), (_series_inverse(S, nS), nS ** eq.order))
 
 
 def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> TruncatedDeformation:
@@ -453,10 +428,11 @@ def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> Truncat
     d = OD.dim
     if len(psis) != order:
         raise ValueError(f"need {order} matrices psi_1..psi_{order}")
-    psi = [Matrix.identity(d)] + list(psis)
+    _require_square(psis, d, "psi")
+    S, nS = _scaled_maps([Matrix.identity(d)] + list(psis))
     # pulling back along Ψ is pushing forward along Ψ⁻¹
-    reverse = DeformationEquivalence(order, _series_inverse(psi))
-    return transport_deformation(OD, constant_deformation(OD, order), reverse)
+    return _push_forward(OD, constant_deformation(OD, order),
+                         (_series_inverse(S, nS), nS ** order), (S, nS))
 
 
 @dataclass

@@ -15,11 +15,12 @@ on basis triples is exhaustive.
 ``check_axioms`` evaluates them in integers: both products are scaled once
 by their common denominator nL, each side of an axiom is an integer table
 of compositions over basis triples, and both sides are over nL².  The
-integer helpers below serve every structure checker, here and in
-``oriented``, ``extensions``, ``deformations`` and the explicit degree-1
-equations of ``cohomology``.  ``bilinear`` evaluates a product on
-coordinate vectors, for the ``from_*`` constructors, transport and
-extraction.
+integer helpers below are the one arithmetic of the engine outside
+elimination.  They serve every structure checker, here and in
+``oriented``, ``extensions`` and ``deformations``, the ``from_*``
+constructors and ``is_morphism``, the explicit degree-1 equations and the
+degree-0 coboundary of ``cohomology``, extraction and the transports.  A
+computed structure becomes rational only when it leaves (``_rational``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from .linalg import Matrix, normalize_scalar
+from .linalg import Matrix, ShapeMismatchError, normalize_scalar
 
 
 class NotAssociativeError(ValueError):
@@ -73,15 +74,15 @@ class AxiomFailureError(ValueError):
 def validated_tensor(dim: int, data) -> list[list[list]]:
     """Normalize a d x d x d structure-constant tensor."""
     if len(data) != dim:
-        raise ValueError(f"tensor must have {dim} slices")
+        raise ShapeMismatchError(f"tensor must have {dim} slices")
     out = []
     for plane in data:
         if len(plane) != dim:
-            raise ValueError(f"tensor slice must have {dim} rows")
+            raise ShapeMismatchError(f"tensor slice must have {dim} rows")
         new_plane = []
         for row in plane:
             if len(row) != dim:
-                raise ValueError(f"tensor rows must have length {dim}")
+                raise ShapeMismatchError(f"tensor rows must have length {dim}")
             new_plane.append([normalize_scalar(x) for x in row])
         out.append(new_plane)
     return out
@@ -89,36 +90,6 @@ def validated_tensor(dim: int, data) -> list[list[list]]:
 
 def zero_tensor(dim: int) -> list[list[list]]:
     return [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-
-
-def bilinear(tensor, x: list, y: list) -> list:
-    """Apply a structure-constant tensor to two coordinate vectors."""
-    out = {}
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        plane = tensor[i]
-        for j, yj in ys:
-            # a Fraction operand goes on the left: int op Fraction would go through
-            # Fraction's reverse operator, an ABC instance check and a conversion
-            coeff = yj if xi == 1 else xi if yj == 1 else (
-                xi * yj if type(xi) is Fraction else yj * xi)
-            for k, t in enumerate(plane[j]):
-                if t:
-                    if coeff != 1:
-                        t = t * coeff if type(t) is Fraction else coeff * t
-                    if k in out:
-                        acc = out[k]
-                        t = acc + t if type(acc) is Fraction else t + acc
-                    out[k] = t
-    return [normalize_scalar(out[k]) if k in out else 0 for k in range(len(tensor))]
-
-
-def basis_vector(dim: int, i: int) -> list:
-    v = [0] * dim
-    v[i] = 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -176,36 +147,16 @@ class Dialgebra:
         self.left = validated_tensor(dim, left)
         self.right = validated_tensor(dim, right)
 
-    def lmul(self, x: list, y: list) -> list:
-        """x ⊣ y on coordinate vectors."""
-        return bilinear(self.left, x, y)
-
-    def rmul(self, x: list, y: list) -> list:
-        """x ⊢ y on coordinate vectors."""
-        return bilinear(self.right, x, y)
-
-    def basis(self) -> list[list]:
-        return [basis_vector(self.dim, i) for i in range(self.dim)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Dialgebra)
             and self.dim == other.dim
-            and _tensor_eq(self.left, other.left)
-            and _tensor_eq(self.right, other.right)
+            and self.left == other.left   # exact scalars compare exactly
+            and self.right == other.right
         )
 
     def __repr__(self):
         return f"Dialgebra(dim={self.dim})"
-
-
-def _tensor_eq(a, b) -> bool:
-    return all(
-        Fraction(x) == Fraction(y)
-        for pa, pb in zip(a, b)
-        for ra, rb in zip(pa, pb)
-        for x, y in zip(ra, rb)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +166,9 @@ def _tensor_eq(a, b) -> bool:
 # input once by the least common denominator of its entries (``_scaled``),
 # builds both sides of each law as integer tables over basis tuples, and
 # compares the numerators over one denominator per law.  A valid structure
-# is therefore checked without building a Fraction.  A tensor or a table of
+# is therefore checked without building a Fraction.  The constructors,
+# transports and coboundaries that compute a structure do the same and
+# divide each numerator by its denominator last.  A tensor or a table of
 # a bilinear map on basis pairs is nested [x][y][output], a matrix a list of
 # rows, and a flat table lists its cells in lexicographic order, each cell
 # an output vector.
@@ -238,6 +191,28 @@ def _scaled_rows(rows, n: int) -> list:
 def _scaled(T, n: int) -> list:
     """A d×d×d tensor times its common denominator n, as ints."""
     return [_scaled_rows(plane, n) for plane in T]
+
+
+def _scaled_maps(matrices) -> tuple:
+    """``Matrix`` values times their common denominator n, as (integer rows, n)."""
+    n = _denominator(x for m in matrices for x in m.entries)
+    return [_scaled_rows(m.to_rows(), n) for m in matrices], n
+
+
+def _rational(num: int, den: int):
+    """num/den as a canonical scalar; an integral quotient builds no Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _rows(flat: list, w: int) -> list:
+    """A flat list cut into rows of width w."""
+    return [flat[c:c + w] for c in range(0, len(flat), w)]
+
+
+def _tensor(flat: list, d: int, den: int) -> list:
+    """A flat integer table over (x, y, output) over den, as a d×d×d tensor."""
+    return _rows(_rows([_rational(x, den) for x in flat], d), d)
 
 
 def _identity(n: int) -> list:
@@ -287,16 +262,20 @@ def _on_first(T: list, Q) -> list:
     return _flat([_matmul(list(zip(*Q)), _last_two(T))])
 
 
-def _on_second(first: list, R, d: int) -> list:
-    """T(Qx, Ry) from ``_on_first``'s T(Qx, e_b), nested [x][y][output]; y runs over R's columns."""
+def _on_second(first: list, R, w: int) -> list:
+    """T(Qx, Ry) from ``_on_first``'s T(Qx, e_b), nested [x][y][output].
+
+    y runs over R's columns, and an output vector has width w.
+    """
     Rt = list(zip(*R))
-    return [_matmul(Rt, [first[c:c + d] for c in range(x, x + d * d, d)])
-            for x in range(0, len(first), d * d)]
+    step = len(R) * w
+    return [_matmul(Rt, [first[c:c + w] for c in range(x, x + step, w)])
+            for x in range(0, len(first), step)]
 
 
 def _on_inputs(T: list, Q, R) -> list:
     """T(Qx, Ry) on basis pairs (x, y), nested [x][y][output]."""
-    return _on_second(_on_first(T, Q), R, len(T))
+    return _on_second(_on_first(T, Q), R, len(T[0][0]))
 
 
 def _valued(M, table: list) -> list:
@@ -323,11 +302,40 @@ def _differing(lhs: list, rhs: list, *shape):
 
 def _cauchy(compose, A: list, B: list) -> list:
     """Σ_{i+j=n} compose(A_i, B_j) per power n of two series; compose returns flat tables."""
-    out = []
-    for n in range(len(A)):
-        tables = [compose(A[i], B[n - i]) for i in range(n + 1)]
-        out.append(tables[0] if n == 0 else [sum(col) for col in zip(*tables)])
+    out = [compose(A[0], B[0])]
+    for n in range(1, len(A)):
+        out.append([sum(col) for col in zip(*(compose(A[i], B[n - i]) for i in range(n + 1)))])
     return out
+
+
+def _on_both(T: list, P: list, swap: bool = False) -> list:
+    """T(Px, Py) per power of t, for a tensor series T and a matrix series P.
+
+    Each power is a flat table over (x, y, output); x and y run over P's
+    columns.  With ``swap`` the table holds T(Py, Px).
+    """
+    w = len(T[0][0][0])
+    # T_i(P_j x, e_b) summed over i + j, then the second argument moved too
+    first = _cauchy(_on_first, T, P)
+
+    def second(f, p):
+        moved = _on_second(f, p, w)
+        return _flat(zip(*moved) if swap else moved)
+    return _cauchy(second, first, P)
+
+
+def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int):
+    """Both sides of P(inner(x, y)) = outer(Px, Py) per power of t.
+
+    P is an integer matrix series with common denominator nP, inner and
+    outer are integer tensor series with one common denominator.  P may
+    map between spaces of different dimensions.  Each side is a list over
+    powers of flat tables over (x, y, output); the left one is multiplied
+    by nP, so that both are over the same denominator.  With ``swap`` the
+    right side is outer(Py, Px).  A structure is a series of length one.
+    """
+    lhs = _cauchy(lambda p, T: [nP * x for x in _flat(_valued(p, T))], P, inner)
+    return lhs, _on_both(outer, P, swap)
 
 
 # The five defining axioms as (name, lhs, rhs).  A side is a composition
@@ -381,46 +389,48 @@ def _check_associative(dim: int, mult) -> None:
         raise NotAssociativeError(witness)
 
 
+def _checked(D: Dialgebra) -> Dialgebra:
+    """D itself once all five axioms hold."""
+    report = check_axioms(D)
+    if not report.ok:
+        raise AxiomFailureError(report)
+    return D
+
+
 def from_associative(mult) -> Dialgebra:
     """Dialgebra with both products equal to one associative product."""
     dim = len(mult)
     mult = validated_tensor(dim, mult)
     _check_associative(dim, mult)
-    D = Dialgebra(dim, mult, mult)
-    report = check_axioms(D)
-    if not report.ok:
-        raise AxiomFailureError(report)
-    return D
+    return _checked(Dialgebra(dim, mult, mult))
 
 
 def from_differential(mult, diff: Matrix) -> Dialgebra:
-    """Dialgebra x ⊣ y = x·d(y), x ⊢ y = d(x)·y from a square-zero derivation d."""
+    """Dialgebra x ⊣ y = x·d(y), x ⊢ y = d(x)·y from a square-zero derivation d.
+
+    With the product over nM and d over nD, every table is over nM·nD.
+    """
     dim = len(mult)
     mult = validated_tensor(dim, mult)
     _check_associative(dim, mult)
     if diff.shape() != (dim, dim):
-        raise ValueError(f"differential must be {dim}x{dim}")
-    basis = [basis_vector(dim, i) for i in range(dim)]
-    for i, x in enumerate(basis):
-        dx = diff.matvec(x)
-        for j, y in enumerate(basis):
-            dy = diff.matvec(y)
-            lhs = diff.matvec(bilinear(mult, x, y))
-            rhs = [normalize_scalar(a + b)
-                   for a, b in zip(bilinear(mult, dx, y), bilinear(mult, x, dy))]
-            if lhs != rhs:
-                raise NotDerivationError((i, j))
-    if not diff.mul(diff).is_zero():
+        raise ShapeMismatchError(f"differential must be {dim}x{dim}")
+    nM, ((dm,), nD) = _denominator(_flat(mult)), _scaled_maps([diff])
+    T, one = _scaled(mult, nM), _identity(dim)
+    left = _flat(_on_inputs(T, one, dm))     # x·dy
+    right = _flat(_on_inputs(T, dm, one))    # dx·y
+    # d(x·y) = dx·y + x·dy on basis pairs
+    for witness in _differing(_flat(_valued(dm, T)), [a + b for a, b in zip(left, right)],
+                              dim, dim):
+        raise NotDerivationError(witness)
+    if any(_flat([_matmul(dm, dm)])):
         raise NotSquareZeroError()
-    left = [[bilinear(mult, basis[i], diff.matvec(basis[j])) for j in range(dim)]
-            for i in range(dim)]
-    right = [[bilinear(mult, diff.matvec(basis[i]), basis[j]) for j in range(dim)]
-             for i in range(dim)]
-    D = Dialgebra(dim, left, right)
-    report = check_axioms(D)
-    if not report.ok:
-        raise AxiomFailureError(report)
-    return D
+    return _checked(Dialgebra(dim, _tensor(left, dim, nM * nD), _tensor(right, dim, nM * nD)))
+
+
+def _has_shape(T, *shape) -> bool:
+    """Is T nested lists of the given lengths, outermost first?"""
+    return not shape or (len(T) == shape[0] and all(_has_shape(x, *shape[1:]) for x in T))
 
 
 def from_bimodule_map(a_mult, m_actions, f: Matrix) -> Dialgebra:
@@ -429,7 +439,11 @@ def from_bimodule_map(a_mult, m_actions, f: Matrix) -> Dialgebra:
     ``m_actions`` is the pair (left action tensor dA x dM x dM, right
     action tensor dM x dA x dM); the products are x ⊣ y = x·f(y) and
     x ⊢ y = f(x)·y.  All bimodule laws and the map laws are verified on
-    basis elements first.
+    basis elements first.  A failing law's witness is the first basis
+    tuple in the order (a, b, m) for the bimodule laws and (a, m) for the
+    map laws, each written in the order of its law's variables; at one
+    tuple the laws are tried in the order listed.  The product and both
+    actions share one common denominator nT, and f has its own nF.
     """
     da = len(a_mult)
     a_mult = validated_tensor(da, a_mult)
@@ -437,51 +451,44 @@ def from_bimodule_map(a_mult, m_actions, f: Matrix) -> Dialgebra:
     act_l, act_r = m_actions
     dm = len(act_l[0])
     if f.shape() != (da, dm):
-        raise ValueError(f"bimodule map must be {da}x{dm}")
+        raise ShapeMismatchError(f"bimodule map must be {da}x{dm}")
+    if not (_has_shape(act_l, da, dm, dm) and _has_shape(act_r, dm, da, dm)):
+        raise ShapeMismatchError(f"actions must be {da}x{dm}x{dm} and {dm}x{da}x{dm}")
+    nT = _denominator(_flat([*a_mult, *act_l, *act_r]))
+    A, L, R = (_scaled(T, nT) for T in (a_mult, act_l, act_r))
+    ((F,), nF), ia, im = _scaled_maps([f]), _identity(da), _identity(dm)
 
-    def lact(a, m):
-        return bilinear(act_l, a, m)
+    def first(laws):
+        # (law, witness) at the least loop key, the earlier law on a tie
+        bad = [(key(w), n, law, w) for n, (law, key, lhs, rhs, shape) in enumerate(laws)
+               for w in _differing(lhs, rhs, *shape)]
+        return min(bad)[2:] if bad else None
 
-    def ract(m, a):
-        return bilinear(act_r, m, a)
-
-    abasis = [basis_vector(da, i) for i in range(da)]
-    mbasis = [basis_vector(dm, i) for i in range(dm)]
-    for i, a in enumerate(abasis):
-        for j, b in enumerate(abasis):
-            ab = bilinear(a_mult, a, b)
-            for k, m in enumerate(mbasis):
-                if lact(ab, m) != lact(a, lact(b, m)):
-                    raise NotBimoduleError("(ab)m = a(bm)", (i, j, k))
-                if ract(lact(a, m), b) != lact(a, ract(m, b)):
-                    raise NotBimoduleError("(am)b = a(mb)", (i, k, j))
-                if ract(ract(m, a), b) != ract(m, ab):
-                    raise NotBimoduleError("(ma)b = m(ab)", (k, i, j))
-    for i, a in enumerate(abasis):
-        for k, m in enumerate(mbasis):
-            if f.matvec(lact(a, m)) != bilinear(a_mult, a, f.matvec(m)):
-                raise NotBimoduleMapError("f(am) = a f(m)", (i, k))
-            if f.matvec(ract(m, a)) != bilinear(a_mult, f.matvec(m), a):
-                raise NotBimoduleMapError("f(ma) = f(m) a", (k, i))
-    left = [[ract(mbasis[i], f.matvec(mbasis[j])) for j in range(dm)] for i in range(dm)]
-    right = [[lact(f.matvec(mbasis[i]), mbasis[j]) for j in range(dm)] for i in range(dm)]
-    D = Dialgebra(dm, left, right)
-    report = check_axioms(D)
-    if not report.ok:
-        raise AxiomFailureError(report)
-    return D
+    failure = first([
+        ("(ab)m = a(bm)", lambda w: w, _xy_z(L, A), _x_yz(L, L), (da, da, dm)),
+        ("(am)b = a(mb)", lambda w: (w[0], w[2], w[1]), _xy_z(R, L), _x_yz(L, R), (da, dm, da)),
+        ("(ma)b = m(ab)", lambda w: (w[1], w[2], w[0]), _xy_z(R, R), _x_yz(R, A), (dm, da, da)),
+    ])
+    if failure:
+        raise NotBimoduleError(*failure)
+    failure = first([
+        ("f(am) = a f(m)", lambda w: w, _flat(_valued(F, L)), _flat(_on_inputs(A, ia, F)),
+         (da, dm)),
+        ("f(ma) = f(m) a", lambda w: w[::-1], _flat(_valued(F, R)), _flat(_on_inputs(A, F, ia)),
+         (dm, da)),
+    ])
+    if failure:
+        raise NotBimoduleMapError(*failure)
+    left = _flat(_on_inputs(R, im, F))     # x·f(y)
+    right = _flat(_on_inputs(L, F, im))    # f(x)·y
+    return _checked(Dialgebra(dm, _tensor(left, dm, nT * nF), _tensor(right, dm, nT * nF)))
 
 
 def is_morphism(src: Dialgebra, dst: Dialgebra, f: Matrix) -> bool:
     """Does f preserve both products on all basis pairs?"""
     if f.shape() != (dst.dim, src.dim):
-        raise ValueError(f"morphism matrix must be {dst.dim}x{src.dim}")
-    for x in src.basis():
-        fx = f.matvec(x)
-        for y in src.basis():
-            fy = f.matvec(y)
-            if f.matvec(src.lmul(x, y)) != dst.lmul(fx, fy):
-                return False
-            if f.matvec(src.rmul(x, y)) != dst.rmul(fx, fy):
-                return False
-    return True
+        raise ShapeMismatchError(f"morphism matrix must be {dst.dim}x{src.dim}")
+    n = _denominator(_flat([*src.left, *src.right, *dst.left, *dst.right]))
+    F, nF = _scaled_maps([f])
+    return all(lhs == rhs for S, T in ((src.left, dst.left), (src.right, dst.right))
+               for lhs, rhs in zip(*_intertwining(F, [_scaled(S, n)], [_scaled(T, n)], False, nF)))

@@ -44,12 +44,14 @@ from .dialgebra import (
     _on_first,
     _on_inputs,
     _on_second,
+    _rational,
+    _rows,
     _scaled,
-    _scaled_rows,
+    _scaled_maps,
     _valued,
     zero_tensor,
 )
-from .linalg import Matrix, ShapeMismatchError, in_image, normalize_scalar, rank, vec_sub
+from .linalg import Matrix, ShapeMismatchError, in_image, normalize_scalar, rank
 from .oriented import OrientedDialgebra, check_oriented_dialgebra
 
 
@@ -157,13 +159,10 @@ def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> Report:
     base_report = check_oriented_dialgebra(B)
     nD = _denominator(_flat([*OD.base.left, *OD.base.right]))
     nB = _denominator(_flat([*B.base.left, *B.base.right]))
-    nP, nQ, nI, nJ = (_denominator(x for m in ms for x in m.entries)
-                      for ms in (OD.action, B.action, [inc], [proj]))
+    (P, nP), (Q, nQ), ((I,), nI), ((J,), nJ) = (
+        _scaled_maps(ms) for ms in (OD.action, B.action, [inc], [proj]))
     dprods = [_scaled(T, nD) for T in (OD.base.left, OD.base.right)]
     bprods = [_scaled(T, nB) for T in (B.base.left, B.base.right)]
-    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
-    Q = [_scaled_rows(m.to_rows(), nQ) for m in B.action]
-    I, J = _scaled_rows(inc.to_rows(), nI), _scaled_rows(proj.to_rows(), nJ)
     names = ("left", "right")
 
     def scaled(c, flat):
@@ -211,43 +210,50 @@ def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> Report:
 
 
 def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix):
-    """Defect pair (α, β) of a section; asserted to be a cocycle."""
-    d = OD.dim
+    """Defect pair (α, β) of a section; asserted to be a cocycle.
+
+    The defects run in integers, with one common denominator for each of
+    s (nS), p (nJ), the products of D (nD) and of B (nB) and the actions
+    on D (nP) and on B (nQ).  Each defect vector is solved for its kernel
+    coordinates in rationals: α(g) column by column, then βˡ and βʳ.
+    """
+    d, G = OD.dim, OD.group
     B = E.total
     if section.shape() != (2 * d, d):
         raise NotSectionError(f"section must be {2 * d}x{d}")
-    if E.projection.mul(section) != Matrix.identity(d):
+    if B.dim != 2 * d or E.inclusion.shape() != (2 * d, d) or E.projection.shape() != (d, 2 * d):
+        raise ShapeMismatchError(f"B must have dimension {2 * d}, i be {2 * d}x{d} and p {d}x{2 * d}")
+    ((S,), nS), ((J,), nJ) = (_scaled_maps([m]) for m in (section, E.projection))
+    if _matmul(J, S) != [[nJ * nS * x for x in row] for row in _identity(d)]:
         raise NotSectionError("p . s is not the identity")
 
-    def kernel_coords(v):
+    def kernel_coords(num, den):
+        v = [_rational(x, den) for x in num]
         a = in_image(E.inclusion, v)
         if a is None:
             raise ExtensionInvalidError(Report([Check("defect lands in the kernel", False, v)]))
         return a
 
-    basis = OD.base.basis()
+    (P, nP), (Q, nQ) = _scaled_maps(OD.action), _scaled_maps(B.action)
     alpha = []
-    for g in OD.group.elements():
-        ginv = OD.group.inv(g)
-        cols = []
-        for x in basis:
-            v = section.matvec(x)
-            w = B.action[g].matvec(section.matvec(OD.act(ginv, x)))
-            cols.append(kernel_coords(vec_sub(v, w)))
-        alpha.append(Matrix.from_rows([[cols[i][k] for i in range(d)] for k in range(d)]))
+    for g in G.elements():
+        # α(g, x) = s(x) - g s(g⁻¹x): s - ρ_B(g)·s·ρ(g⁻¹) over nS·nQ·nP
+        moved = _matmul(_matmul(Q[g], S), P[G.inv(g)])
+        cols = zip(*([nQ * nP * x - y for x, y in zip(row, mrow)] for row, mrow in zip(S, moved)))
+        alpha.append(Matrix.from_rows(zip(*(kernel_coords(c, nS * nQ * nP) for c in cols))))
+
+    nD = _denominator(_flat([*OD.base.left, *OD.base.right]))
+    nB = _denominator(_flat([*B.base.left, *B.base.right]))
 
     def defect(bprod, dprod):
-        out = zero_tensor(d)
-        for i, x1 in enumerate(basis):
-            s1 = section.matvec(x1)
-            for j, x2 in enumerate(basis):
-                v = bprod(s1, section.matvec(x2))
-                w = section.matvec(dprod(x1, x2))
-                out[i][j] = kernel_coords(vec_sub(v, w))
-        return out
+        # s(x1) ∘ s(x2) - s(x1 ∘ x2): nD·lhs against nB·nS·rhs, over nB·nS²·nD
+        lhs = _flat(_on_inputs(_scaled(bprod, nB), S, S))
+        rhs = _flat(_valued(S, _scaled(dprod, nD)))
+        nums = [nD * x - nB * nS * y for x, y in zip(lhs, rhs)]
+        return _rows([kernel_coords(v, nB * nS * nS * nD) for v in _rows(nums, 2 * d)], d)
 
-    beta_l = defect(B.base.lmul, OD.base.lmul)
-    beta_r = defect(B.base.rmul, OD.base.rmul)
+    beta_l = defect(B.base.left, OD.base.left)
+    beta_r = defect(B.base.right, OD.base.right)
     report = is_degree1_cocycle(OD, alpha, (beta_l, beta_r))
     if not report.ok:
         raise NotCocycleError(report.checks[0].witness)
@@ -266,7 +272,7 @@ def cocycles_cohomologous(OD: OrientedDialgebra, pair1, pair2):
             raise NotCocycleError(report.checks[0].witness)
     v1 = degree1_pack(OD, pair1[0], pair1[1])
     v2 = degree1_pack(OD, pair2[0], pair2[1])
-    diff = vec_sub(v1, v2)
+    diff = [normalize_scalar(a - b) for a, b in zip(v1, v2)]
     u = in_image(degree1_coboundary_matrix(OD), diff)
     if u is None:
         return None

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def kernel_backend() -> str:
@@ -54,27 +55,6 @@ def normalize_scalar(x):
     if isinstance(x, int):
         return x
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-
-
-# The vector sums keep a Fraction as the left operand: int + Fraction goes
-# through Fraction's reverse operator, an ABC instance check and a
-# conversion, and Fraction + int does not.
-
-def vec_sum(vectors, d: int) -> list:
-    """The sum of coordinate vectors of length d, normalized."""
-    out = [0] * d
-    for v in vectors:
-        for k, x in enumerate(v):
-            if x:
-                a = out[k]
-                out[k] = x if not a else a + x if type(a) is Fraction else x + a
-    return [normalize_scalar(x) for x in out]
-
-
-def vec_sub(u: list, v: list) -> list:
-    """u - v on coordinate vectors, normalized."""
-    return [normalize_scalar(-b + a if type(b) is Fraction and type(a) is not Fraction
-                             else a - b) for a, b in zip(u, v)]
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
@@ -155,44 +135,12 @@ class Matrix:
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise ShapeMismatchError(f"vector of length {self.cols} expected, got {len(v)}")
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        e, out = self.entries, []
-        for i in range(self.rows):
-            base, acc = i * self.cols, None
-            for j, x in nonzero:
-                a = e[base + j]
-                if a:
-                    # a Fraction operand on the left, as in dialgebra.bilinear
-                    if x != 1:
-                        a = a * x if type(a) is Fraction else x * a
-                    if acc is not None:
-                        a = acc + a if type(acc) is Fraction else a + acc
-                    acc = a
-            out.append(0 if acc is None else normalize_scalar(acc))
-        return out
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply {self.shape()} by {other.shape()}")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    obase = k * other.cols
-                    rbase = i * other.cols
-                    for j in range(other.cols):
-                        b = other.entries[obase + j]
-                        if b:
-                            # a Fraction operand on the left, as in vec_sum
-                            p = a * b if type(a) is Fraction else b * a
-                            c = out[rbase + j]
-                            out[rbase + j] = p if not c else c + p if type(c) is Fraction else p + c
-        return Matrix(self.rows, other.cols, out)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return Matrix(self.rows, other.cols, [sum(map(mul, row, col))
+                                              for row in self.to_rows() for col in cols])
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)

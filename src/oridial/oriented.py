@@ -27,11 +27,10 @@ from .dialgebra import (
     _differing,
     _flat,
     _identity,
+    _intertwining,
     _matmul,
-    _on_inputs,
     _scaled,
-    _scaled_rows,
-    _valued,
+    _scaled_maps,
 )
 from .linalg import rank
 
@@ -177,9 +176,6 @@ class OrientedDialgebra:
     def dim(self) -> int:
         return self.base.dim
 
-    def act(self, g: int, x: list) -> list:
-        return self.action[g].matvec(x)
-
     def sign(self, g: int) -> int:
         return self.group.sign(g)
 
@@ -199,15 +195,12 @@ def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
     D = OD.base
     d = D.dim
     nL = _denominator(_flat([*D.left, *D.right]))
-    nP = _denominator(x for m in OD.action for x in m.entries)
-    P = [_scaled_rows(m.to_rows(), nP) for m in OD.action]
+    P, nP = _scaled_maps(OD.action)
 
     def twisted(T):
         # g(x ∘ y) = gx ∘ gy, or gy ∘ gx when ε(g) = -1: nP·lhs against rhs, over nL·nP²
         for g in G.elements():
-            lhs = [nP * x for x in _flat(_valued(P[g], T))]
-            moved = _on_inputs(T, P[g], P[g])
-            rhs = _flat(moved if G.sign(g) == 1 else zip(*moved))
+            (lhs,), (rhs,) = _intertwining([P[g]], [T], [T], G.sign(g) != 1, nP)
             yield from ((g,) + cell for cell in _differing(lhs, rhs, d, d))
 
     ident = P[0] == [[nP * x for x in row] for row in _identity(d)]

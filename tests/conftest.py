@@ -6,9 +6,11 @@ import pytest
 from hypothesis import strategies as st
 
 from oridial import cohomology as coh
-from oridial.dialgebra import Dialgebra, bilinear, from_associative, from_differential, zero_tensor
+from oridial.dialgebra import Dialgebra, from_associative, from_differential, zero_tensor
 from oridial.linalg import Matrix, in_image
 from oridial.oriented import OrientedDialgebra, sign_group, symmetric_group, trivial_group
+
+from reference_checkers import apply, bilinear
 
 
 def scalar_product_dialgebra() -> Dialgebra:
@@ -116,7 +118,7 @@ def _basis_changed(OD: OrientedDialgebra, P: Matrix, P_inv: Matrix) -> OrientedD
     cols = P.transpose().to_rows()
 
     def tensor(T):
-        return [[P_inv.matvec(bilinear(T, a, b)) for b in cols] for a in cols]
+        return [[apply(P_inv, bilinear(T, a, b)) for b in cols] for a in cols]
 
     base = Dialgebra(OD.dim, tensor(OD.base.left), tensor(OD.base.right))
     return OrientedDialgebra(base, OD.group, [P_inv.mul(rho).mul(P) for rho in OD.action])

@@ -34,6 +34,7 @@ from oridial.oriented import OrientedDialgebra, OrientedGroup
 from oridial.trees import catalan, enumerate_trees, face
 
 from bundles import dual_sign_bundle, run_cli_process, write_bundle
+from reference_checkers import apply
 from conftest import (
     alt_sign_action,
     diff3_dialgebra,
@@ -169,9 +170,9 @@ def test_criterion_6_degree1_consistency():
         system = coh.degree1_system(OD)
         kernel = nullspace(d1)
         solutions = nullspace(system)
-        if not all(all(x == 0 for x in system.matvec(v)) for v in kernel):
+        if not all(all(x == 0 for x in apply(system, v)) for v in kernel):
             ok = False
-        if not all(all(x == 0 for x in d1.matvec(v)) for v in solutions):
+        if not all(all(x == 0 for x in apply(d1, v)) for v in solutions):
             ok = False
         if len(kernel) != len(solutions):
             ok = False

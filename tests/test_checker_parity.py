@@ -1,12 +1,16 @@
-"""The integer structure checkers against the vector-by-vector references.
+"""The integer engine against the vector-by-vector references.
 
 Every checker must return the reference's ``Report``: the same checks, the
-same ``ok`` values and the same first witnesses.  The inputs are fixtures
-in bases with denominators, valid or with one entry nudged by a fraction.
+same ``ok`` values and the same first witnesses.  Every constructor,
+transport, coboundary and extraction must return results with the
+reference's ``repr``, or raise its error with the same class, message and
+witness.  The inputs are fixtures in bases with denominators, valid or
+with one entry nudged by a fraction.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +19,29 @@ from hypothesis import strategies as st
 from oridial import cohomology as coh
 from oridial.deformations import (
     DeformationEquivalence,
+    TruncatedDeformation,
     check_deformation,
     check_equivalence,
     constant_deformation,
     transport_constant,
+    transport_deformation,
 )
-from oridial.dialgebra import Dialgebra, check_axioms
-from oridial.extensions import SingularExtension, build_extension, check_extension
-from oridial.linalg import Matrix, normalize_scalar
+from oridial.dialgebra import (
+    Dialgebra,
+    check_axioms,
+    from_bimodule_map,
+    from_differential,
+    is_morphism,
+    zero_tensor,
+)
+from oridial.extensions import (
+    SingularExtension,
+    build_extension,
+    canonical_section,
+    check_extension,
+    extract_cocycle,
+)
+from oridial.linalg import Matrix, ShapeMismatchError, normalize_scalar
 from oridial.oriented import OrientedDialgebra, check_oriented_dialgebra
 
 from conftest import (
@@ -30,7 +49,10 @@ from conftest import (
     _oriented_fixtures,
     basis_changed_dual_s3,
     in_basis,
+    oriented_dual_sign,
     oriented_swap_sum,
+    oriented_trivial,
+    poly3_dialgebra,
 )
 from reference_checkers import (
     reference_check_axioms,
@@ -38,16 +60,26 @@ from reference_checkers import (
     reference_check_equivalence,
     reference_check_extension,
     reference_check_oriented_dialgebra,
+    reference_degree1_coboundary,
+    reference_degree1_coboundary_matrix,
+    reference_extract_cocycle,
+    reference_from_bimodule_map,
+    reference_from_differential,
+    reference_is_morphism,
+    reference_transport_constant,
+    reference_transport_deformation,
 )
 
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+INTEGRAL = st.integers(-2, 2)
 NUDGES = SMALL.filter(bool)
 # the swap sum is the one fixture on which ε = -1 swaps non-commuting arguments
 FIXTURES = _oriented_fixtures() + [oriented_swap_sum()]
 
 
-def _matrix(data, d: int) -> Matrix:
-    return Matrix(d, d, [data.draw(SMALL) for _ in range(d * d)])
+def _matrix(data, d: int, cols: int | None = None, entries=SMALL) -> Matrix:
+    cols = d if cols is None else cols
+    return Matrix(d, cols, [data.draw(entries) for _ in range(d * cols)])
 
 
 def _nudged_tensor(T: list, i: int, j: int, k: int, delta) -> list:
@@ -225,8 +257,207 @@ def test_every_target_power_and_sign_matches_the_references():
             assert report == reference_check_equivalence(OD, const, moved, eq)
 
 
+def _shown(x):
+    """A result as nested reprs, a Matrix by its shape and entries."""
+    if isinstance(x, Matrix):
+        return "Matrix", x.rows, x.cols, repr(x.entries)
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_shown(y) for y in x]
+    if isinstance(x, Dialgebra):
+        return "Dialgebra", repr(x.left), repr(x.right)
+    if isinstance(x, TruncatedDeformation):
+        return "TruncatedDeformation", x.order, _shown(x.mlt), _shown(x.mrt), _shown(x.phi)
+    return repr(x)
+
+
+def _outcome(fn, *args):
+    """What fn returns, shown, or the class, message and attributes of what it raises."""
+    try:
+        return _shown(fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc), repr(sorted(vars(exc).items()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_transports_match_the_references(data):
+    OD = _draw_basis_changed(data, FIXTURES)
+    d = OD.dim
+    order = data.draw(st.integers(1, 3), label="order")
+    entries = data.draw(st.sampled_from([INTEGRAL, SMALL]), label="entries")
+    psis = [_matrix(data, d, entries=entries) for _ in range(order)]
+    moved = transport_constant(OD, psis, order)
+    assert _shown(moved) == _shown(reference_transport_constant(OD, psis, order))
+    eq = DeformationEquivalence(order, [Matrix.identity(d)]
+                                + [_matrix(data, d, entries=entries) for _ in range(order)])
+    assert _shown(transport_deformation(OD, moved, eq)) == \
+        _shown(reference_transport_deformation(OD, moved, eq))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extraction_matches_the_reference(data):
+    OD = _draw_basis_changed(data, FIXTURES)
+    d = OD.dim
+    E = build_extension(OD, *coh.degree1_coboundary(OD, _matrix(data, d)))
+    target = data.draw(st.sampled_from(
+        [None, "left", "right", "action", "inclusion", "projection"]), label="target")
+    E = _nudge_extension(E, target, _drawn_picks(data))
+    # s(x) = (Kx, x) is a section of the built coordinates for every K
+    section = Matrix.from_rows(_matrix(data, d).to_rows() + Matrix.identity(d).to_rows())
+    assert _outcome(extract_cocycle, OD, E, section) == \
+        _outcome(reference_extract_cocycle, OD, E, section)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_degree0_coboundaries_match_the_references(data):
+    OD = _draw_basis_changed(data, FIXTURES)
+    gamma = _matrix(data, OD.dim)
+    assert _shown(coh.degree1_coboundary(OD, gamma)) == \
+        _shown(reference_degree1_coboundary(OD, gamma))
+    assert _shown(coh.degree1_coboundary_matrix(OD)) == \
+        _shown(reference_degree1_coboundary_matrix(OD))
+
+
+def _direct_sum(D: Dialgebra) -> Dialgebra:
+    """D ⊕ D with both products componentwise."""
+    d = D.dim
+
+    def doubled(T):
+        out = zero_tensor(2 * d)
+        for off, i, j, k in product((0, d), range(d), range(d), range(d)):
+            out[off + i][off + j][off + k] = T[i][j][k]
+        return out
+    return Dialgebra(2 * d, doubled(D.left), doubled(D.right))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_morphism_test_matches_the_reference(data):
+    D = _draw_basis_changed(data, FIXTURES).base
+    S, d = _direct_sum(D), D.dim
+    one, zero = Matrix.identity(d).to_rows(), Matrix.zeros(d, d).to_rows()
+    kind = data.draw(st.sampled_from(
+        ["identity", "inclusion", "projection", "zero", "drawn"]), label="kind")
+    if kind == "identity":
+        src, dst, f = D, D, Matrix.identity(d)
+    elif kind == "inclusion":      # x -> (x, 0)
+        src, dst, f = D, S, Matrix.from_rows(one + zero)
+    elif kind == "projection":     # (x, y) -> x
+        src, dst, f = S, D, Matrix.from_rows([a + b for a, b in zip(one, zero)])
+    else:
+        src, dst = data.draw(st.sampled_from([(D, D), (D, S), (S, D)]), label="spaces")
+        f = (Matrix.zeros(dst.dim, src.dim) if kind == "zero"
+             else _matrix(data, dst.dim, src.dim))
+    got = is_morphism(src, dst, f)
+    assert got == reference_is_morphism(src, dst, f)
+    assert got or kind == "drawn"
+
+
+POLY3_MULT = poly3_dialgebra().left
+DUAL_MULT = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+# upper triangular 2×2 matrices on (e11, e12, e22)
+UPPER_MULT = zero_tensor(3)
+UPPER_MULT[0][0][0] = UPPER_MULT[0][1][1] = UPPER_MULT[1][2][1] = UPPER_MULT[2][2][2] = 1
+# (product, a square-zero derivation): d(u) = u² on K[u]/(u³), d = ad(e12) on
+# the upper triangular matrices, and a nilpotent map on the zero product
+DIFFERENTIALS = [
+    (POLY3_MULT, [[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    (UPPER_MULT, [[0, 0, 0], [-1, 0, 1], [0, 0, 0]]),
+    (zero_tensor(2), [[0, 1], [0, 0]]),
+    (DUAL_MULT, [[0, 0], [0, 0]]),
+]
+
+
+def _nudged(T: list, pick) -> list:
+    return _nudged_tensor(T, pick(len(T)), pick(len(T[0])), pick(len(T[0][0])), pick(None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_differential_matches_the_reference(data):
+    mult, diff = data.draw(st.sampled_from(DIFFERENTIALS), label="algebra")
+    d = len(mult)
+    pick = _drawn_picks(data)
+    kind = data.draw(st.sampled_from(["scaled", "drawn", "nonassociative"]), label="kind")
+    if kind == "scaled":
+        c = data.draw(SMALL, label="c")
+        diff = Matrix(d, d, [c * x for row in diff for x in row])
+    else:
+        diff = _matrix(data, d)
+    if kind == "nonassociative":
+        mult = _nudged(mult, pick)
+    assert _outcome(from_differential, mult, diff) == \
+        _outcome(reference_from_differential, mult, diff)
+
+
+def _scalar_module(m: int) -> tuple:
+    """K^m as a bimodule over the field K: the unit acts as the identity on both sides."""
+    unit = Matrix.identity(m).to_rows()
+    return [unit], [[row] for row in unit]
+
+
+# (A, (left action, right action)): A over itself, and K^m over K, m = 1..3
+BIMODULES = [(DUAL_MULT, (DUAL_MULT, DUAL_MULT)), (UPPER_MULT, (UPPER_MULT, UPPER_MULT))] + [
+    ([[[1]]], _scalar_module(m)) for m in (1, 2, 3)]
+
+
+def test_from_bimodule_map_matches_the_reference():
+    # up to four nudged entries: with several laws broken at once the first
+    # witness depends on the order of the loop over (a, b, m) and of the laws
+    rng = random.Random(5)
+
+    def pick(n):
+        return rng.choice([1, -1, Fraction(1, 2)]) if n is None else rng.randrange(n)
+
+    for a_mult, (act_l, act_r) in BIMODULES:
+        da, dm = len(a_mult), len(act_l[0])
+        for _ in range(40):
+            tensors = [a_mult, act_l, act_r]
+            for _ in range(rng.randint(0, 4)):
+                t = rng.randrange(3)
+                tensors[t] = _nudged(tensors[t], pick)
+            a, l, r = tensors
+            f = (Matrix.identity(da) if da == dm and rng.random() < 0.3
+                 else Matrix(da, dm, [rng.choice([0, 1, -1, Fraction(1, 2)]) for _ in range(da * dm)]))
+            assert _outcome(from_bimodule_map, a, (l, r), f) == \
+                _outcome(reference_from_bimodule_map, a, (l, r), f)
+
+
+def _misshaped_calls() -> dict:
+    """One call per rewritten entry point with a 3-dimensional input on a 2-dimensional structure."""
+    OD = oriented_dual_sign()
+    big = Matrix.identity(3)
+    E = build_extension(OD, *coh.degree1_zero(OD))
+    dfm = constant_deformation(OD, 1)
+    bad = TruncatedDeformation(1, [OD.base.left, zero_tensor(3)], dfm.mrt, dfm.phi)
+    return {
+        "transport_constant": (transport_constant, OD, [big], 1),
+        "transport_deformation-psi": (transport_deformation, OD, dfm,
+                                      DeformationEquivalence(1, [big, big])),
+        "transport_deformation-coefficient": (transport_deformation, OD, bad,
+                                              DeformationEquivalence(1, [Matrix.identity(2)] * 2)),
+        "degree1_coboundary": (coh.degree1_coboundary, OD, big),
+        "extract_cocycle": (extract_cocycle, oriented_trivial(poly3_dialgebra()), E,
+                            Matrix.zeros(6, 3)),
+        "from_differential": (from_differential, DUAL_MULT, big),
+        "from_bimodule_map": (from_bimodule_map, DUAL_MULT, (DUAL_MULT, [[[1]]]),
+                              Matrix.identity(2)),
+        "is_morphism": (is_morphism, OD.base, OD.base, big),
+    }
+
+
+@pytest.mark.parametrize("call", list(_misshaped_calls()))
+def test_misshaped_inputs_are_refused_before_integer_evaluation(call):
+    fn, *args = _misshaped_calls()[call]
+    with pytest.raises(ShapeMismatchError):
+        fn(*args)
+
+
 def _valid_inputs() -> dict:
-    """One valid input per checker on dual-S₃ in a basis with denominators."""
+    """One valid input per checker on dual-S₃ in a basis with denominators, and one
+    integral input per constructor, transport, coboundary and extraction."""
     OD = basis_changed_dual_s3()
     assert type(OD.base.left[0][0][0]) is Fraction and type(OD.action[1].entries[0]) is Fraction
     gamma = Matrix.from_rows([[1, Fraction(1, 3)], [2, -1]])
@@ -234,6 +465,10 @@ def _valid_inputs() -> dict:
             Matrix.from_rows([[Fraction(-1, 3), 0], [2, 1]])]
     moved = transport_constant(OD, psis, 2)
     eq = DeformationEquivalence(2, [Matrix.identity(2)] + psis)
+    # the swap sum is integral, and Ψ with ψ_0 = id and integral ψ_i has an integral inverse
+    swap = oriented_swap_sum()
+    integral = Matrix(4, 4, [(i * 7) % 5 - 2 for i in range(16)])
+    E = build_extension(swap, *coh.degree1_coboundary(swap, integral))
     return {
         "check_axioms": (check_axioms, OD.base),
         "check_oriented_dialgebra": (check_oriented_dialgebra, OD),
@@ -241,13 +476,20 @@ def _valid_inputs() -> dict:
                             build_extension(OD, *coh.degree1_coboundary(OD, gamma))),
         "check_deformation": (check_deformation, OD, moved),
         "check_equivalence": (check_equivalence, OD, constant_deformation(OD, 2), moved, eq),
+        "transport_constant": (transport_constant, swap, [integral, integral.transpose()], 2),
+        "extract_cocycle": (extract_cocycle, swap, E, canonical_section(E)),
+        "degree1_coboundary": (coh.degree1_coboundary, swap, integral),
+        "from_differential": (from_differential, POLY3_MULT,
+                              Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 2, 0]])),
     }
 
 
 @pytest.mark.parametrize("checker", ["check_axioms", "check_oriented_dialgebra",
-                                     "check_extension", "check_deformation", "check_equivalence"])
+                                     "check_extension", "check_deformation", "check_equivalence",
+                                     "transport_constant", "extract_cocycle",
+                                     "degree1_coboundary", "from_differential"])
 def test_valid_structure_is_checked_without_fractions(checker, fractions_built):
     fn, *args = _valid_inputs()[checker]
-    report, built = fractions_built(fn, *args)
-    assert report.ok
+    result, built = fractions_built(fn, *args)
+    assert result.ok if checker.startswith("check_") else result
     assert built == []

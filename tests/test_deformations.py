@@ -274,8 +274,8 @@ def reference_deformation_failures(OD, dfm):
     G = OD.group
     triples = [(a, b, c) for a in range(d) for b in range(d) for c in range(d)]
     failures = {}
-    base_ok = (all(_bil(dfm.mlt[0], x, y) == OD.base.lmul(x, y)
-                   and _bil(dfm.mrt[0], x, y) == OD.base.rmul(x, y) for x in E for y in E)
+    base_ok = (all(_bil(dfm.mlt[0], x, y) == _bil(OD.base.left, x, y)
+                   and _bil(dfm.mrt[0], x, y) == _bil(OD.base.right, x, y) for x in E for y in E)
                and all(phi[0][g] == OD.action[g] for g in G.elements()))
     if not base_ok:
         failures["order-0 terms equal the undeformed structure"] = (0, ())

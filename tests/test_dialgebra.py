@@ -8,7 +8,6 @@ from oridial.dialgebra import (
     NotAssociativeError,
     NotDerivationError,
     NotSquareZeroError,
-    bilinear,
     check_axioms,
     from_associative,
     from_bimodule_map,
@@ -18,7 +17,8 @@ from oridial.dialgebra import (
 )
 from oridial.linalg import Matrix
 
-from conftest import dual_numbers_dialgebra, poly3_dialgebra
+from conftest import dual_numbers_dialgebra, poly3_dialgebra, split_products_dialgebra
+from reference_checkers import basis, bilinear
 
 DUAL_MULT = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 POLY3_MULT = [
@@ -56,7 +56,8 @@ def test_check_axioms_reports_failing_mixed_axiom():
     # the witness triple breaks the axiom: (x<x)<x = x, but x<(x>x) = 0
     x = [1]
     assert c.name == "mixed: (x<y)<z = x<(y>z)"
-    assert broken.lmul(broken.lmul(x, x), x) != broken.lmul(x, broken.rmul(x, x))
+    left, right = broken.left, broken.right
+    assert bilinear(left, bilinear(left, x, x), x) != bilinear(left, x, bilinear(right, x, x))
 
 
 def test_from_differential_zero_map():
@@ -105,22 +106,28 @@ def test_from_bimodule_map_multiplication_by_u():
     f = Matrix.from_rows([[0, 0], [1, 0]])  # multiplication by u
     D = from_bimodule_map(DUAL_MULT, actions, f)
     assert check_axioms(D).ok
-    e0, e1 = D.basis()
-    assert D.lmul(e0, e0) == [0, 1]   # 1 ⊣ 1 = 1·f(1) = u
-    assert D.lmul(e1, e0) == [0, 0]   # u ⊣ 1 = u·u = 0
+    e0, e1 = basis(2)
+    assert bilinear(D.left, e0, e0) == [0, 1]   # 1 ⊣ 1 = 1·f(1) = u
+    assert bilinear(D.left, e1, e0) == [0, 0]   # u ⊣ 1 = u·u = 0
 
 
 def test_axioms_extend_multilinearly():
     D = poly3_dialgebra()
     rng = random.Random(9)
+
+    def l(x, y):
+        return bilinear(D.left, x, y)
+
+    def r(x, y):
+        return bilinear(D.right, x, y)
     for _ in range(10):
         x, y, z = ([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
                    for _ in range(3))
-        assert D.lmul(D.lmul(x, y), z) == D.lmul(x, D.lmul(y, z))
-        assert D.lmul(D.lmul(x, y), z) == D.lmul(x, D.rmul(y, z))
-        assert D.lmul(D.rmul(x, y), z) == D.rmul(x, D.lmul(y, z))
-        assert D.rmul(D.rmul(x, y), z) == D.rmul(x, D.rmul(y, z))
-        assert D.rmul(D.lmul(x, y), z) == D.rmul(D.rmul(x, y), z)
+        assert l(l(x, y), z) == l(x, l(y, z))
+        assert l(l(x, y), z) == l(x, r(y, z))
+        assert l(r(x, y), z) == r(x, l(y, z))
+        assert r(r(x, y), z) == r(x, r(y, z))
+        assert r(l(x, y), z) == r(r(x, y), z)
 
 
 def test_is_morphism():
@@ -128,11 +135,9 @@ def test_is_morphism():
     assert is_morphism(D, D, Matrix.identity(2))
     assert is_morphism(D, D, Matrix.from_rows([[1, 0], [0, -1]]))  # u -> -u
     assert not is_morphism(D, D, Matrix.from_rows([[0, 1], [1, 0]]))
+    # the identity preserves ⊣ but not ⊢, or ⊢ but not ⊣, when the products differ
+    split = split_products_dialgebra()
+    assert not is_morphism(split, Dialgebra(2, split.left, split.left), Matrix.identity(2))
+    assert not is_morphism(split, Dialgebra(2, split.right, split.right), Matrix.identity(2))
     with pytest.raises(ValueError):
         is_morphism(D, D, Matrix.identity(3))
-
-
-def test_bilinear_skips_zero_coordinates():
-    D = dual_numbers_dialgebra()
-    assert bilinear(D.left, [0, 0], [1, 1]) == [0, 0]
-    assert bilinear(D.left, [1, 2], [3, 4]) == [3, 10]  # (1+2u)(3+4u) = 3 + 10u
