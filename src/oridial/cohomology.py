@@ -53,13 +53,14 @@ from .dialgebra import (
     _matmul,
     _on_inputs,
     _rational,
+    _rows,
     _scaled,
     _scaled_maps,
     _tensor,
     _valued,
     _x_yz,
     _xy_z,
-    zero_tensor,
+    validated_tensor,
 )
 from .linalg import (
     Matrix,
@@ -142,21 +143,6 @@ class SparseMap:
         self.cols = cols
         self.entries: dict = {} if entries is None else entries
 
-    def add(self, r: int, c: int, v) -> None:
-        """Add v at (r, c); the first write stores v as given, a zero sum drops the key."""
-        if v:
-            key = (r, c)
-            entries = self.entries
-            cur = entries.get(key)
-            if cur is None:
-                entries[key] = v
-            else:
-                cur += v
-                if cur:
-                    entries[key] = cur
-                else:
-                    del entries[key]
-
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
@@ -200,17 +186,6 @@ class SparseMap:
 def cochain_dim(d: int, n: int) -> int:
     """dim CY(n) = |Y(n)| * d^n * d (for n = 0 this is just d)."""
     return catalan(n) * d ** n * d
-
-
-def multi_index(multi: tuple, d: int) -> int:
-    m = 0
-    for i in multi:
-        m = m * d + i
-    return m
-
-
-def cochain_pos(d: int, n: int, t_idx: int, multi: tuple, k: int) -> int:
-    return (t_idx * d ** n + multi_index(multi, d)) * d + k
 
 
 def _check_dialgebra_size(d: int, config: EngineConfig) -> None:
@@ -631,11 +606,19 @@ def equivariant_cohomology(
 # ---------------------------------------------------------------------------
 # the explicit degree-1 layer
 
-# In degree 1 a cocycle is a pair (α, β): α assigns to each group element
-# a linear endomorphism, β is a pair of bilinear defect maps (one per
-# level-2 tree).  α is carried as one Matrix per group element and β as
-# the tensor pair (β at tree [2 1], β at tree [1 2]) — the ⊣ and ⊢ defects
-# respectively.
+# In degree 1 a cocycle is a pair (α, β) in Tot(1) = C^{0,2} ⊕ C^{1,1}: α
+# assigns to each group element a linear endomorphism, β is a pair of
+# bilinear defect maps (one per level-2 tree).  α is carried as one Matrix
+# per group element and β as the tensor pair (β at tree [2 1], β at tree
+# [1 2]) — the ⊣ and ⊢ defects respectively.
+#
+# A packed (α, β) is a Tot(1) vector as the bicomplex lays it out
+# (``_block_offsets``).  Block (0, 2) is CY(2), tree-major over Y(2) in
+# canonical order: the flat β⊢ (tree [1 2]), then the flat β⊣ (tree
+# [2 1]).  Block (1, 1) holds, for each g, the level-1 cochain x ↦ α(g)x,
+# which is α(g)ᵀ flattened.  A γ in Tot(0) = CY(1) is γᵀ flattened the same
+# way, so ``degree1_coboundary_matrix`` is the total differential Tot(0) ->
+# Tot(1) itself.
 #
 # ``degree1_residuals`` evaluates the explicit equations in Python ints, with
 # the integer helpers of ``dialgebra`` that every structure checker uses.  It
@@ -651,55 +634,30 @@ def equivariant_cohomology(
 
 
 def degree1_zero(OD: OrientedDialgebra):
-    d = OD.dim
-    alpha = [Matrix.zeros(d, d) for _ in OD.group.elements()]
-    return alpha, (zero_tensor(d), zero_tensor(d))
+    return degree1_unpack(OD, [0] * total_dim(OD, 1))
+
+
+def _check_packed(OD: OrientedDialgebra, vec: list) -> None:
+    if len(vec) != total_dim(OD, 1):
+        raise ShapeMismatchError(f"a Tot(1) vector has {total_dim(OD, 1)} entries, not {len(vec)}")
 
 
 def degree1_pack(OD: OrientedDialgebra, alpha, beta) -> list:
     """Flatten (α, β) into the canonical Tot(1) coordinate vector."""
-    d = OD.dim
     beta_l, beta_r = beta
-    t2 = {t.word: i for i, t in enumerate(enumerate_trees(2))}
-    vec = [0] * total_dim(OD, 1)
-    off_02 = _block_offsets(OD, 1)[(0, 2)]
-    for (word, tensor) in (((2, 1), beta_l), ((1, 2), beta_r)):
-        ti = t2[word]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    vec[off_02 + cochain_pos(d, 2, ti, (i, j), k)] = tensor[i][j][k]
-    off_11 = _block_offsets(OD, 1)[(1, 1)]
-    cd = cochain_dim(d, 1)
-    for g in OD.group.elements():
-        for i in range(d):
-            for k in range(d):
-                vec[off_11 + g * cd + cochain_pos(d, 1, 0, (i,), k)] = alpha[g].at(k, i)
+    vec = _flat([*beta_r, *beta_l]) + [x for a in alpha for x in a.transpose().entries]
+    _check_packed(OD, vec)
     return vec
 
 
 def degree1_unpack(OD: OrientedDialgebra, vec: list):
     """Inverse of ``degree1_pack``."""
-    d = OD.dim
-    t2 = {t.word: i for i, t in enumerate(enumerate_trees(2))}
-    offs = _block_offsets(OD, 1)
-    off_02, off_11 = offs[(0, 2)], offs[(1, 1)]
-    tensors = {}
-    for word in ((2, 1), (1, 2)):
-        ti = t2[word]
-        tensors[word] = [
-            [[vec[off_02 + cochain_pos(d, 2, ti, (i, j), k)] for k in range(d)]
-             for j in range(d)]
-            for i in range(d)
-        ]
-    cd = cochain_dim(d, 1)
-    alpha = []
-    for g in OD.group.elements():
-        alpha.append(Matrix.from_rows(
-            [[vec[off_11 + g * cd + cochain_pos(d, 1, 0, (i,), k)] for i in range(d)]
-             for k in range(d)]
-        ))
-    return alpha, (tensors[(2, 1)], tensors[(1, 2)])
+    _check_packed(OD, vec)
+    d, offsets = OD.dim, _block_offsets(OD, 1)
+    beta_r, beta_l = _rows(_rows(_rows(vec[:offsets[(1, 1)]], d), d), d)
+    alpha = [Matrix(d, d, block).transpose()
+             for block in _rows(vec[offsets[(1, 1)]:], cochain_dim(d, 1))]
+    return alpha, (beta_l, beta_r)
 
 
 def _derivation_map(T: list) -> list:
@@ -742,9 +700,9 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     D, G = OD.base, OD.group
     d = D.dim
     rd = range(d)
-    beta_l, beta_r = beta
-    if any(m.shape() != (d, d) for m in alpha):
-        raise ShapeMismatchError(f"α must be {d}x{d} matrices")
+    if len(alpha) != G.order or any(m.shape() != (d, d) for m in alpha):
+        raise ShapeMismatchError(f"α must be {G.order} {d}x{d} matrices")
+    beta_l, beta_r = (validated_tensor(d, T) for T in beta)
     nL, l, r = _scaled_products(D)
     nB = _denominator(_flat([*beta_l, *beta_r]))
     bl, br = _scaled(beta_l, nB), _scaled(beta_r, nB)
@@ -864,15 +822,7 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
     return alpha, beta
 
 
-def degree1_coboundary_matrix(OD: OrientedDialgebra) -> Matrix:
-    """Matrix of γ -> packed (α, β); columns are indexed like level-1 cochains."""
-    d = OD.dim
-    cols = []
-    for i in range(d):
-        for k in range(d):
-            gamma = Matrix(d, d, [1 if (r == k and c == i) else 0
-                                  for r in range(d) for c in range(d)])
-            alpha, beta = degree1_coboundary(OD, gamma)
-            cols.append(degree1_pack(OD, alpha, beta))
-    rows = total_dim(OD, 1)
-    return Matrix(rows, d * d, [cols[j][i] for i in range(rows) for j in range(d * d)])
+def degree1_coboundary_matrix(OD: OrientedDialgebra) -> SparseMap:
+    """Tot(0) -> Tot(1): γ packed as a level-1 cochain to packed (α, β); the caps are the caller's."""
+    D = OD.base
+    return _total_maps(OD, [0], D.left, D.right, [a.to_rows() for a in OD.action])[0]

@@ -164,6 +164,14 @@ def _require_square(matrices, d: int, what: str) -> None:
         raise ShapeMismatchError(f"{what} must be {d}x{d} matrices")
 
 
+def _action_series(OD: OrientedDialgebra, deformation: TruncatedDeformation) -> list:
+    """Φ as one series per group element, once every power holds |G| d×d matrices."""
+    d, m = OD.dim, OD.group.order
+    if any(len(per_g) != m or any(x.shape() != (d, d) for x in per_g) for per_g in deformation.phi):
+        raise ShapeMismatchError(f"phi must hold {m} {d}x{d} matrices per power")
+    return list(zip(*deformation.phi))
+
+
 def _matrix_product(X: list, Y: list) -> list:
     return _flat([_matmul(X, Y)])
 
@@ -207,8 +215,7 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
     G = OD.group
     ml = [validated_tensor(d, t) for t in deformation.mlt]
     mr = [validated_tensor(d, t) for t in deformation.mrt]
-    phi = list(zip(*deformation.phi))   # one series per group element
-    _require_square((m for series in phi for m in series), d, "phi")
+    phi = _action_series(OD, deformation)
 
     base_ok = (ml[0] == OD.base.left and mr[0] == OD.base.right
                and all(series[0].entries == OD.action[g].entries
@@ -249,16 +256,16 @@ def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: i
         raise ValueError(f"order {n} outside 1..{deformation.order}")
     d = OD.dim
     zero = zero_tensor(d)
+    phi = _action_series(OD, deformation)
     for i in range(1, n):
         if (validated_tensor(d, deformation.mlt[i]) != zero
                 or validated_tensor(d, deformation.mrt[i]) != zero
-                or any(not deformation.phi[i][g].is_zero() for g in OD.group.elements())):
+                or any(not series[i].is_zero() for series in phi)):
             raise PrecedingTermsNonzeroError(
                 f"coefficient {i} is nonzero; the order-{n} infinitesimal is undefined")
     theta = []
-    for g in OD.group.elements():
-        rho_inv = OD.action[OD.group.inv(g)]
-        prod = deformation.phi[n][g].mul(rho_inv)
+    for g, series in enumerate(phi):
+        prod = series[n].mul(OD.action[OD.group.inv(g)])
         theta.append(Matrix(d, d, [-v for v in prod.entries]))
     return Infinitesimal(n, theta,
                          validated_tensor(d, deformation.mlt[n]),
@@ -282,8 +289,7 @@ def check_equivalence(
         raise ValueError("orders of the deformations and the intertwiner must match")
     d = OD.dim
     _require_square(eq.psi, d, "psi")
-    phis = [list(zip(*dfm.phi)) for dfm in (def1, def2)]
-    _require_square((m for phi in phis for series in phi for m in series), d, "phi")
+    phis = [_action_series(OD, dfm) for dfm in (def1, def2)]
     tensors = [[validated_tensor(d, t) for t in series]
                for series in (def1.mlt, def2.mlt, def1.mrt, def2.mrt)]
     nM = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
@@ -297,12 +303,11 @@ def check_equivalence(
     ]
     # ΨΦ²(g) against Φ¹(g)Ψ, over nS·nF
     phi1, phi2 = ([_scaled_matrices(series, nF) for series in phi] for phi in phis)
-    per_g = list(zip(phi2, phi1))[:OD.group.order]
     checks.append(_law(
         "Ψ intertwines the actions",
-        _concatenated([_cauchy(_matrix_product, psi, f2) for f2, _ in per_g]),
-        _concatenated([_cauchy(_matrix_product, f1, psi) for _, f1 in per_g]),
-        len(per_g)))
+        _concatenated([_cauchy(_matrix_product, psi, f2) for f2 in phi2]),
+        _concatenated([_cauchy(_matrix_product, f1, psi) for f1 in phi1]),
+        OD.group.order))
     return Report(checks)
 
 
@@ -380,8 +385,7 @@ def _push_forward(OD: OrientedDialgebra, deformation: TruncatedDeformation,
     nS·nP·nR.
     """
     d = OD.dim
-    phi = list(zip(*deformation.phi))   # one series per group element
-    _require_square((m for series in phi for m in series), d, "phi")
+    phi = _action_series(OD, deformation)
     tensors = [[validated_tensor(d, T) for T in series]
                for series in (deformation.mlt, deformation.mrt)]
     nL = _denominator(_flat([plane for series in tensors for T in series for plane in T]))

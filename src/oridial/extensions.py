@@ -277,4 +277,4 @@ def cocycles_cohomologous(OD: OrientedDialgebra, pair1, pair2):
     if u is None:
         return None
     d = OD.dim
-    return Matrix.from_rows([[u[i * d + k] for i in range(d)] for k in range(d)])
+    return Matrix(d, d, u).transpose()

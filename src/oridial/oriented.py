@@ -32,7 +32,7 @@ from .dialgebra import (
     _scaled,
     _scaled_maps,
 )
-from .linalg import rank
+from .linalg import ShapeMismatchError, rank
 
 
 class NoInverseError(ValueError):
@@ -167,10 +167,10 @@ class OrientedDialgebra:
         self.group = group
         self.action = list(action)
         if len(self.action) != group.order:
-            raise ValueError("one action matrix per group element required")
+            raise ShapeMismatchError("one action matrix per group element required")
         for m in self.action:
             if m.shape() != (base.dim, base.dim):
-                raise ValueError(f"action matrices must be {base.dim}x{base.dim}")
+                raise ShapeMismatchError(f"action matrices must be {base.dim}x{base.dim}")
 
     @property
     def dim(self) -> int:

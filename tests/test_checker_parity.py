@@ -23,6 +23,7 @@ from oridial.deformations import (
     check_deformation,
     check_equivalence,
     constant_deformation,
+    infinitesimal,
     transport_constant,
     transport_deformation,
 )
@@ -316,7 +317,7 @@ def test_degree0_coboundaries_match_the_references(data):
     gamma = _matrix(data, OD.dim)
     assert _shown(coh.degree1_coboundary(OD, gamma)) == \
         _shown(reference_degree1_coboundary(OD, gamma))
-    assert _shown(coh.degree1_coboundary_matrix(OD)) == \
+    assert _shown(coh.degree1_coboundary_matrix(OD).to_matrix()) == \
         _shown(reference_degree1_coboundary_matrix(OD))
 
 
@@ -426,13 +427,38 @@ def test_from_bimodule_map_matches_the_reference():
 
 
 def _misshaped_calls() -> dict:
-    """One call per rewritten entry point with a 3-dimensional input on a 2-dimensional structure."""
+    """One call per entry point with a misshaped input on a 2-dimensional structure.
+
+    The input is 3-dimensional, or it lists one group element too few or
+    too many: dual-sign has two.
+    """
     OD = oriented_dual_sign()
     big = Matrix.identity(3)
     E = build_extension(OD, *coh.degree1_zero(OD))
     dfm = constant_deformation(OD, 1)
     bad = TruncatedDeformation(1, [OD.base.left, zero_tensor(3)], dfm.mrt, dfm.phi)
+    one = Matrix.identity(2)
+    alpha, beta = coh.degree1_zero(OD)
+    wide_beta = ([[[0] * 3 for _ in range(2)] for _ in range(2)], beta[1])   # 2x2x3
+    # phi[1] with 1 and with 3 matrices
+    short, long = (TruncatedDeformation(1, dfm.mlt, dfm.mrt, [[one] * 2, [one] * k]) for k in (1, 3))
+    eq = DeformationEquivalence(1, [one, one])
     return {
+        "OrientedDialgebra-count": (OrientedDialgebra, OD.base, OD.group, [one]),
+        "OrientedDialgebra-shape": (OrientedDialgebra, OD.base, OD.group, [big, big]),
+        "check_deformation-short-phi": (check_deformation, OD, short),
+        "infinitesimal-short-phi": (infinitesimal, OD, short),
+        "infinitesimal-long-phi": (infinitesimal, OD, long),
+        "check_equivalence-short-phi": (check_equivalence, OD, dfm, short, eq),
+        "check_equivalence-long-phi": (check_equivalence, OD, long, dfm, eq),
+        "transport_deformation-short-phi": (transport_deformation, OD, short, eq),
+        "is_degree1_cocycle-one-alpha": (coh.is_degree1_cocycle, OD, alpha[:1], beta),
+        "is_degree1_cocycle-three-alpha": (coh.is_degree1_cocycle, OD, alpha * 2 + alpha[:1], beta),
+        "is_degree1_cocycle-wide-beta": (coh.is_degree1_cocycle, OD, alpha, wide_beta),
+        "degree1_pack-one-alpha": (coh.degree1_pack, OD, alpha[:1], beta),
+        "degree1_pack-wide-beta": (coh.degree1_pack, OD, alpha, wide_beta),
+        "degree1_unpack": (coh.degree1_unpack, OD, [0] * (coh.total_dim(OD, 1) - 1)),
+        "build_extension-one-alpha": (build_extension, OD, alpha[:1], beta),
         "transport_constant": (transport_constant, OD, [big], 1),
         "transport_deformation-psi": (transport_deformation, OD, dfm,
                                       DeformationEquivalence(1, [big, big])),

@@ -105,7 +105,7 @@ def _level1_delta_by_hand(D):
                             ej = [1 if t == j else 0 for t in range(d)]
                             vec = [v + w for v, w in zip(vec, prod(eb, ej))]
                         for k in range(d):
-                            out[coh.cochain_pos(d, 2, ti, (i, j), k)][col] += vec[k]
+                            out[(ti * d * d + i * d + j) * d + k][col] += vec[k]
     return Matrix(rows, cols, [x for row in out for x in row])
 
 
@@ -139,9 +139,7 @@ def test_sign_exponent_is_pinned_by_equivariance(od_dual_sign):
 def test_action_composes_as_group(od_dual_sign):
     for n in range(4):
         acts = [coh.act_entries(od_dual_sign, g, n) for g in range(2)]
-        eye = coh.SparseMap(acts[0].rows, acts[0].rows)
-        for i in range(acts[0].rows):
-            eye.add(i, i, 1)
+        eye = coh.SparseMap(acts[0].rows, acts[0].rows, {(i, i): 1 for i in range(acts[0].rows)})
         assert acts[0].equals(eye)
         for g in range(2):
             for h in range(2):
@@ -169,7 +167,7 @@ def test_level1_action_is_plain_conjugation(od_dual_sign):
                 for b in range(2):
                     v = rho.at(k, b) * rho.at(a, i)  # rho kb * rho^{-1} ai (involution)
                     if v:
-                        by_hand.add(i * 2 + k, a * 2 + b, v)
+                        by_hand.entries[i * 2 + k, a * 2 + b] = v
     assert coh.act_entries(od_dual_sign, g, 1).equals(by_hand)
 
 
@@ -225,16 +223,11 @@ def test_total_square_zero_and_noncomplex_guard(od_dual_sign):
 
 
 def _column(*values):
-    sm = coh.SparseMap(len(values), 1)
-    for i, v in enumerate(values):
-        sm.add(i, 0, v)
-    return sm
+    return coh.SparseMap(len(values), 1, {(i, 0): v for i, v in enumerate(values)})
 
 
 def test_square_check_is_exact_with_denominators():
-    d_out = coh.SparseMap(1, 2)
-    d_out.add(0, 0, 1)
-    d_out.add(0, 1, Fraction(3, 2))
+    d_out = coh.SparseMap(1, 2, {(0, 0): 1, (0, 1): Fraction(3, 2)})
     # 1·1/2 + 3/2·(-1/3) = 0: the square check is exact on rational maps too
     result = coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 3)))
     assert (result.dim, result.kernel_dim, result.image_rank) == (0, 1, 1)
@@ -362,8 +355,19 @@ def test_cohomology_matches_the_rational_reference_after_basis_change(data):
 
 
 def _degree0_routes_agree(OD) -> bool:
-    """The explicit degree-0 coboundary γ -> (α, β) against Tot(0) -> Tot(1)."""
-    return coh.degree1_coboundary_matrix(OD) == coh.total_entries(OD, 0).to_matrix()
+    """The explicit degree-0 coboundary γ -> (α, β) against Tot(0) -> Tot(1).
+
+    Column i·d + k of Tot(0) = CY(1) is the cochain e_i ↦ e_k, the γ with a
+    1 at (k, i); its explicit coboundary, packed, must be that column.
+    """
+    d = OD.dim
+    columns = coh.total_entries(OD, 0).to_matrix().transpose().to_rows()
+    for col, column in enumerate(columns):
+        i, k = divmod(col, d)
+        gamma = Matrix(d, d, [int(r == k and c == i) for r in range(d) for c in range(d)])
+        if coh.degree1_pack(OD, *coh.degree1_coboundary(OD, gamma)) != column:
+            return False
+    return True
 
 
 def test_degree0_coboundary_matches_total_differential():
@@ -632,6 +636,23 @@ def test_pack_unpack_roundtrip(od_dual_sign):
         coh.normalize_scalar(x) for x in vec]
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pack_unpack_roundtrip_after_basis_change(data):
+    OD = _draw_basis_changed(data)
+    d, dim = OD.dim, coh.total_dim(OD, 1)
+    vec = data.draw(st.lists(_small_fractions, min_size=dim, max_size=dim))
+    alpha, (beta_l, beta_r) = coh.degree1_unpack(OD, vec)
+    # the layout: β⊢ at tree [1 2], then β⊣ at tree [2 1], then α(g)ᵀ for each g
+    assert beta_r[d - 1][0][d - 1] == vec[(d - 1) * d * d + d - 1]
+    assert beta_l[0][d - 1][0] == vec[d ** 3 + (d - 1) * d]
+    assert alpha[-1].at(d - 1, 0) == vec[2 * d ** 3 + (OD.group.order - 1) * d * d + d - 1]
+    assert coh.degree1_pack(OD, alpha, (beta_l, beta_r)) == [
+        coh.normalize_scalar(x) for x in vec]
+    pair = data.draw(degree1_pairs(OD))
+    assert coh.degree1_unpack(OD, coh.degree1_pack(OD, *pair)) == (pair[0], tuple(pair[1]))
+
+
 def test_resource_caps(od_dual_sign, dia_dual):
     with pytest.raises(ResourceLimitError):
         coh.equivariant_cohomology(od_dual_sign, 3)
@@ -641,11 +662,10 @@ def test_resource_caps(od_dual_sign, dia_dual):
 
 
 def _refuse_writes(monkeypatch) -> None:
-    """Fail on any entry written: by SparseMap.add, a builder or a block writer."""
+    """Fail on any entry written: by a builder or a block writer."""
     def refuse(*args):
         raise AssertionError("an entry was written before the size check")
 
-    monkeypatch.setattr(coh.SparseMap, "add", refuse)
     for writer in ("_delta", "_act", "_write_horizontal", "_write_vertical"):
         monkeypatch.setattr(coh, writer, refuse)
 

@@ -183,11 +183,8 @@ def dense(rows: list, ncols: int) -> Matrix:
 
 
 def sparse(rows: list, ncols: int) -> SparseMap:
-    sm = SparseMap(len(rows), ncols)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            sm.add(i, j, x)
-    return sm
+    return SparseMap(len(rows), ncols,
+                     {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
 
 
 def canonical(x) -> bool:
@@ -327,31 +324,6 @@ def test_mul_matches_fraction_reference(case, data):
         [_fraction_sum((row[k], other[k][j]) for k in range(ncols)) for j in range(inner)]
         for row in rows]
     assert all(canonical(x) for x in product.entries)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_sparse_map_add_matches_fraction_reference(data):
-    cells = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    writes = data.draw(st.lists(st.tuples(cells, sparse_entries), max_size=12))
-    if writes and data.draw(st.booleans()):      # a write that cancels an earlier one
-        (r, c), v = data.draw(st.sampled_from(writes))
-        writes.append(((r, c), -v))
-    block = data.draw(st.lists(st.tuples(cells, sparse_entries), max_size=6))
-    scale = data.draw(st.sampled_from((1, -1)))
-    off = data.draw(st.integers(0, 1))
-
-    sm, other, want = SparseMap(4, 4), SparseMap(3, 3), {}
-    for (r, c), v in writes:
-        sm.add(r, c, v)
-        want[r, c] = want.get((r, c), Fraction(0)) + v
-    for (r, c), v in block:
-        other.add(r, c, v)
-    for (r, c), v in other.entries.items():   # a scaled block written at an offset
-        sm.add(r + off, c + off, scale * v)
-        want[r + off, c + off] = want.get((r + off, c + off), Fraction(0)) + scale * v
-    assert sm.entries == {key: v for key, v in want.items() if v}
-    assert all(v for v in sm.entries.values())   # no zero is ever stored
 
 
 def test_rational_serialization():
