@@ -66,6 +66,7 @@ from .linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
+    _integral,
     column_space_complement,
     normalize_scalar,
     nullspace,
@@ -544,21 +545,72 @@ def _quotient(
 ) -> CohomologyResult:
     """Kernel of d_out modulo image of d_in, with canonical representatives.
 
-    The square d_out·d_in is checked to vanish exactly, as a sparse
-    product, before any elimination; ``fault`` names the failure.  Either
-    map may carry a nonzero factor: the cohomology entry points pass
+    Everything after the elimination of d_out works in the k free
+    coordinates of the canonical kernel basis: Kᵢ has 1 at its free column
+    fᵢ, 0 at the other free columns, and fᵢ is its last nonzero entry.  So
+    a vector u lies in ker d_out exactly when u = Σ u[fᵢ]·Kᵢ.  That is the
+    square check: every column of d_in is compared with its combination in
+    integers, which holds exactly when d_out·d_in = 0; ``fault`` names the
+    failure.  On ker d_out the map u ↦ u[F] is injective, so the rows F of
+    d_in (``image``) have the rank of d_in, and the unit vectors extend
+    their column space exactly where the Kᵢ extend the column space of d_in.
+    Either map may carry a nonzero factor: the cohomology entry points pass
     integer multiples of the coboundaries, which have the same kernel,
     canonical kernel basis, rank and column space.
     """
-    if not d_out.mul(d_in).is_zero():
-        raise NonComplexError(fault)
+    if d_out.cols != d_in.rows:
+        raise ShapeMismatchError(
+            f"cannot compose {d_out.rows}x{d_out.cols} with {d_in.rows}x{d_in.cols}")
     kernel = nullspace(d_out)
-    image_rank = rank(d_in)
-    keep = column_space_complement(d_in, kernel)
+    k = len(kernel)
+    if k == d_out.cols:   # d_out = 0: the Kᵢ are the unit vectors and F is every row
+        image, units = d_in, kernel
+    else:
+        free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
+        image = SparseMap(k, d_in.cols)
+        columns: dict = {}
+        for (r, c), x in d_in.entries.items():
+            if x:
+                columns.setdefault(c, {})[r] = x
+                if r in free:
+                    image.entries[(free[r], c)] = x
+        scaled: dict = {}   # i -> Kᵢ times its denominator, for the Kᵢ in use
+        for u in columns.values():
+            if not _in_kernel(_integral(u), free, kernel, scaled):
+                raise NonComplexError(fault)
+        units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    image_rank = rank(image)
+    keep = column_space_complement(image, units)
     reps = [_normalize_rep(kernel[i]) for i in keep]
-    dim = len(kernel) - image_rank
-    assert len(reps) == dim, "rank-nullity bookkeeping broke"
-    return CohomologyResult(dim, reps, len(kernel), image_rank)
+    dim = k - image_rank
+    if len(reps) != dim:
+        raise RuntimeError(f"rank-nullity bookkeeping broke: {len(reps)} representatives, "
+                           f"dimension {dim}")
+    return CohomologyResult(dim, reps, k, image_rank)
+
+
+def _in_kernel(u: dict, free: dict, kernel: list, scaled: dict) -> bool:
+    """Is the integer vector u equal to Σ u[fᵢ]·Kᵢ?
+
+    ``free`` maps each fᵢ to i.  Kᵢ is scaled to integers on first use and
+    kept in ``scaled``; the scaled Kᵢ has its denominator nᵢ at fᵢ.  Both
+    sides are compared times N = lcm of the nᵢ in use.
+    """
+    terms = []
+    for f, x in u.items():
+        i = free.get(f)
+        if i is not None:
+            K = scaled.get(i)
+            if K is None:
+                K = scaled[i] = _integral({j: y for j, y in enumerate(kernel[i][:f + 1]) if y})
+            terms.append((x, K, K[f]))
+    N = lcm(*(n for _, _, n in terms))
+    diff = {j: -N * x for j, x in u.items()}
+    for x, K, n in terms:
+        s = x * (N // n)
+        for j, y in K.items():
+            diff[j] = diff.get(j, 0) + s * y
+    return not any(diff.values())
 
 
 def dialgebra_cohomology(
@@ -588,8 +640,9 @@ def equivariant_cohomology(
     Tot(n) and Tot(n-1) are assembled together in integers, from the
     products times nL and the action matrices times nR (see "sparse
     matrices").  The square of the total differential is verified to
-    vanish before any rank is taken; a nonzero square signals a
-    sign-convention bug.
+    vanish exactly, in the coordinates of the kernel basis right after
+    Tot(n) is eliminated and before the image rank is taken; a nonzero
+    square signals a sign-convention bug.
     """
     if n + 1 > config.max_degree:
         raise ResourceLimitError(
@@ -637,22 +690,26 @@ def degree1_zero(OD: OrientedDialgebra):
     return degree1_unpack(OD, [0] * total_dim(OD, 1))
 
 
-def _check_packed(OD: OrientedDialgebra, vec: list) -> None:
-    if len(vec) != total_dim(OD, 1):
-        raise ShapeMismatchError(f"a Tot(1) vector has {total_dim(OD, 1)} entries, not {len(vec)}")
+def _degree1_betas(OD: OrientedDialgebra, alpha, beta) -> list:
+    """(β⊣, β⊢) as validated tensors, once α is |G| d×d matrices and β a pair."""
+    d, order = OD.dim, OD.group.order
+    if len(alpha) != order or any(m.shape() != (d, d) for m in alpha):
+        raise ShapeMismatchError(f"α must be {order} {d}x{d} matrices")
+    if len(beta) != 2:
+        raise ShapeMismatchError(f"β must be 2 tensors, not {len(beta)}")
+    return [validated_tensor(d, T) for T in beta]
 
 
 def degree1_pack(OD: OrientedDialgebra, alpha, beta) -> list:
     """Flatten (α, β) into the canonical Tot(1) coordinate vector."""
-    beta_l, beta_r = beta
-    vec = _flat([*beta_r, *beta_l]) + [x for a in alpha for x in a.transpose().entries]
-    _check_packed(OD, vec)
-    return vec
+    beta_l, beta_r = _degree1_betas(OD, alpha, beta)
+    return _flat([*beta_r, *beta_l]) + [x for a in alpha for x in a.transpose().entries]
 
 
 def degree1_unpack(OD: OrientedDialgebra, vec: list):
     """Inverse of ``degree1_pack``."""
-    _check_packed(OD, vec)
+    if len(vec) != total_dim(OD, 1):
+        raise ShapeMismatchError(f"a Tot(1) vector has {total_dim(OD, 1)} entries, not {len(vec)}")
     d, offsets = OD.dim, _block_offsets(OD, 1)
     beta_r, beta_l = _rows(_rows(_rows(vec[:offsets[(1, 1)]], d), d), d)
     alpha = [Matrix(d, d, block).transpose()
@@ -700,9 +757,7 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     D, G = OD.base, OD.group
     d = D.dim
     rd = range(d)
-    if len(alpha) != G.order or any(m.shape() != (d, d) for m in alpha):
-        raise ShapeMismatchError(f"α must be {G.order} {d}x{d} matrices")
-    beta_l, beta_r = (validated_tensor(d, T) for T in beta)
+    beta_l, beta_r = _degree1_betas(OD, alpha, beta)
     nL, l, r = _scaled_products(D)
     nB = _denominator(_flat([*beta_l, *beta_r]))
     bl, br = _scaled(beta_l, nB), _scaled(beta_r, nB)

@@ -8,9 +8,10 @@ from (row, col) to a scalar, such as ``cohomology.SparseMap``.
 There is one elimination, and it is sparse.  It keeps the nonzero rows as
 integer dicts {column: value}; each vector is scaled to integers once.
 Rows are inserted sparsest first.  A pivot row removes its leading column
-from another row by a gcd-scaled integer combination, and every new row is
-divided by its content.  Only the surviving pivot rows are back-substituted
-and divided by their pivots, which gives the reduced row echelon form.
+from another row by a gcd-scaled integer combination; a row that had to be
+scaled up for it is then divided by its content.  Only the surviving pivot
+rows are back-substituted and divided by their pivots, which gives the
+reduced row echelon form.
 That form is unique, so ranks, pivot columns, nullspace bases and
 preimages do not depend on the order of elimination and are reproducible
 bit for bit across runs and platforms.
@@ -201,10 +202,11 @@ def _eliminate(row: dict, piv: dict, c: int) -> None:
             row[j] = v
         else:
             del row[j]
-    g = gcd(*row.values())
-    if g > 1:
-        for j in row:
-            row[j] //= g
+    if p != 1:   # with p = 1 the row is row - a·piv, and no content pass is made
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
 
 
 def _insert(row: dict, echelon: dict) -> bool:

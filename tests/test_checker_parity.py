@@ -430,7 +430,8 @@ def _misshaped_calls() -> dict:
     """One call per entry point with a misshaped input on a 2-dimensional structure.
 
     The input is 3-dimensional, or it lists one group element too few or
-    too many: dual-sign has two.
+    too many: dual-sign has two.  Or it is an α of the wrong shape, or one
+    β tensor too many.
     """
     OD = oriented_dual_sign()
     big = Matrix.identity(3)
@@ -440,6 +441,8 @@ def _misshaped_calls() -> dict:
     one = Matrix.identity(2)
     alpha, beta = coh.degree1_zero(OD)
     wide_beta = ([[[0] * 3 for _ in range(2)] for _ in range(2)], beta[1])   # 2x2x3
+    # one 2x4 α has as many entries as two 2x2 ones
+    wide_alpha = [Matrix.zeros(2, 4)]
     # phi[1] with 1 and with 3 matrices
     short, long = (TruncatedDeformation(1, dfm.mlt, dfm.mrt, [[one] * 2, [one] * k]) for k in (1, 3))
     eq = DeformationEquivalence(1, [one, one])
@@ -457,6 +460,9 @@ def _misshaped_calls() -> dict:
         "is_degree1_cocycle-wide-beta": (coh.is_degree1_cocycle, OD, alpha, wide_beta),
         "degree1_pack-one-alpha": (coh.degree1_pack, OD, alpha[:1], beta),
         "degree1_pack-wide-beta": (coh.degree1_pack, OD, alpha, wide_beta),
+        "degree1_pack-one-wide-alpha": (coh.degree1_pack, OD, wide_alpha, beta),
+        "degree1_pack-three-beta": (coh.degree1_pack, OD, alpha, (*beta, beta[0])),
+        "degree1_residuals-three-beta": (coh.degree1_residuals, OD, alpha, (*beta, beta[0])),
         "degree1_unpack": (coh.degree1_unpack, OD, [0] * (coh.total_dim(OD, 1) - 1)),
         "build_extension-one-alpha": (build_extension, OD, alpha[:1], beta),
         "transport_constant": (transport_constant, OD, [big], 1),

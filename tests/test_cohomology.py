@@ -42,7 +42,11 @@ from conftest import (
 )
 
 from reference_checkers import apply, basis, bilinear, vec_sub, vec_sum
-from reference_quotient import reference_dialgebra_cohomology, reference_equivariant_cohomology
+from reference_quotient import (
+    reference_dialgebra_cohomology,
+    reference_equivariant_cohomology,
+    reference_quotient,
+)
 
 GOLDEN_BUNDLES = Path(__file__).parent / "golden" / "bundles"
 
@@ -234,6 +238,61 @@ def test_square_check_is_exact_with_denominators():
     # 1·1/2 + 3/2·(-1/5) = 1/5
     with pytest.raises(NonComplexError):
         coh._quotient(d_out, _column(Fraction(1, 2), Fraction(-1, 5)))
+
+
+def _sparse(rows: int, cols: int, dense: list) -> coh.SparseMap:
+    return coh.SparseMap(rows, cols, {(i, j): x for i, row in enumerate(dense)
+                                      for j, x in enumerate(row) if x})
+
+
+_small_rationals = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_the_product_square_check_and_the_reference(data):
+    # d_in's columns are combinations of ker d_out, one entry perturbed in
+    # some draws: the quotient refuses exactly the pairs whose product is
+    # nonzero and otherwise gives the reference's result
+    rows, mid, cols = (data.draw(st.integers(lo, 4)) for lo in (0, 1, 0))
+    d_out = _sparse(rows, mid, [data.draw(st.lists(_small_rationals, min_size=mid, max_size=mid))
+                                for _ in range(rows)])
+    kernel = nullspace(d_out)
+    columns = [[sum(data.draw(_small_rationals) * v[i] for v in kernel) for i in range(mid)]
+               for _ in range(cols)]
+    if cols and data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, mid - 1)), data.draw(st.integers(0, cols - 1))
+        columns[j][i] += data.draw(st.sampled_from([1, -1, Fraction(1, 3)]))
+    d_in = _sparse(mid, cols, [list(row) for row in zip(*columns)] if cols else [[]] * mid)
+    got = _outcome(coh._quotient, d_out, d_in, "fault")
+    assert got.startswith("NonComplexError") == (not d_out.mul(d_in).is_zero())
+    assert got == _outcome(reference_quotient, d_out, d_in, "fault")
+
+
+@pytest.mark.parametrize("d_out, d_in", [
+    (_sparse(2, 3, [[1, 2, 0], [0, 0, 1]]), coh.SparseMap(3, 0)),          # no columns in d_in
+    (coh.SparseMap(2, 3), _sparse(3, 2, [[1, 2], [0, 0], [Fraction(1, 2), 1]])),   # d_out = 0
+    (_sparse(2, 2, [[1, 0], [0, 3]]), coh.SparseMap(2, 1)),                # zero kernel
+    (_sparse(2, 2, [[1, 0], [0, 3]]), _sparse(2, 1, [[0], [1]])),          # zero kernel, d_in ≠ 0
+    (_sparse(1, 3, [[Fraction(2, 3), 0, Fraction(-1, 2)]]),
+     _sparse(3, 2, [[Fraction(3, 4), 0], [5, 7], [1, 0]])),                # Fraction entries
+])
+def test_quotient_edge_cases_match_the_reference(d_out, d_in):
+    assert _outcome(coh._quotient, d_out, d_in, "fault") == \
+        _outcome(reference_quotient, d_out, d_in, "fault")
+
+
+def test_quotient_refuses_a_shape_mismatch_before_any_elimination():
+    with mock.patch.object(coh, "nullspace", side_effect=AssertionError("eliminated")), \
+            pytest.raises(ShapeMismatchError):
+        coh._quotient(coh.SparseMap(2, 3), coh.SparseMap(2, 2))
+
+
+def test_quotient_raises_when_rank_nullity_fails():
+    # an explicit check, so it still holds under python -O
+    with mock.patch.object(coh, "column_space_complement", return_value=[]), \
+            pytest.raises(RuntimeError, match="rank-nullity"):
+        coh._quotient(coh.SparseMap(1, 2), coh.SparseMap(2, 0))
 
 
 def _annihilated(sm, vec) -> bool:
