@@ -39,7 +39,6 @@ on every fixture whose cocycles satisfy β([2 1]) = β([1 2]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
@@ -52,7 +51,6 @@ from .dialgebra import (
     _flat,
     _matmul,
     _on_inputs,
-    _rational,
     _rows,
     _scaled,
     _scaled_maps,
@@ -67,6 +65,7 @@ from .linalg import (
     NonComplexError,
     ShapeMismatchError,
     _integral,
+    _rational,
     column_space_complement,
     normalize_scalar,
     nullspace,
@@ -530,14 +529,21 @@ class CohomologyResult:
 
 
 def _normalize_rep(v: list) -> list:
-    """v scaled to a leading 1; v's entries are canonical scalars."""
-    for x in v:
-        if x:
-            if x == 1:
-                return list(v)
-            inv = Fraction(1, 1) / Fraction(x)
-            return [normalize_scalar(inv * y) if y else 0 for y in v]
-    return list(v)
+    """v scaled to a leading 1; v's entries are canonical scalars.
+
+    The nonzero entries are scaled to integers once, and each is divided
+    by the leading one once.
+    """
+    nonzero = {j: x for j, x in enumerate(v) if x}
+    lead = next(iter(nonzero.values()), 1)
+    if lead == 1:
+        return list(v)
+    denom = lcm(*(x.denominator for x in nonzero.values()))
+    lead = lead.numerator * (denom // lead.denominator)
+    out = [0] * len(v)
+    for j, x in nonzero.items():
+        out[j] = _rational(x.numerator * (denom // x.denominator), lead)
+    return out
 
 
 def _quotient(

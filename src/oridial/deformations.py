@@ -67,7 +67,6 @@ from .dialgebra import (
     _intertwining,
     _matmul,
     _on_both,
-    _rational,
     _rows,
     _scaled,
     _scaled_maps,
@@ -77,7 +76,7 @@ from .dialgebra import (
     validated_tensor,
     zero_tensor,
 )
-from .linalg import Matrix, ShapeMismatchError, normalize_scalar
+from .linalg import Matrix, ShapeMismatchError, _rational, normalize_scalar
 from .oriented import OrientedDialgebra
 
 

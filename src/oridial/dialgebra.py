@@ -20,17 +20,16 @@ elimination.  They serve every structure checker, here and in
 ``oriented``, ``extensions`` and ``deformations``, the ``from_*``
 constructors and ``is_morphism``, the explicit degree-1 equations and the
 degree-0 coboundary of ``cohomology``, extraction and the transports.  A
-computed structure becomes rational only when it leaves (``_rational``).
+computed structure becomes rational only when it leaves (``linalg._rational``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from .linalg import Matrix, ShapeMismatchError, normalize_scalar
+from .linalg import Matrix, ShapeMismatchError, _rational, normalize_scalar
 
 
 class NotAssociativeError(ValueError):
@@ -197,12 +196,6 @@ def _scaled_maps(matrices) -> tuple:
     """``Matrix`` values times their common denominator n, as (integer rows, n)."""
     n = _denominator(x for m in matrices for x in m.entries)
     return [_scaled_rows(m.to_rows(), n) for m in matrices], n
-
-
-def _rational(num: int, den: int):
-    """num/den as a canonical scalar; an integral quotient builds no Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 def _rows(flat: list, w: int) -> list:

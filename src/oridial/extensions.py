@@ -44,14 +44,13 @@ from .dialgebra import (
     _on_first,
     _on_inputs,
     _on_second,
-    _rational,
     _rows,
     _scaled,
     _scaled_maps,
     _valued,
     zero_tensor,
 )
-from .linalg import Matrix, ShapeMismatchError, in_image, normalize_scalar, rank
+from .linalg import Matrix, ShapeMismatchError, _rational, in_image, normalize_scalar, rank
 from .oriented import OrientedDialgebra, check_oriented_dialgebra
 
 

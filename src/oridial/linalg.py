@@ -7,11 +7,12 @@ from (row, col) to a scalar, such as ``cohomology.SparseMap``.
 
 There is one elimination, and it is sparse.  It keeps the nonzero rows as
 integer dicts {column: value}; each vector is scaled to integers once.
-Rows are inserted sparsest first.  A pivot row removes its leading column
-from another row by a gcd-scaled integer combination; a row that had to be
-scaled up for it is then divided by its content.  Only the surviving pivot
-rows are back-substituted and divided by their pivots, which gives the
-reduced row echelon form.
+``_echelon`` inserts rows sparsest first; ``nullspace`` inserts its tagged
+columns last first, for the reason given there.  A pivot row removes its
+leading column from another row by a gcd-scaled integer combination; a row
+that had to be scaled up for it is then divided by its content.  Only the surviving pivot
+rows are back-substituted and divided by their pivots, each entry once by
+``_rational``, which gives the reduced row echelon form.
 That form is unique, so ranks, pivot columns, nullspace bases and
 preimages do not depend on the order of elimination and are reproducible
 bit for bit across runs and platforms.
@@ -28,7 +29,6 @@ one insertion per column instead of one per row.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -58,7 +58,10 @@ def normalize_scalar(x):
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+def _rational(num: int, den: int):
+    """num/den as a canonical scalar; an integral quotient builds no Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def parse_rational(value):
@@ -74,12 +77,13 @@ def parse_rational(value):
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
         return int(value)
-    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if match:
-        num, den = match.groups()
-        if den is None:
-            return int(num)
-        return normalize_scalar(Fraction(int(num), int(den)))
+    if isinstance(value, str) and value.isascii():   # ASCII, so isdigit means 0-9
+        num, slash, den = value.partition("/")
+        if num[1:].isdigit() if num[:1] == "-" else num.isdigit():
+            if not slash:
+                return int(num)
+            if den.isdigit() and den[0] != "0":
+                return _rational(int(num), int(den))
     raise ValueError(f"malformed rational {value!r}")
 
 
@@ -253,7 +257,7 @@ def _reduced(echelon: dict) -> list[tuple[int, dict]]:
     for c in pivots:
         row, p = echelon[c], echelon[c][c]
         if p != 1:
-            row = {j: normalize_scalar(Fraction(x, p)) for j, x in row.items()}
+            row = {j: _rational(x, p) for j, x in row.items()}
         out.append((c, row))
     return out
 
@@ -288,10 +292,13 @@ def nullspace(m) -> list[list]:
     The basis comes from the cols columns, not the rows, so a tall map
     costs at most cols insertions.  Column j is tagged with an identity
     entry at key rows + cols - 1 - j, which records the combination of
-    columns a vector stands for.  Once the row part of a vector vanishes,
-    the vector lies in the kernel and leads with the tag of the largest
-    column in its support.  Those echelon rows are back-substituted and
-    read back in reverse pivot order.  For each free column f exactly one
+    columns a vector stands for.  The columns are inserted last first:
+    in the tree-major layout a column's leading row mostly grows with its
+    index, so a column inserted after all later ones usually becomes a
+    pivot after few eliminations or none.  Once the row part of a vector
+    vanishes, the vector lies in the kernel and leads with the tag of the
+    largest column in its support.  Those echelon rows are back-substituted
+    and read back in reverse pivot order.  For each free column f exactly one
     kernel vector has 1 at f and 0 at every other free column, so this is
     the basis above, in the same order and with the same scalars.
     """
@@ -299,7 +306,10 @@ def nullspace(m) -> list[list]:
     columns = _row_dicts(m, transpose=True)
     for j, col in enumerate(columns):
         col[r + c - 1 - j] = 1
-    kernel = {key: row for key, row in _echelon(columns).items() if key >= r}
+    echelon: dict = {}
+    for col in reversed(columns):
+        _insert(_integral(col), echelon)
+    kernel = {key: row for key, row in echelon.items() if key >= r}
     basis = []
     for _, row in reversed(_reduced(kernel)):
         v = [0] * c

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,22 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial import linalg
-from oridial.cohomology import SparseMap, _quotient, delta_entries
+from oridial.cohomology import SparseMap, _normalize_rep, _quotient, delta_entries, total_entries
 from oridial.dialgebra import Dialgebra
 from oridial.linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
+    _rational,
     column_space_complement,
     format_rational,
     in_image,
+    normalize_scalar,
     nullspace,
     parse_rational,
     rank,
     rref,
 )
 
-from conftest import dual_numbers_dialgebra, poly3_dialgebra, split_products_dialgebra
+from conftest import (
+    basis_changed_dual_s3,
+    dual_numbers_dialgebra,
+    in_basis,
+    oriented_trivial,
+    oriented_zero_sign,
+    poly3_dialgebra,
+    split_products_dialgebra,
+)
 from reference_checkers import apply, bilinear
 
 rationals = st.fractions(
@@ -302,6 +313,79 @@ def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
         assert 0 < len(calls) <= sm.cols, eliminate.__name__
 
 
+def _half_triangular(d: int) -> Matrix:
+    """Unit lower triangular with ±1/2 below the diagonal: a basis with denominators."""
+    return Matrix(d, d, [1 if i == j else Fraction((-1) ** (i + j), 2) if i > j else 0
+                         for i in range(d) for j in range(d)])
+
+
+# Maps in the tree-major layout with dense basis-changed entries, where a
+# column's leading row mostly grows with its index; Tot(2) of the zero-sign
+# copy has a large kernel (54 of 128 columns).
+@pytest.mark.parametrize("build", [
+    lambda: total_entries(basis_changed_dual_s3(), 0),
+    lambda: total_entries(basis_changed_dual_s3(), 1),
+    lambda: total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1),
+    lambda: total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 2),
+    lambda: delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 2),
+], ids=["dual-s3-copy Tot(0)", "dual-s3-copy Tot(1)", "zero-sign-copy Tot(1)",
+        "zero-sign-copy Tot(2)", "poly3-copy delta(2)"])
+def test_kernel_of_basis_changed_maps_matches_dense_reference(build):
+    sm = build()
+    got = nullspace(sm)
+    assert got == reference_nullspace(sm.to_matrix().to_rows(), sm.cols)
+    assert all(canonical(x) for vec in got for x in vec)
+
+
+canonical_scalars = st.one_of(
+    st.integers(-10 ** 12, 10 ** 12),
+    st.fractions(max_denominator=10 ** 6).filter(lambda x: x.denominator != 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros=st.integers(0, 3), lead=canonical_scalars.filter(bool),
+       rest=st.lists(st.one_of(st.just(0), canonical_scalars), max_size=6),
+       num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(-10 ** 15, 10 ** 15).filter(bool))
+def test_divisions_match_fraction_arithmetic(zeros, lead, rest, num, den):
+    v = [0] * zeros + [lead] + rest
+    got = _normalize_rep(v)
+    assert got == [Fraction(y) / lead for y in v]
+    assert got[zeros] == 1 and all(canonical(x) for x in got)
+    q = _rational(num, den)
+    assert q == normalize_scalar(Fraction(num, den)) and canonical(q)
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def reference_parse_rational(text: str):
+    """The string grammar of ``parse_rational`` as a regular expression."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = match.groups()
+    return int(num) if den is None else normalize_scalar(Fraction(int(num), int(den)))
+
+
+def _parsed(parse, text: str):
+    try:
+        x = parse(text)
+    except ValueError:
+        return ValueError
+    return x, type(x)
+
+
+MALFORMED = ("1/0", "1/02", "+1", " 1", "1 ", "1_0", "١", "1/²", "-", "", "/2", "1/", "1/2/3",
+             "--1", "1/-2", "1.5", "1e3", "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.sampled_from(MALFORMED), st.text("0123456789-/+_. ١²", max_size=8),
+                      st.from_regex(_RATIONAL, fullmatch=True)))
+def test_parse_rational_matches_the_regular_grammar(text):
+    assert _parsed(parse_rational, text) == _parsed(reference_parse_rational, text)
+
+
 def _fraction_sum(terms) -> Fraction:
     return sum((Fraction(a) * b for a, b in terms), Fraction(0))
 
@@ -339,7 +423,7 @@ def test_rational_serialization():
         assert format_rational(p) == format_rational(Fraction(p)) == str(p)
     assert parse_rational("-0") == 0 and parse_rational("007/14") == Fraction(1, 2)
     assert all(type(parse_rational(v)) is int for v in ("-0", "4/2", "12", 5))
-    for bad in ("1/0", "x", None, 1.5, True):
+    for bad in MALFORMED + (None, 1.5, True):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
