@@ -27,21 +27,23 @@ with every g as a matrix identity):
 Stacking group cochains on top of these spaces gives a bicomplex (group
 direction ∂'', tree direction ∂'); dropping the q = 0 column and taking
 the total complex with D = ∂' + (-1)^q ∂'' yields the reduced equivariant
-cohomology.  Degree-1 cocycles are pairs (α, β); their explicit defining
-equations (group 1-cocycle law, twisted derivation defect law, and the
-five product-compatibility linearizations of β) are coded separately in
-``degree1_residuals`` as an independent cross-check of the matrix
-machinery — note that those explicit equations evaluate β at the
-unmirrored tree, which agrees with the kernel of the total differential
-on every fixture whose cocycles satisfy β([2 1]) = β([1 2]).
+cohomology.  Degree-1 cocycles are pairs (α, β).  Their explicit
+equations, the t¹ part of the deformation laws, are evaluated apart from
+the matrix machinery as a cross-check (``degree1_residuals``).  Those laws
+are written once, in ``oriented._law_sides``, and for ε(g) = -1 they read
+g(x ⊣ y) = gy ⊣ gx, while the cochain action, which mirrors the tree,
+encodes g(x ⊣ y) = gy ⊢ gx (g maps D to its opposite dialgebra).  The two
+routes agree where β⊣ and β⊢ of the cocycles coincide; on zero products
+with the swap action (zero-sign) they give kernels of equal dimension but
+different subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import lcm
-from operator import mul
+from operator import sub
 
 from .dialgebra import (
     Check,
@@ -49,15 +51,11 @@ from .dialgebra import (
     Report,
     _denominator,
     _flat,
+    _interleaved,
     _matmul,
-    _on_inputs,
     _rows,
     _scaled,
     _scaled_maps,
-    _tensor,
-    _valued,
-    _x_yz,
-    _xy_z,
     validated_tensor,
 )
 from .linalg import (
@@ -71,7 +69,7 @@ from .linalg import (
     nullspace,
     rank,
 )
-from .oriented import OrientedDialgebra
+from .oriented import OrientedDialgebra, _law_sides
 from .trees import (
     LeafOrientation,
     ResourceLimitError,
@@ -679,17 +677,11 @@ def equivariant_cohomology(
 # way, so ``degree1_coboundary_matrix`` is the total differential Tot(0) ->
 # Tot(1) itself.
 #
-# ``degree1_residuals`` evaluates the explicit equations in Python ints, with
-# the integer helpers of ``dialgebra`` that every structure checker uses.  It
-# scales each input once by its common denominator: nL for the two product
-# tensors, nA for α, nB for β and nP for the action matrices.  A residual is
-# then an integer numerator over a denominator fixed by its equation family:
-# nP²·nA for the group-cocycle law, lcm(nL·nA, nP³·nB) for the left and
-# right defects, and nL·nB for the five compatibility linearizations, whose
-# every term is one product tensor composed with one β tensor.  Only a
-# non-integral quotient becomes a Fraction, so a valid cocycle builds none.
-# ``degree1_coboundary`` computes (α, β) from γ the same way, its β through
-# the derivation map that the defect equations use.
+# The explicit equations are the t¹ part of the deformation laws of the
+# order-1 deformation of (α, β) (``_action_term``): ``degree1_residuals``
+# reads power 1 of ``oriented._law_sides``, in ints over one denominator per
+# law, so a valid cocycle builds no Fraction.  ``degree1_coboundary`` is
+# Tot(0)·γ on the integer Tot(0) of ``_total_maps``.
 
 
 def degree1_zero(OD: OrientedDialgebra):
@@ -723,112 +715,71 @@ def degree1_unpack(OD: OrientedDialgebra, vec: list):
     return alpha, (beta_l, beta_r)
 
 
-def _derivation_map(T: list) -> list:
-    """α ↦ x∘αy + αx∘y - α(x∘y) on basis pairs, as a d³×d² matrix.
+def _action_term(X: list, P: list, G, back: bool = False) -> list:
+    """-X(g)·ρ(g) for each g, or -X(g)·ρ(g⁻¹) with ``back``, on integer matrices.
 
-    Rows are flat over (x, y, output), columns over the entries of α by rows.
+    The action part of the map between degree-1 pairs and order-1
+    deformations: (α, β) is the deformation with mˡ₁ = β⊣, mʳ₁ = β⊢ and
+    φ₁(g) = -α(g)ρ(g), and back, θ₁(g) = -φ₁(g)ρ(g⁻¹) recovers α.  With X
+    over nX and ρ over nP, the result is over nX·nP.
     """
-    d = len(T)
-    rd = range(d)
-    M = [[0] * (d * d) for _ in range(d ** 3)]
-    for x, y, k in product(rd, repeat=3):
-        row = M[(x * d + y) * d + k]
-        for m in rd:
-            row[m * d + y] += T[x][m][k]
-            row[m * d + x] += T[m][y][k]
-            row[k * d + m] -= T[x][y][m]
-    return M
+    return [[[-x for x in row] for row in _matmul(X[g], P[G.inv(g) if back else g])]
+            for g in G.elements()]
 
 
-def _transported(Pg: list, Q: list, B: list) -> list:
-    """g·β(g⁻¹x, g⁻¹y) on basis pairs, nested [x][y][output]; Q acts as g⁻¹."""
-    return _valued(Pg, _on_inputs(B, Q, Q))
-
-
-def _over(labels: list, nums: list, den: int) -> list:
-    """(label, num/den) pairs, each a canonical scalar."""
-    return [(label, _rational(num, den)) for label, num in zip(labels, nums)]
+# the labels of the axiom residuals in their output order, each with its
+# index in ``dialgebra._AXIOMS``
+_BETA_FAMILIES = (("beta-ll", 0), ("beta-lr", 2), ("beta-ml", 3), ("beta-rr", 1),
+                  ("beta-outer", 4))
 
 
 def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
-    """Residuals of the explicit degree-1 cocycle equations, with labels.
+    """Residuals of the degree-1 cocycle equations, with labels.
 
-    Evaluated directly from the displayed equations (group 1-cocycle law,
-    the two twisted defect equations, and the five compatibility
-    linearizations of β) on basis vectors; shares no code with the
-    differential matrices.  The equations run in integers: each input is
-    scaled once by a common denominator, and each family of equations has
-    one denominator for all of its residuals.
+    A residual is lhs - rhs of a deformation law at t¹, for the order-1
+    deformation of (α, β):
+
+    * ("group-cocycle", g, h, i, k): entry (k, i) of
+      φ₁(gh) - φ₁(g)ρ(h) - ρ(g)φ₁(h);
+    * ("left-defect" or "right-defect", g, i, j, k): the ε-twisted law of
+      ⊣ or ⊢ on the basis pair (e_i, e_j), output k;
+    * ("beta-ll", i, j, k, n) to ("beta-outer", ...): an axiom on the basis
+      triple (e_i, e_j, e_k), output n.
+
+    The products are scaled by nL·nB (nL for ⊣ and ⊢, nB for β) and the
+    action by nA·nP (nA for α, nP for ρ).  The laws at t¹ need no g⁻¹, but
+    an element without an inverse is refused: the equations are stated
+    for a group.
     """
     D, G = OD.base, OD.group
-    d = D.dim
-    rd = range(d)
+    d, elements = D.dim, G.elements()
+    rd, m = range(d), G.order
     beta_l, beta_r = _degree1_betas(OD, alpha, beta)
-    nL, l, r = _scaled_products(D)
+    for g in elements:
+        G.inv(g)
+    nL = _denominator(_flat([*D.left, *D.right]))
     nB = _denominator(_flat([*beta_l, *beta_r]))
-    bl, br = _scaled(beta_l, nB), _scaled(beta_r, nB)
+    nM = nL * nB
     (A, nA), (P, nP) = _scaled_maps(alpha), _scaled_maps(OD.action)
-    elements = G.elements()
-
-    # α(gh) - g∘α(h)∘g⁻¹ - α(g), over nP²·nA
-    p2 = nP * nP
-    wide = [[x for h in elements for x in A[h][k]] for k in rd]   # every α(h), side by side
-    nums = []
-    for g in elements:
-        Ag = A[g]
-        wide_g = _matmul(P[g], wide)   # every g∘α(h), side by side
-        # every g∘α(h)∘g⁻¹, stacked: row h·d + k is row k of the h-th
-        conj = _matmul([row[h * d:(h + 1) * d] for h in elements for row in wide_g],
-                       P[G.inv(g)])
-        nums += [p2 * (A[G.mul(g, h)][k][i] - Ag[k][i]) - conj[h * d + k][i]
-                 for h in elements for i in rd for k in rd]
-    residuals = _over([("group-cocycle", g, h, i, k)
-                       for g in elements for h in elements for i in rd for k in rd],
-                      nums, p2 * nA)
-
-    # x₁∘α(g)x₂ - α(g)(x₁∘x₂) + α(g)x₁∘x₂ - β(x₁, x₂) + g·moved for ∘ = ⊣, ⊢:
-    # the α terms are over nL·nA, β over nB and g·moved over nP³·nB
-    p3 = p2 * nP
-    den = lcm(nL * nA, p3 * nB)
-    s_alpha, s_beta, s_moved = den // (nL * nA), den // nB, den // (p3 * nB)
-    betas = (bl, br)
-    derivations = [_derivation_map(T) for T in (l, r)]
-    nums = []
-    for g in elements:
-        Pg, Q = P[g], P[G.inv(g)]
-        a = [x for row in A[g] for x in row]
-        families = []
-        for f, M in enumerate(derivations):
-            if G.sign(g) == 1:
-                moved = _transported(Pg, Q, betas[f])                # g·β(g⁻¹x₁, g⁻¹x₂)
-            else:
-                moved = list(zip(*_transported(Pg, Q, betas[f])))    # g·β(g⁻¹x₂, g⁻¹x₁)
-            families.append([s_alpha * sum(map(mul, row, a)) - s_beta * b + s_moved * m
-                             for row, b, m in zip(M, _flat(betas[f]), _flat(moved))])
-        nums += [families[f][(i * d + j) * d + k]
-                 for i in rd for j in rd for f in (0, 1) for k in rd]
-    residuals += _over([(name, g, i, j, k) for g in elements for i in rd for j in rd
-                        for name in ("left-defect", "right-defect") for k in rd],
-                       nums, den)
-
-    # the five compatibility linearizations of β, each as (terms summed on one
-    # side, terms on the other); every term is one product composed with one
-    # β tensor, so the 16 tables are over nL·nB
-    bl_l, l_bl = _xy_z(bl, l), _xy_z(l, bl)
-    br_r, r_br = _xy_z(br, r), _xy_z(r, br)
-    compat = (
-        ("beta-ll", (_x_yz(l, bl), _x_yz(bl, l)), (bl_l, l_bl)),
-        ("beta-lr", (_x_yz(l, br), _x_yz(bl, r)), (bl_l, l_bl)),
-        ("beta-ml", (_x_yz(r, bl), _x_yz(br, l)), (_xy_z(bl, r), _xy_z(l, br))),
-        ("beta-rr", (_x_yz(r, br), _x_yz(br, r)), (br_r, r_br)),
-        ("beta-outer", (_xy_z(br, l), _xy_z(r, bl)), (br_r, r_br)),
-    )
-    quads = list(product(rd, repeat=4))
-    residuals += _over([(name, i, j, k, n) for name, _, _ in compat for i, j, k, n in quads],
-                       [w + x - y - z for _, (a, b), (c, e) in compat
-                        for w, x, y, z in zip(a, b, c, e)],
-                       nL * nB)
-    return residuals
+    nF = nA * nP
+    # mˡ = ⊣ + t·β⊣ and mʳ = ⊢ + t·β⊢ over nM, Φ(g) = ρ(g) + t·φ₁(g) over nF
+    products = [[_scaled(T, nM), _scaled(B, nM)] for T, B in ((D.left, beta_l), (D.right, beta_r))]
+    Phi = [[[[nA * x for x in row] for row in p], f] for p, f in zip(P, _action_term(A, P, G))]
+    sides = _law_sides(G, *products, Phi, nF, [1])
+    *axioms, composition, left, right = [list(map(sub, lhs, rhs)) for (lhs,), (rhs,) in sides]
+    labels = chain(
+        product(("group-cocycle",), elements, elements, rd, rd),
+        ((name, g, i, j, k) for g, i, j, name, k in
+         product(elements, rd, rd, ("left-defect", "right-defect"), rd)),
+        *(product((name,), rd, rd, rd, rd) for name, _ in _BETA_FAMILIES))
+    # ("group-cocycle", g, h, i, k) is entry (k, i) of block (g, h): each block column by column
+    values = [_rational(x, nF * nF) if x else 0 for b in range(0, len(composition), d * d)
+              for i in rd for x in composition[b + i:b + d * d:d]]
+    values += [_rational(x, nM * nF * nF) if x else 0
+               for x in _interleaved([left, right], m * d * d)]
+    for _, a in _BETA_FAMILIES:
+        values += [_rational(x, nM * nM) if x else 0 for x in axioms[a]]
+    return list(zip(labels, values))
 
 
 def is_degree1_cocycle(OD: OrientedDialgebra, alpha, beta) -> Report:
@@ -849,14 +800,9 @@ def degree1_system(OD: OrientedDialgebra) -> Matrix:
     used as the independent cross-check of the total-differential kernel.
     """
     dim = total_dim(OD, 1)
-    cols = []
-    for j in range(dim):
-        unit = [0] * dim
-        unit[j] = 1
-        alpha, beta = degree1_unpack(OD, unit)
-        cols.append([v for _, v in degree1_residuals(OD, alpha, beta)])
-    rows = len(cols[0]) if cols else 0
-    return Matrix(rows, dim, [cols[j][i] for i in range(rows) for j in range(dim)])
+    units = ([int(i == j) for i in range(dim)] for j in range(dim))
+    cols = [[v for _, v in degree1_residuals(OD, *degree1_unpack(OD, u))] for u in units]
+    return Matrix.from_rows(zip(*cols))
 
 
 def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
@@ -864,23 +810,22 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
 
     α(g) = γ - g∘γ∘g⁻¹ (the group coboundary, with the sign it acquires
     inside the total differential) and β is the product defect
-    x∘γy + γx∘y - γ(x∘y) of γ.  In integers, with γ over nG and the action
-    over nP, α is over nP²·nG and β over nL·nG.
+    x∘γy + γx∘y - γ(x∘y) of γ.  This is Tot(0)·γ, with γ packed as the
+    level-1 cochain γᵀ flattened: the map is the integer L·Tot(0) of
+    ``_total_maps``, from the products over nL and the action over nR
+    (L = lcm(nL, nR²)), γ is over nG, and each entry is divided by L·nG once.
     """
-    D, G = OD.base, OD.group
-    d = D.dim
+    d = OD.dim
     if gamma.shape() != (d, d):
         raise ShapeMismatchError(f"γ must be {d}x{d}")
-    ((C,), nG), (P, nP) = _scaled_maps([gamma]), _scaled_maps(OD.action)
-    p2, c = nP * nP, _flat([C])
-    alpha = []
-    for g in G.elements():
-        conj = _flat([_matmul(_matmul(P[g], C), P[G.inv(g)])])
-        alpha.append(Matrix(d, d, [_rational(p2 * x - y, p2 * nG) for x, y in zip(c, conj)]))
-    nL, l, r = _scaled_products(D)
-    beta = tuple(_tensor([sum(map(mul, row, c)) for row in _derivation_map(T)], d, nL * nG)
-                 for T in (l, r))
-    return alpha, beta
+    nL, left, right = _scaled_products(OD.base)
+    action, nR = _scaled_maps(OD.action)
+    (tot,), ((C,), nG) = _total_maps(OD, [0], left, right, action, nL, nR), _scaled_maps([gamma])
+    c = [x for col in zip(*C) for x in col]
+    out = [0] * tot.rows
+    for (r, j), x in tot.entries.items():
+        out[r] += x * c[j]
+    return degree1_unpack(OD, [_rational(x, lcm(nL, nR * nR) * nG) for x in out])
 
 
 def degree1_coboundary_matrix(OD: OrientedDialgebra) -> SparseMap:

@@ -11,15 +11,19 @@ composition law Φ_t(g₁g₂) = Φ_t(g₁) ∘ Φ_t(g₂), and the ε-twisted
 compatibility of Φ_t with both products — are all identities per power of
 t, so truncated checking is exact.
 
-The order-1 data of a deformation, repackaged as the pair
+A degree-1 pair (α, β) is the order-1 part of a deformation
+(``cohomology._action_term``):
 
-    m_1 = (mˡ_1, mʳ_1)   and   θ_1(g, x) = -φ_1(g, g⁻¹x),
+    mˡ_1 = β⊣,   mʳ_1 = β⊢,   φ_1(g) = -α(g)ρ(g),
+    and back     θ_1(g) = -φ_1(g)ρ(g⁻¹) = α(g),
 
-is always a degree-1 cocycle, and equivalent deformations (intertwined by
-an invertible series Ψ_t with ψ_0 = id) have cohomologous infinitesimals:
-ψ_1 is an explicit certificate.  Transporting the constant deformation
-along an arbitrary Ψ_t is the standard source of valid nontrivial
-examples and is provided as ``transport_constant``.
+and the degree-1 cocycle equations are the t¹ part of the laws above.  So
+the order-1 data (m_1, θ_1) of a deformation is always a degree-1
+cocycle, and equivalent deformations (intertwined by an invertible series
+Ψ_t with ψ_0 = id) have cohomologous infinitesimals: ψ_1 is an explicit
+certificate.  Transporting the constant deformation along an arbitrary
+Ψ_t is the standard source of valid nontrivial examples and is provided
+as ``transport_constant``.
 
 Every law and every transport here works on truncated power series, each
 a list of its N + 1 coefficients by power of t.  A tensor series is a list
@@ -27,14 +31,15 @@ of structure-constant tensors (``mlt``, ``mrt``), and a matrix series a
 list of ``Matrix`` (``psi``, or one group element's ``phi[n][g]`` over n).
 
 A truncated deformation is an oriented dialgebra over K[t]/(t^(N+1)), so
-``check_deformation`` and ``check_equivalence`` run the undeformed laws
-over power series, in integers as the checkers of ``dialgebra`` and
-``oriented`` do, and the transports push a deformation forward in the
-same integer series.  Each scales its tensor series and each of its matrix
-series once by one common denominator (nL for the products, nP for Φ or
-Ψ), takes truncated Cauchy sums (``_cauchy``) of the integer composition
-tables of the undeformed laws, and compares both sides of every law over
-one denominator: nP·lhs against rhs in the twisted law, for example.  A
+``check_deformation`` reads the laws of ``oriented._law_sides`` at powers
+0..N and ``check_equivalence`` runs the intertwining laws over power
+series, in integers as the checkers of ``dialgebra`` and ``oriented`` do,
+and the transports push a deformation forward in the same integer series.
+Each scales its tensor series and each of its matrix series once by one
+common denominator (nL for the products, nP for Φ or Ψ), takes truncated
+Cauchy sums (``_cauchy``) of the integer composition tables of the
+undeformed laws, and compares both sides of every law over one
+denominator: nP·lhs against rhs in the twisted law, for example.  A
 valid deformation is thus checked without building a Fraction.  A failing
 law's witness is (power, indices): the lowest power at which it fails,
 then the first basis indices or group elements there.  A transport
@@ -45,9 +50,9 @@ coefficient of the result is divided by its denominator last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .cohomology import (
+    _action_term,
     degree1_coboundary,
     degree1_pack,
     equivariant_cohomology,
@@ -58,7 +63,6 @@ from .cohomology import (
 from .dialgebra import (
     Check,
     Report,
-    _axiom_sides,
     _cauchy,
     _denominator,
     _differing,
@@ -77,7 +81,7 @@ from .dialgebra import (
     zero_tensor,
 )
 from .linalg import Matrix, ShapeMismatchError, _rational, normalize_scalar
-from .oriented import OrientedDialgebra
+from .oriented import OrientedDialgebra, _law_sides
 
 
 class PrecedingTermsNonzeroError(ValueError):
@@ -226,26 +230,14 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
     nP = _denominator(x for series in phi for m in series for x in m.entries)
     products = [[_scaled(T, nL) for T in series] for series in (ml, mr)]
     Phi = [_scaled_matrices(series, nP) for series in phi]
-
-    # the axioms over nL²
-    for name, (lhs, rhs) in zip(DEFORMED_AXIOMS, _axiom_sides(*products)):
-        checks.append(_law(f"deformed dialgebra axiom: {name}", lhs, rhs, d, d, d))
-
-    # nP·Φ(gh) against Φ(g)Φ(h), over nP²
-    pairs = list(product(G.elements(), repeat=2))
-    checks.append(_law(
+    names = [f"deformed dialgebra axiom: {name}" for name in DEFORMED_AXIOMS] + [
         "deformed action composes: Φ(gh) = Φ(g)Φ(h)",
-        _concatenated([[[nP * x for x in _flat([m])] for m in Phi[G.mul(g, h)]]
-                       for g, h in pairs]),
-        _concatenated([_cauchy(_matrix_product, Phi[g], Phi[h]) for g, h in pairs]),
-        G.order, G.order))
-
-    for name, m in zip(("left", "right"), products):
-        # Φ(g)(y1 ∘ y2) = Φ(g)y1 ∘ Φ(g)y2, arguments swapped when ε(g) = -1
-        sides = [_intertwining(Phi[g], m, m, OD.sign(g) != 1, nP) for g in G.elements()]
-        checks.append(_law(f"deformed action respects the {name} product (ε-twisted)",
-                           _concatenated([lhs for lhs, _ in sides]),
-                           _concatenated([rhs for _, rhs in sides]), G.order, d, d))
+        "deformed action respects the left product (ε-twisted)",
+        "deformed action respects the right product (ε-twisted)"]
+    shapes = [(d, d, d)] * 5 + [(G.order, G.order)] + [(G.order, d, d)] * 2
+    sides = _law_sides(G, *products, Phi, nP, range(deformation.order + 1))
+    checks += [_law(name, lhs, rhs, *shape)
+               for name, (lhs, rhs), shape in zip(names, sides, shapes)]
     return Report(checks)
 
 
@@ -262,10 +254,9 @@ def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: i
                 or any(not series[i].is_zero() for series in phi)):
             raise PrecedingTermsNonzeroError(
                 f"coefficient {i} is nonzero; the order-{n} infinitesimal is undefined")
-    theta = []
-    for g, series in enumerate(phi):
-        prod = series[n].mul(OD.action[OD.group.inv(g)])
-        theta.append(Matrix(d, d, [-v for v in prod.entries]))
+    (F, nF), (P, nP) = _scaled_maps([series[n] for series in phi]), _scaled_maps(OD.action)
+    theta = [Matrix(d, d, [_rational(x, nF * nP) for x in _flat([t])])
+             for t in _action_term(F, P, OD.group, back=True)]
     return Infinitesimal(n, theta,
                          validated_tensor(d, deformation.mlt[n]),
                          validated_tensor(d, deformation.mrt[n]))

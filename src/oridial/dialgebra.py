@@ -18,8 +18,8 @@ of compositions over basis triples, and both sides are over nL².  The
 integer helpers below are the one arithmetic of the engine outside
 elimination.  They serve every structure checker, here and in
 ``oriented``, ``extensions`` and ``deformations``, the ``from_*``
-constructors and ``is_morphism``, the explicit degree-1 equations and the
-degree-0 coboundary of ``cohomology``, extraction and the transports.  A
+constructors and ``is_morphism``, the explicit degree-1 equations of
+``cohomology``, extraction and the transports.  A
 computed structure becomes rational only when it leaves (``linalg._rational``).
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import lcm, prod
+from operator import add
 
 from .linalg import Matrix, ShapeMismatchError, _rational, normalize_scalar
 
@@ -293,42 +294,55 @@ def _differing(lhs: list, rhs: list, *shape):
             yield idx
 
 
-def _cauchy(compose, A: list, B: list) -> list:
-    """Σ_{i+j=n} compose(A_i, B_j) per power n of two series; compose returns flat tables."""
-    out = [compose(A[0], B[0])]
-    for n in range(1, len(A)):
-        out.append([sum(col) for col in zip(*(compose(A[i], B[n - i]) for i in range(n + 1)))])
+def _cauchy(compose, A: list, B: list, powers=None) -> list:
+    """Σ_{i+j=n} compose(A_i, B_j) per power n of two series; compose returns flat tables.
+
+    ``powers`` lists the powers n to sum, by default every power of A.
+    """
+    out = []
+    for n in range(len(A)) if powers is None else powers:
+        acc = compose(A[0], B[n])
+        for i in range(1, n + 1):
+            acc = list(map(add, acc, compose(A[i], B[n - i])))
+        out.append(acc)
     return out
 
 
-def _on_both(T: list, P: list, swap: bool = False) -> list:
+def _on_both(T: list, P: list, swap: bool = False, powers=None) -> list:
     """T(Px, Py) per power of t, for a tensor series T and a matrix series P.
 
-    Each power is a flat table over (x, y, output); x and y run over P's
-    columns.  With ``swap`` the table holds T(Py, Px).
+    Each power in ``powers`` (by default every power) is a flat table over
+    (x, y, output); x and y run over P's columns.  With ``swap`` the table
+    holds T(Py, Px).
     """
     w = len(T[0][0][0])
+    powers = range(len(T)) if powers is None else powers
     # T_i(P_j x, e_b) summed over i + j, then the second argument moved too
-    first = _cauchy(_on_first, T, P)
+    first = _cauchy(_on_first, T, P, range(max(powers, default=-1) + 1))
 
     def second(f, p):
         moved = _on_second(f, p, w)
         return _flat(zip(*moved) if swap else moved)
-    return _cauchy(second, first, P)
+    return _cauchy(second, first, P, powers)
 
 
-def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int):
+def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int, powers=None):
     """Both sides of P(inner(x, y)) = outer(Px, Py) per power of t.
 
     P is an integer matrix series with common denominator nP, inner and
     outer are integer tensor series with one common denominator.  P may
-    map between spaces of different dimensions.  Each side is a list over
-    powers of flat tables over (x, y, output); the left one is multiplied
-    by nP, so that both are over the same denominator.  With ``swap`` the
-    right side is outer(Py, Px).  A structure is a series of length one.
+    map between spaces of different dimensions, and an output of inner or
+    outer may hold several vectors side by side (P moves each).  Each side
+    is a list over ``powers`` (by default every power) of flat tables over
+    (x, y, output); the left one is multiplied by nP, so that both are over
+    the same denominator.  With ``swap`` the right side is outer(Py, Px).
+    A structure is a series of length one.
     """
-    lhs = _cauchy(lambda p, T: [nP * x for x in _flat(_valued(p, T))], P, inner)
-    return lhs, _on_both(outer, P, swap)
+    w = len(P[0][0])
+
+    def moved(p, T):
+        return [nP * x for x in _flat([_matmul(_rows(_flat(T), w), list(zip(*p)))])]
+    return _cauchy(moved, P, inner, powers), _on_both(outer, P, swap, powers)
 
 
 # The five defining axioms as (name, lhs, rhs).  A side is a composition
@@ -343,13 +357,13 @@ _AXIOMS = [
 ]
 
 
-def _axiom_sides(left: list, right: list) -> list:
+def _axiom_sides(left: list, right: list, powers=None) -> list:
     """(lhs, rhs) of every axiom for two series of integer product tensors.
 
-    Each side is a list over powers of t of flat tables over (x, y, z,
-    output): the truncated Cauchy sum of the compositions of the outer
-    coefficients with the inner ones.  A pair of tensors is a series of
-    length one.
+    Each side is a list over ``powers`` of t (by default every power) of
+    flat tables over (x, y, z, output): the truncated Cauchy sum of the
+    compositions of the outer coefficients with the inner ones.  A pair of
+    tensors is a series of length one.
     """
     series = (left, right)
     sides = {}
@@ -357,7 +371,7 @@ def _axiom_sides(left: list, right: list) -> list:
     def side(spec):
         if spec not in sides:
             compose, outer, inner = spec
-            sides[spec] = _cauchy(compose, series[outer], series[inner])
+            sides[spec] = _cauchy(compose, series[outer], series[inner], powers)
         return sides[spec]
     return [(side(lhs), side(rhs)) for _, lhs, rhs in _AXIOMS]
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cohomology import (
+    _action_term,
     degree1_coboundary_matrix,
     degree1_pack,
     is_degree1_cocycle,
@@ -100,36 +101,22 @@ def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
     if not report.ok:
         raise NotCocycleError(report.checks[0].witness)
     d = OD.dim
-    beta_l, beta_r = beta
-    left = zero_tensor(2 * d)
-    right = zero_tensor(2 * d)
-    for tensor, base_tensor, defect in ((left, OD.base.left, beta_l),
-                                        (right, OD.base.right, beta_r)):
-        for i in range(d):
-            for j in range(d):
-                prod = base_tensor[i][j]
-                for k in range(d):
-                    v = prod[k]
-                    if v:
-                        tensor[i][d + j][k] = v          # kernel ∘ base -> kernel
-                        tensor[d + i][j][k] = v          # base ∘ kernel -> kernel
-                        tensor[d + i][d + j][d + k] = v  # base ∘ base -> base
-                for k in range(d):
-                    v = defect[i][j][k]
-                    if v:
-                        tensor[d + i][d + j][k] = normalize_scalar(v)  # base ∘ base -> kernel
-    B = Dialgebra(2 * d, left, right)
+
+    def middle(T, defect):
+        out = zero_tensor(2 * d)
+        for i, j in product(range(d), repeat=2):
+            out[i][d + j][:d] = out[d + i][j][:d] = T[i][j]   # kernel ∘ base, base ∘ kernel
+            out[d + i][d + j] = [*defect[i][j], *T[i][j]]     # base ∘ base: (β, product)
+        return out
+    B = Dialgebra(2 * d, middle(OD.base.left, beta[0]), middle(OD.base.right, beta[1]))
+    (A, nA), (P, nP) = _scaled_maps(alpha), _scaled_maps(OD.action)
     action = []
-    for g in OD.group.elements():
-        rho = OD.action[g]
-        twist = alpha[g].mul(rho)  # x -> α(g, g x)
-        rows = []
-        for r in range(d):
-            rows.append([rho.at(r, c) for c in range(d)]
-                        + [normalize_scalar(-twist.at(r, c)) for c in range(d)])
-        for r in range(d):
-            rows.append([0] * d + [rho.at(r, c) for c in range(d)])
-        action.append(Matrix.from_rows(rows))
+    # the kernel part of g(a, x) is φ₁(g)x = -α(g, g x): the order-1 action term of (α, β)
+    for rho, phi in zip(OD.action, _action_term(A, P, OD.group)):
+        rows = rho.to_rows()
+        action.append(Matrix.from_rows(
+            [row + [_rational(x, nA * nP) for x in twist] for row, twist in zip(rows, phi)]
+            + [[0] * d + row for row in rows]))
     total = OrientedDialgebra(B, OD.group, action)
     inclusion = Matrix(2 * d, d,
                        [1 if i == j else 0 for i in range(d) for j in range(d)] + [0] * (d * d))

@@ -23,6 +23,7 @@ from .dialgebra import (
     Check,
     Dialgebra,
     Report,
+    _axiom_sides,
     _denominator,
     _differing,
     _flat,
@@ -183,35 +184,82 @@ class OrientedDialgebra:
         return f"OrientedDialgebra(dim={self.dim}, group_order={self.group.order})"
 
 
+def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, powers,
+               axioms: bool = True) -> list:
+    """Both sides of every law of an oriented dialgebra, at the given powers of t.
+
+    ``left`` and ``right`` are integer tensor series over one common
+    denominator nL, and ``Phi[g]`` is an integer matrix series for each
+    element g, over one common denominator nP; a structure is a series of
+    length one.  Returns (lhs, rhs) per law, each side a list over
+    ``powers`` of flat tables, in this order:
+
+    * the five dialgebra axioms (unless ``axioms`` is false), over
+      (x, y, z, output), both sides over nL²;
+    * the composition law nP·Φ(gh) against Φ(g)Φ(h), over
+      (g, h, row, column), over nP²;
+    * the ε-twisted law of ⊣ and then of ⊢: nP·Φ(g)(x ∘ y) against
+      Φ(g)x ∘ Φ(g)y, or Φ(g)y ∘ Φ(g)x when ε(g) = -1, over
+      (g, x, y, output), over nL·nP².
+
+    The Cauchy sums run over ``powers`` only, so power 0 checks a
+    structure, powers 0..N a deformation of order N, and power 1 alone the
+    degree-1 cocycle equations (``cohomology.degree1_residuals``).
+    """
+    sides = _axiom_sides(left, right, powers) if axioms else []
+    elements, d = G.elements(), len(left[0])
+    composition = ([], [])
+    for n in powers:
+        # row block i holds every Φ_(n-i)(h) side by side, so that one product
+        # per g gives Σ_i Φ_i(g)Φ_(n-i)(h) for every h
+        below = [[x for h in elements for x in Phi[h][n - i][k]]
+                 for i in range(n + 1) for k in range(d)]
+        rhs = []
+        for g in elements:
+            wide = _matmul([[x for i in range(n + 1) for x in Phi[g][i][k]] for k in range(d)],
+                           below)
+            rhs += [x for h in elements for row in wide for x in row[h * d:(h + 1) * d]]
+        composition[0].append([nP * x for g in elements for h in elements
+                               for row in Phi[G.mul(g, h)][n] for x in row])
+        composition[1].append(rhs)
+    sides.append(composition)
+    # ⊣ and ⊢ side by side in each output, so that one pass moves both
+    both = [[[a + b for a, b in zip(pl, pr)] for pl, pr in zip(L, R)] for L, R in zip(left, right)]
+    twisted = [_intertwining(Phi[g], both, both, G.sign(g) != 1, nP, powers) for g in elements]
+
+    def half(table: list, f: int) -> list:
+        # the ⊣ (f = 0) or ⊢ (f = 1) part of every output
+        return [x for c in range(f * d, len(table), 2 * d) for x in table[c:c + d]]
+
+    for f in (0, 1):
+        sides.append(tuple([[x for per_g in twisted for x in half(per_g[s][p], f)]
+                            for p in range(len(powers))] for s in (0, 1)))
+    return sides
+
+
 def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
     """G-module axioms and the ε-twisted product compatibility, with witnesses.
 
     Witnesses are group elements, pairs (g, h), or (g, i, j) for the basis
-    pair (e_i, e_j) on which g breaks a product.  The laws run in integers:
-    nL is the common denominator of the products and nP of the action
-    matrices, and each law compares its sides over one denominator.
+    pair (e_i, e_j) on which g breaks a product.  The composition and
+    twisted laws are power 0 of ``_law_sides``, in integers: nL is the
+    common denominator of the products and nP of the action matrices.
     """
     G = OD.group
     D = OD.base
     d = D.dim
     nL = _denominator(_flat([*D.left, *D.right]))
     P, nP = _scaled_maps(OD.action)
-
-    def twisted(T):
-        # g(x ∘ y) = gx ∘ gy, or gy ∘ gx when ε(g) = -1: nP·lhs against rhs, over nL·nP²
-        for g in G.elements():
-            (lhs,), (rhs,) = _intertwining([P[g]], [T], [T], G.sign(g) != 1, nP)
-            yield from ((g,) + cell for cell in _differing(lhs, rhs, d, d))
-
+    composition, *twisted = _law_sides(G, [_scaled(D.left, nL)], [_scaled(D.right, nL)],
+                                       [[p] for p in P], nP, [0], axioms=False)
     ident = P[0] == [[nP * x for x in row] for row in _identity(d)]
-    over_p2 = [[[nP * x for x in row] for row in m] for m in P]    # ρ(g) over nP²
     return Report([
         Check("identity acts as the identity matrix", ident, None if ident else 0),
         Check.first("action is a group homomorphism",
-                    ((a, b) for a, b in product(G.elements(), repeat=2)
-                     if _matmul(P[a], P[b]) != over_p2[G.mul(a, b)])),
+                    _differing(composition[0][0], composition[1][0], G.order, G.order)),
         Check.first("action matrices are invertible",
                     (g for g in G.elements() if rank(OD.action[g]) != D.dim)),
-        Check.first("twisted compatibility of the left product", twisted(_scaled(D.left, nL))),
-        Check.first("twisted compatibility of the right product", twisted(_scaled(D.right, nL))),
+        *(Check.first(f"twisted compatibility of the {name} product",
+                      _differing(lhs[0], rhs[0], G.order, d, d))
+          for name, (lhs, rhs) in zip(("left", "right"), twisted)),
     ])

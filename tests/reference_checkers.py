@@ -368,6 +368,14 @@ def reference_degree1_coboundary(OD, gamma: Matrix):
     return alpha, beta
 
 
+def order1_deformation(OD, alpha, beta) -> TruncatedDeformation:
+    """(α, β) as the order-1 deformation mˡ₁ = β⊣, mʳ₁ = β⊢, φ₁(g) = -α(g)ρ(g)."""
+    d = OD.dim
+    phi1 = [Matrix(d, d, [-x for x in a.mul(rho).entries]) for a, rho in zip(alpha, OD.action)]
+    return TruncatedDeformation(1, [OD.base.left, beta[0]], [OD.base.right, beta[1]],
+                                [list(OD.action), phi1])
+
+
 def reference_degree1_coboundary_matrix(OD) -> Matrix:
     d = OD.dim
     cols = [degree1_pack(OD, *reference_degree1_coboundary(OD, Matrix(d, d, [

@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial import cohomology as coh
-from oridial import cli
+from oridial import cli, oriented
 from oridial.cli import main
 from oridial.linalg import (
     Matrix,
@@ -19,7 +21,8 @@ from oridial.linalg import (
     nullspace,
     rank,
 )
-from oridial.deformations import infinitesimal
+from oridial.deformations import check_deformation, infinitesimal, rigidity_probe
+from oridial.extensions import NotCocycleError, build_extension
 from oridial.oriented import NoInverseError, OrientedDialgebra, OrientedGroup, sign_group
 from oridial.trees import ResourceLimitError, enumerate_trees
 
@@ -41,7 +44,19 @@ from conftest import (
     zero_dialgebra,
 )
 
-from reference_checkers import apply, basis, bilinear, vec_sub, vec_sum
+from reference_checkers import (
+    _axiom_table,
+    apply,
+    basis,
+    bilinear,
+    constant,
+    order1_deformation,
+    series_apply,
+    series_bilinear,
+    series_mul,
+    vec_sub,
+    vec_sum,
+)
 from reference_quotient import (
     reference_dialgebra_cohomology,
     reference_equivariant_cohomology,
@@ -623,16 +638,80 @@ def _typed(residuals) -> list:
 _small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def reference_degree1_system(OD: OrientedDialgebra) -> Matrix:
+    """``reference_degree1_residuals`` on each coordinate unit vector, as a matrix."""
+    dim = coh.total_dim(OD, 1)
+    cols = [[v for _, v in reference_degree1_residuals(OD, *coh.degree1_unpack(
+        OD, [int(i == j) for i in range(dim)]))] for j in range(dim)]
+    return Matrix.from_rows(zip(*cols))
+
+
+def reference_t1_residuals(OD: OrientedDialgebra, alpha, beta):
+    """The t¹ parts of the deformation laws of (α, β)'s order-1 deformation, lhs - rhs.
+
+    Evaluated vector by vector in exact scalars, with the labels and in the
+    order of ``degree1_residuals``.
+    """
+    G, d = OD.group, OD.dim
+    rd = range(d)
+    dfm = order1_deformation(OD, alpha, beta)
+    phi = list(zip(*dfm.phi))   # one series per group element
+    E = [constant(e, 1) for e in basis(d)]
+
+    def l(x, y):
+        return series_bilinear(dfm.mlt, x, y)
+
+    def r(x, y):
+        return series_bilinear(dfm.mrt, x, y)
+
+    residuals = []
+
+    def emit(label, lhs, rhs):
+        residuals.extend((label + (k,), v) for k, v in enumerate(vec_sub(lhs[1], rhs[1])))
+
+    for g, h in product(G.elements(), repeat=2):
+        diff = vec_sub(phi[G.mul(g, h)][1].entries, series_mul(phi[g], phi[h])[1].entries)
+        residuals.extend((("group-cocycle", g, h, i, k), diff[k * d + i]) for i in rd for k in rd)
+    for g in G.elements():
+        moved = [series_apply(phi[g], e) for e in E]
+        for i, j in product(rd, repeat=2):
+            for name, prod in (("left-defect", l), ("right-defect", r)):
+                # Φ(g)(x ∘ y) = Φ(g)x ∘ Φ(g)y, arguments swapped when ε(g) = -1
+                rhs = prod(moved[i], moved[j]) if OD.sign(g) == 1 else prod(moved[j], moved[i])
+                emit((name, g, i, j), series_apply(phi[g], prod(E[i], E[j])), rhs)
+    table = _axiom_table(l, r)
+    for name, a in (("beta-ll", 0), ("beta-lr", 2), ("beta-ml", 3), ("beta-rr", 1),
+                    ("beta-outer", 4)):
+        _, lhs, rhs = table[a]
+        for i, j, k in product(rd, repeat=3):
+            emit((name, i, j, k), lhs(E[i], E[j], E[k]), rhs(E[i], E[j], E[k]))
+    return residuals
+
+
 @st.composite
-def degree1_pairs(draw, OD: OrientedDialgebra):
-    """A random (α, β), the zero pair or the coboundary of a random γ."""
+def degree1_pairs(draw, OD: OrientedDialgebra, cocycles: bool = False):
+    """A random (α, β), the zero pair or the coboundary of a random γ.
+
+    With ``cocycles`` also a random solution of the explicit equations, or
+    one with a single coordinate nudged.
+    """
     d = OD.dim
-    kind = draw(st.sampled_from(["random", "zero", "coboundary"]))
+    kinds = ["random", "zero", "coboundary"] + (["cocycle", "perturbed"] if cocycles else [])
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return coh.degree1_zero(OD)
     if kind == "coboundary":
         gamma = Matrix(d, d, [draw(_small_fractions) for _ in range(d * d)])
         return coh.degree1_coboundary(OD, gamma)
+    if kind in ("cocycle", "perturbed"):
+        dim = coh.total_dim(OD, 1)
+        vec = [0] * dim
+        for v in nullspace(coh.degree1_system(OD)):
+            c = draw(st.integers(-2, 2))
+            vec = [x + c * y for x, y in zip(vec, v)]
+        if kind == "perturbed":
+            vec[draw(st.integers(0, dim - 1))] += draw(_small_fractions.filter(bool))
+        return coh.degree1_unpack(OD, [coh.normalize_scalar(x) for x in vec])
     alpha = [Matrix(d, d, [draw(_small_fractions) for _ in range(d * d)])
              for _ in OD.group.elements()]
     beta = tuple([[[draw(_small_fractions) for _ in range(d)] for _ in range(d)]
@@ -646,7 +725,80 @@ def test_degree1_residuals_match_the_vector_evaluator(data):
     OD = _draw_basis_changed(data)
     alpha, beta = data.draw(degree1_pairs(OD))
     assert _typed(coh.degree1_residuals(OD, alpha, beta)) == _typed(
-        reference_degree1_residuals(OD, alpha, beta))
+        reference_t1_residuals(OD, alpha, beta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_degree1_verdicts_match_the_reference_equations(data):
+    # the reference evaluates the equations in their derivation form; on a
+    # valid structure each t¹ law is an invertible transform of that form
+    OD = _draw_basis_changed(data)
+    alpha, beta = data.draw(degree1_pairs(OD, cocycles=True))
+    want = not any(v for _, v in reference_degree1_residuals(OD, alpha, beta))
+    assert coh.is_degree1_cocycle(OD, alpha, beta).ok == want
+
+
+@pytest.mark.parametrize("index", range(len(_oriented_fixtures())))
+def test_degree1_system_has_the_reference_nullspace(index):
+    OD = _oriented_fixtures()[index]
+    assert nullspace(coh.degree1_system(OD)) == nullspace(reference_degree1_system(OD))
+
+
+def _opposite_law(law_sides):
+    """``oriented._law_sides`` under the D^op law: g(x ⊣ y) = gy ⊢ gx when ε(g) = -1.
+
+    Likewise g(x ⊢ y) = gy ⊣ gx.  On the rows of the elements of sign -1,
+    the right side of each twisted law is taken from the law with the
+    products exchanged, whose outer product is the other one.
+    """
+    def opposite(G, left, right, Phi, nP, powers, axioms=True):
+        sides = law_sides(G, left, right, Phi, nP, powers, axioms)
+        exchanged = law_sides(G, right, left, Phi, nP, powers, axioms=False)
+        for (_, rhs), (_, other) in zip(sides[-2:], exchanged[-2:]):
+            for table, alt in zip(rhs, other):
+                cell = len(table) // G.order
+                for g in G.elements():
+                    if G.sign(g) != 1:
+                        table[g * cell:(g + 1) * cell] = alt[g * cell:(g + 1) * cell]
+        return sides
+    return opposite
+
+
+def test_one_edit_of_the_law_reaches_every_checker(monkeypatch, od_zero_sign):
+    # the ε-twisted law lives in one function; the cochain action mirrors
+    # the tree, which is the D^op law, so the rigidity candidates of
+    # zero-sign solve the D^op equations and fail today's
+    OD = od_zero_sign
+    candidates = rigidity_probe(OD).candidates
+    assert len(candidates) == 8
+    original = oriented._law_sides
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("oridial") and getattr(m, "_law_sides", None) is original]
+    assert sorted(m.__name__ for m in bound) == [
+        "oridial.cohomology", "oridial.deformations", "oridial.oriented"]
+
+    def verdicts():
+        out = []
+        for alpha, beta in candidates:
+            try:
+                middle = build_extension(OD, alpha, beta).total
+            except NotCocycleError:
+                middle = None
+            out.append((coh.is_degree1_cocycle(OD, alpha, beta).ok, middle,
+                        check_deformation(OD, order1_deformation(OD, alpha, beta)).ok))
+        return out
+
+    assert verdicts() == [(False, None, False)] * 8
+    for module in bound:
+        monkeypatch.setattr(module, "_law_sides", _opposite_law(original))
+    patched = verdicts()
+    assert all(ok and middle is not None and deformed for ok, middle, deformed in patched)
+    assert all(oriented.check_oriented_dialgebra(middle).ok for _, middle, _ in patched)
+    monkeypatch.undo()
+    # build_extension re-checked each middle term under the patched law;
+    # today's law rejects them
+    assert not any(oriented.check_oriented_dialgebra(middle).ok for _, middle, _ in patched)
 
 
 def test_degree1_residuals_refuse_a_group_without_inverses():
