@@ -369,11 +369,19 @@ def cmd_cohomology(args) -> tuple:
     return _cohomology_payload(result), 0
 
 
+def _refusal(OD: OrientedDialgebra) -> dict | None:
+    """The error payload, as ``cohomology`` gives it, of a base that fails the
+    dialgebra axioms, or else the oriented laws; None when both hold."""
+    report, error = check_axioms(OD.base), "dialgebra axioms fail"
+    if report.ok:
+        report, error = check_oriented_dialgebra(OD), "oriented dialgebra axioms fail"
+    return None if report.ok else {"error": error, "checks": _emit_checks(report)}
+
+
 def cmd_equivariant(args) -> tuple:
     _, config, OD = _load(args)
-    report = check_oriented_dialgebra(OD)
-    if not report.ok:
-        return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
+    if refusal := _refusal(OD):
+        return refusal, 1
     result = coh.equivariant_cohomology(OD, args.n, config)
     return _cohomology_payload(result), 0
 
@@ -462,9 +470,8 @@ def cmd_equivalence_check(args) -> tuple:
 
 def cmd_rigidity(args) -> tuple:
     _, config, OD = _load(args)
-    report = check_oriented_dialgebra(OD)
-    if not report.ok:
-        return {"error": "oriented dialgebra axioms fail", "checks": _emit_checks(report)}, 1
+    if refusal := _refusal(OD):
+        return refusal, 1
     rig = defm.rigidity_probe(OD, config)
     payload = {
         "dim": rig.dim,

@@ -56,6 +56,7 @@ from .dialgebra import (
     _rows,
     _scaled,
     _scaled_maps,
+    _scaled_products,
     validated_tensor,
 )
 from .linalg import (
@@ -197,12 +198,6 @@ def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
         raise ResourceLimitError(
             f"{space} has dimension {dim}, above the cap {config.max_cochain_dim}"
         )
-
-
-def _scaled_products(D: Dialgebra) -> tuple[int, list, list]:
-    """nL and the two product tensors times nL, as ints."""
-    nL = _denominator(_flat([*D.left, *D.right]))
-    return nL, _scaled(D.left, nL), _scaled(D.right, nL)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +622,7 @@ def dialgebra_cohomology(
     """
     _check_delta(D, n, config)
     d = D.dim
-    _, left, right = _scaled_products(D)
+    _, (left, right) = _scaled_products(D)
     d_out = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), _delta(left, right, d, n))
     if n == 0:
         d_in = SparseMap(cochain_dim(d, 0), 0)
@@ -653,7 +648,7 @@ def equivariant_cohomology(
             f"total degree {n} needs degree {n + 1} blocks; cap is {config.max_degree}"
         )
     _check_total(OD, n, config)
-    nL, left, right = _scaled_products(OD.base)
+    nL, (left, right) = _scaled_products(OD.base)
     action, nR = _scaled_maps(OD.action)
     maps = _total_maps(OD, [n, n - 1] if n else [n], left, right, action, nL, nR)
     d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)
@@ -674,14 +669,14 @@ def equivariant_cohomology(
 # canonical order: the flat β⊢ (tree [1 2]), then the flat β⊣ (tree
 # [2 1]).  Block (1, 1) holds, for each g, the level-1 cochain x ↦ α(g)x,
 # which is α(g)ᵀ flattened.  A γ in Tot(0) = CY(1) is γᵀ flattened the same
-# way, so ``degree1_coboundary_matrix`` is the total differential Tot(0) ->
-# Tot(1) itself.
+# way, so the total differential Tot(0) -> Tot(1) maps packed γ to packed
+# (α, β) as it is.
 #
 # The explicit equations are the t¹ part of the deformation laws of the
 # order-1 deformation of (α, β) (``_action_term``): ``degree1_residuals``
 # reads power 1 of ``oriented._law_sides``, in ints over one denominator per
-# law, so a valid cocycle builds no Fraction.  ``degree1_coboundary`` is
-# Tot(0)·γ on the integer Tot(0) of ``_total_maps``.
+# law, so a valid cocycle builds no Fraction.  ``degree1_coboundary`` and
+# ``extensions.cocycles_cohomologous`` run on the integer L·Tot(0) (``_degree0_map``).
 
 
 def degree1_zero(OD: OrientedDialgebra):
@@ -805,30 +800,29 @@ def degree1_system(OD: OrientedDialgebra) -> Matrix:
     return Matrix.from_rows(zip(*cols))
 
 
+def _degree0_map(OD: OrientedDialgebra) -> tuple[SparseMap, int]:
+    """(L·Tot(0), L): the integer Tot(0) of ``_total_maps``, from the products
+    over nL and the action over nR, with L = lcm(nL, nR²); the caps are the caller's."""
+    nL, (left, right) = _scaled_products(OD.base)
+    action, nR = _scaled_maps(OD.action)
+    return _total_maps(OD, [0], left, right, action, nL, nR)[0], lcm(nL, nR * nR)
+
+
 def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
     """The degree-0 coboundary of a linear map γ, as an (α, β) pair.
 
     α(g) = γ - g∘γ∘g⁻¹ (the group coboundary, with the sign it acquires
     inside the total differential) and β is the product defect
     x∘γy + γx∘y - γ(x∘y) of γ.  This is Tot(0)·γ, with γ packed as the
-    level-1 cochain γᵀ flattened: the map is the integer L·Tot(0) of
-    ``_total_maps``, from the products over nL and the action over nR
-    (L = lcm(nL, nR²)), γ is over nG, and each entry is divided by L·nG once.
+    level-1 cochain γᵀ flattened: the map is L·Tot(0) (``_degree0_map``),
+    γ is over nG, and each entry is divided by L·nG once.
     """
     d = OD.dim
     if gamma.shape() != (d, d):
         raise ShapeMismatchError(f"γ must be {d}x{d}")
-    nL, left, right = _scaled_products(OD.base)
-    action, nR = _scaled_maps(OD.action)
-    (tot,), ((C,), nG) = _total_maps(OD, [0], left, right, action, nL, nR), _scaled_maps([gamma])
+    (tot, L), ((C,), nG) = _degree0_map(OD), _scaled_maps([gamma])
     c = [x for col in zip(*C) for x in col]
     out = [0] * tot.rows
     for (r, j), x in tot.entries.items():
         out[r] += x * c[j]
-    return degree1_unpack(OD, [_rational(x, lcm(nL, nR * nR) * nG) for x in out])
-
-
-def degree1_coboundary_matrix(OD: OrientedDialgebra) -> SparseMap:
-    """Tot(0) -> Tot(1): γ packed as a level-1 cochain to packed (α, β); the caps are the caller's."""
-    D = OD.base
-    return _total_maps(OD, [0], D.left, D.right, [a.to_rows() for a in OD.action])[0]
+    return degree1_unpack(OD, [_rational(x, L * nG) for x in out])

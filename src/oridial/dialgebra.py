@@ -193,6 +193,13 @@ def _scaled(T, n: int) -> list:
     return [_scaled_rows(plane, n) for plane in T]
 
 
+def _scaled_products(*algebras) -> tuple:
+    """nL, the common denominator of the products of ``algebras``, then each
+    algebra's [⊣, ⊢] times nL, as ints."""
+    n = _denominator(_flat([T for A in algebras for T in (*A.left, *A.right)]))
+    return n, *([_scaled(A.left, n), _scaled(A.right, n)] for A in algebras)
+
+
 def _scaled_maps(matrices) -> tuple:
     """``Matrix`` values times their common denominator n, as (integer rows, n)."""
     n = _denominator(x for m in matrices for x in m.entries)
@@ -326,6 +333,11 @@ def _on_both(T: list, P: list, swap: bool = False, powers=None) -> list:
     return _cauchy(second, first, P, powers)
 
 
+def _side_by_side(left: list, right: list) -> list:
+    """Two tensor series as one whose every output holds the ⊣ vector, then the ⊢ one."""
+    return [[[a + b for a, b in zip(pl, pr)] for pl, pr in zip(L, R)] for L, R in zip(left, right)]
+
+
 def _intertwining(P: list, inner: list, outer: list, swap: bool, nP: int, powers=None):
     """Both sides of P(inner(x, y)) = outer(Px, Py) per power of t.
 
@@ -384,8 +396,8 @@ def check_axioms(D: Dialgebra) -> Report:
     axiom are over nL², nL the common denominator of the two products.
     """
     d = D.dim
-    n = _denominator(_flat([*D.left, *D.right]))
-    sides = _axiom_sides([_scaled(D.left, n)], [_scaled(D.right, n)])
+    _, (left, right) = _scaled_products(D)
+    sides = _axiom_sides([left], [right])
     return Report([Check.first(name, _differing(lhs[0], rhs[0], d, d, d))
                    for (name, _, _), (lhs, rhs) in zip(_AXIOMS, sides)])
 
@@ -495,7 +507,7 @@ def is_morphism(src: Dialgebra, dst: Dialgebra, f: Matrix) -> bool:
     """Does f preserve both products on all basis pairs?"""
     if f.shape() != (dst.dim, src.dim):
         raise ShapeMismatchError(f"morphism matrix must be {dst.dim}x{src.dim}")
-    n = _denominator(_flat([*src.left, *src.right, *dst.left, *dst.right]))
-    F, nF = _scaled_maps([f])
-    return all(lhs == rhs for S, T in ((src.left, dst.left), (src.right, dst.right))
-               for lhs, rhs in zip(*_intertwining(F, [_scaled(S, n)], [_scaled(T, n)], False, nF)))
+    (_, *products), (F, nF) = _scaled_products(src, dst), _scaled_maps([f])
+    inner, outer = (_side_by_side([left], [right]) for left, right in products)
+    lhs, rhs = _intertwining(F, inner, outer, False, nF)
+    return lhs == rhs

@@ -26,29 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cohomology import (
-    _action_term,
-    degree1_coboundary_matrix,
-    degree1_pack,
-    is_degree1_cocycle,
-)
+from .cohomology import _action_term, _degree0_map, degree1_pack, is_degree1_cocycle
 from .dialgebra import (
     Check,
     Dialgebra,
     Report,
-    _denominator,
     _differing,
     _flat,
     _identity,
     _interleaved,
+    _intertwining,
     _matmul,
-    _on_first,
     _on_inputs,
-    _on_second,
     _rows,
-    _scaled,
     _scaled_maps,
+    _scaled_products,
+    _side_by_side,
     _valued,
+    check_axioms,
     zero_tensor,
 )
 from .linalg import Matrix, ShapeMismatchError, _rational, in_image, normalize_scalar, rank
@@ -92,14 +87,18 @@ class SingularExtension:
 def canonical_section(E: SingularExtension) -> Matrix:
     """The section x -> (0, x) of the built coordinates."""
     d = E.base_dim
-    return Matrix(2 * d, d, [0] * (d * d) + [1 if i == j else 0 for i in range(d) for j in range(d)])
+    return Matrix(2 * d, d, [0] * (d * d) + _flat([_identity(d)]))
+
+
+def _require_cocycle(OD: OrientedDialgebra, alpha, beta) -> None:
+    report = is_degree1_cocycle(OD, alpha, beta)
+    if not report.ok:
+        raise NotCocycleError(report.checks[0].witness)
 
 
 def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
     """Assemble B = D ⊕ D from a degree-1 cocycle pair and re-verify it."""
-    report = is_degree1_cocycle(OD, alpha, beta)
-    if not report.ok:
-        raise NotCocycleError(report.checks[0].witness)
+    _require_cocycle(OD, alpha, beta)
     d = OD.dim
 
     def middle(T, defect):
@@ -118,11 +117,10 @@ def build_extension(OD: OrientedDialgebra, alpha, beta) -> SingularExtension:
             [row + [_rational(x, nA * nP) for x in twist] for row, twist in zip(rows, phi)]
             + [[0] * d + row for row in rows]))
     total = OrientedDialgebra(B, OD.group, action)
-    inclusion = Matrix(2 * d, d,
-                       [1 if i == j else 0 for i in range(d) for j in range(d)] + [0] * (d * d))
-    projection = Matrix(d, 2 * d,
-                        [1 if j == d + i else 0 for i in range(d) for j in range(2 * d)])
-    E = SingularExtension(total, inclusion, projection)
+    # i = [1 0]ᵀ includes the kernel copy and p = [0 1] projects onto the base
+    eye, zero = _flat([_identity(d)]), [0] * (d * d)
+    E = SingularExtension(total, Matrix(2 * d, d, eye + zero),
+                          Matrix(2 * d, d, zero + eye).transpose())
     report = check_extension(OD, E)
     if not report.ok:
         raise ExtensionInvalidError(report)
@@ -133,64 +131,52 @@ def check_extension(OD: OrientedDialgebra, E: SingularExtension) -> Report:
     """Verify every clause of the singular-extension definition.
 
     Witnesses name the failing map or product and the basis indices of D
-    (i, j) and of B (bi, bj) involved.  The clauses run in integers, with
-    one common denominator for each of: the products of D (nD) and of B
-    (nB), the actions on D (nP) and on B (nQ), i (nI) and p (nJ).
+    (i, j) and of B (bi, bj) involved; the middle term's lists B's failing
+    dialgebra axioms, then its failing oriented laws.  The other clauses run
+    in integers, ⊣ and ⊢ side by side in each output, with one common
+    denominator for each of: the products of D and B (nL), the actions on D
+    (nP) and on B (nQ), i (nI) and p (nJ).
     """
     B = E.total
     inc, proj = E.inclusion, E.projection
     d, n = OD.dim, B.dim
     if inc.shape() != (n, d) or proj.shape() != (d, n):
         raise ShapeMismatchError(f"i must be {n}x{d} and p {d}x{n}")
-    base_report = check_oriented_dialgebra(B)
-    nD = _denominator(_flat([*OD.base.left, *OD.base.right]))
-    nB = _denominator(_flat([*B.base.left, *B.base.right]))
+    middle = [c.name for report in (check_axioms(B.base), check_oriented_dialgebra(B))
+              for c in report.failures()]
+    _, *products = _scaled_products(OD.base, B.base)
+    dboth, bboth = (_side_by_side([left], [right]) for left, right in products)
+    (Dt,), (Bt,) = dboth, bboth
     (P, nP), (Q, nQ), ((I,), nI), ((J,), nJ) = (
         _scaled_maps(ms) for ms in (OD.action, B.action, [inc], [proj]))
-    dprods = [_scaled(T, nD) for T in (OD.base.left, OD.base.right)]
-    bprods = [_scaled(T, nB) for T in (B.base.left, B.base.right)]
-    names = ("left", "right")
-
-    def scaled(c, flat):
-        return [c * x for x in flat]
-
-    def equivariance():
-        # i∘ρ(g) = ρ_B(g)∘i and ρ(g)∘p = p∘ρ_B(g), each side times the other's nP or nQ
-        for g in OD.group.elements():
-            for side, lhs, rhs in (("i", _matmul(I, P[g]), _matmul(Q[g], I)),
-                                   ("p", _matmul(P[g], J), _matmul(J, Q[g]))):
-                if scaled(nQ, _flat([lhs])) != scaled(nP, _flat([rhs])):
-                    yield side, g
-
-    # p(b1 ∘ b2) = p(b1) ∘ p(b2): nD·nJ·lhs against nB·rhs, over nD·nB·nJ²
-    morphism = (_interleaved([scaled(nD * nJ, _flat(_valued(J, T))) for T in bprods], n * n),
-                _interleaved([scaled(nB, _flat(_on_inputs(T, J, J))) for T in dprods], n * n))
-    # i(x) ∘ b = i(x ∘ p(b)) and b ∘ i(x) = i(p(b) ∘ x), tables by (x, b):
-    # nD·nJ·lhs against nB·rhs, over nD·nB·nI·nJ.  A flat tensor is its own
-    # ``_on_first`` table with Q the identity.
-    factor = (
-        _interleaved([scaled(nD * nJ, table) for T in bprods for table in (
-            _on_first(T, I),                                  # i(x) ∘ b
-            _flat(zip(*_on_second(_flat(T), I, n))))], d * n),  # b ∘ i(x)
-        _interleaved([scaled(nB, _flat(_valued(I, table))) for T in dprods for table in (
-            _on_second(_flat(T), J, d),                       # x ∘ p(b)
-            zip(*_on_inputs(T, J, _identity(d))))], d * n),   # p(b) ∘ x
-    )
-    included = [_on_inputs(T, I, I) for T in bprods]
+    # p(b1 ∘ b2) = p(b1) ∘ p(b2), tables by (b1, b2, product): nJ·lhs against rhs, over nL·nJ²
+    morphism = [side[0] for side in _intertwining([J], bboth, dboth, False, nJ)]
+    # i(x) ∘ b = i(x ∘ p(b)) and b ∘ i(x) = i(p(b) ∘ x), tables by (x, b, product):
+    # nJ·lhs against rhs, over nL·nI·nJ; I2 moves both halves of an output
+    I2 = [row + [0] * d for row in I] + [[0] * d + row for row in I]
+    lhs = [[nJ * x for x in _flat(t)] for t in (_on_inputs(Bt, I, _identity(n)),
+                                                zip(*_on_inputs(Bt, _identity(n), I)))]
+    rhs = [_flat(_valued(I2, t)) for t in (_on_inputs(Dt, _identity(d), J),
+                                           zip(*_on_inputs(Dt, J, _identity(d))))]
+    factor = [_interleaved(tables, 2 * d * n) for tables in (lhs, rhs)]
+    included = _on_inputs(Bt, I, I)
     return Report([
-        Check("middle term is an oriented dialgebra", base_report.ok,
-              [c.name for c in base_report.failures()] or None),
+        Check("middle term is an oriented dialgebra", not middle, middle or None),
         Check("p . i = 0", not any(_flat([_matmul(J, I)]))),
         Check("sequence is exact (ranks d, d on dimension 2d)",
               rank(inc) == d and rank(proj) == d and n == 2 * d),
-        Check.first("i and p are G-equivariant", equivariance()),
+        # i∘ρ(g) = ρ_B(g)∘i and ρ(g)∘p = p∘ρ_B(g), each side times the other's nP or nQ
+        Check.first("i and p are G-equivariant", (
+            (side, g) for g in OD.group.elements() for side, X, Y in (
+                ("i", _matmul(I, P[g]), _matmul(Q[g], I)),
+                ("p", _matmul(P[g], J), _matmul(J, Q[g])))
+            if [nQ * x for x in _flat([X])] != [nP * y for y in _flat([Y])])),
         Check.first("p is a dialgebra morphism", (
-            (names[f], bi, bj) for bi, bj, f in _differing(*morphism, n, n, 2))),
+            (("left", "right")[f], bi, bj) for bi, bj, f in _differing(*morphism, n, n, 2))),
         Check.first("included copy multiplies to zero", (
-            (i, j) for i, j in product(range(d), repeat=2)
-            if any(included[0][i][j]) or any(included[1][i][j]))),
+            (i, j) for i, j in product(range(d), repeat=2) if any(included[i][j]))),
         Check.first("kernel products factor through p", (
-            (names[f], ("i(x) . b", "b . i(x)")[s], i, bj)
+            (("left", "right")[f], ("i(x) . b", "b . i(x)")[s], i, bj)
             for i, bj, f, s in _differing(*factor, d, n, 2, 2))),
     ])
 
@@ -199,9 +185,10 @@ def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix
     """Defect pair (α, β) of a section; asserted to be a cocycle.
 
     The defects run in integers, with one common denominator for each of
-    s (nS), p (nJ), the products of D (nD) and of B (nB) and the actions
+    s (nS), p (nJ), the products of D and B together (nL) and the actions
     on D (nP) and on B (nQ).  Each defect vector is solved for its kernel
-    coordinates in rationals: α(g) column by column, then βˡ and βʳ.
+    coordinates in rationals: α(g) column by column, then every βˡ cell
+    and then every βʳ cell.
     """
     d, G = OD.dim, OD.group
     B = E.total
@@ -228,39 +215,27 @@ def extract_cocycle(OD: OrientedDialgebra, E: SingularExtension, section: Matrix
         cols = zip(*([nQ * nP * x - y for x, y in zip(row, mrow)] for row, mrow in zip(S, moved)))
         alpha.append(Matrix.from_rows(zip(*(kernel_coords(c, nS * nQ * nP) for c in cols))))
 
-    nD = _denominator(_flat([*OD.base.left, *OD.base.right]))
-    nB = _denominator(_flat([*B.base.left, *B.base.right]))
-
-    def defect(bprod, dprod):
-        # s(x1) ∘ s(x2) - s(x1 ∘ x2): nD·lhs against nB·nS·rhs, over nB·nS²·nD
-        lhs = _flat(_on_inputs(_scaled(bprod, nB), S, S))
-        rhs = _flat(_valued(S, _scaled(dprod, nD)))
-        nums = [nD * x - nB * nS * y for x, y in zip(lhs, rhs)]
-        return _rows([kernel_coords(v, nB * nS * nS * nD) for v in _rows(nums, 2 * d)], d)
-
-    beta_l = defect(B.base.left, OD.base.left)
-    beta_r = defect(B.base.right, OD.base.right)
-    report = is_degree1_cocycle(OD, alpha, (beta_l, beta_r))
-    if not report.ok:
-        raise NotCocycleError(report.checks[0].witness)
-    return alpha, (beta_l, beta_r)
+    # s(x1) ∘ s(x2) - s(x1 ∘ x2) is rhs - lhs of s(x1 ∘ x2) = s(x1) ∘ s(x2), over nL·nS²
+    nL, *products = _scaled_products(OD.base, B.base)
+    dboth, bboth = (_side_by_side([left], [right]) for left, right in products)
+    (lhs,), (rhs,) = _intertwining([S], dboth, bboth, False, nS)
+    cells = _rows([y - x for x, y in zip(lhs, rhs)], 2 * d)
+    beta = tuple(_rows([kernel_coords(v, nL * nS * nS) for v in cells[f::2]], d) for f in (0, 1))
+    _require_cocycle(OD, alpha, beta)
+    return alpha, beta
 
 
 def cocycles_cohomologous(OD: OrientedDialgebra, pair1, pair2):
     """A γ whose coboundary is pair1 - pair2, or None if the classes differ.
 
     γ is returned as a d x d matrix; plugging it into the degree-0
-    coboundary reproduces the difference exactly.
+    coboundary reproduces the difference exactly.  It is L times the
+    preimage under the integer L·Tot(0) (``cohomology._degree0_map``).
     """
     for pair in (pair1, pair2):
-        report = is_degree1_cocycle(OD, pair[0], pair[1])
-        if not report.ok:
-            raise NotCocycleError(report.checks[0].witness)
-    v1 = degree1_pack(OD, pair1[0], pair1[1])
-    v2 = degree1_pack(OD, pair2[0], pair2[1])
-    diff = [normalize_scalar(a - b) for a, b in zip(v1, v2)]
-    u = in_image(degree1_coboundary_matrix(OD), diff)
-    if u is None:
-        return None
-    d = OD.dim
-    return Matrix(d, d, u).transpose()
+        _require_cocycle(OD, *pair)
+    diff = [normalize_scalar(a - b)
+            for a, b in zip(degree1_pack(OD, *pair1), degree1_pack(OD, *pair2))]
+    tot, L = _degree0_map(OD)
+    u = in_image(tot, diff)
+    return None if u is None else Matrix(OD.dim, OD.dim, [L * x for x in u]).transpose()

@@ -24,14 +24,13 @@ from .dialgebra import (
     Dialgebra,
     Report,
     _axiom_sides,
-    _denominator,
     _differing,
-    _flat,
     _identity,
     _intertwining,
     _matmul,
-    _scaled,
     _scaled_maps,
+    _scaled_products,
+    _side_by_side,
 )
 from .linalg import ShapeMismatchError, rank
 
@@ -223,8 +222,7 @@ def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, po
                                for row in Phi[G.mul(g, h)][n] for x in row])
         composition[1].append(rhs)
     sides.append(composition)
-    # ⊣ and ⊢ side by side in each output, so that one pass moves both
-    both = [[[a + b for a, b in zip(pl, pr)] for pl, pr in zip(L, R)] for L, R in zip(left, right)]
+    both = _side_by_side(left, right)   # one pass moves ⊣ and ⊢
     twisted = [_intertwining(Phi[g], both, both, G.sign(g) != 1, nP, powers) for g in elements]
 
     def half(table: list, f: int) -> list:
@@ -248,10 +246,9 @@ def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
     G = OD.group
     D = OD.base
     d = D.dim
-    nL = _denominator(_flat([*D.left, *D.right]))
+    _, (left, right) = _scaled_products(D)
     P, nP = _scaled_maps(OD.action)
-    composition, *twisted = _law_sides(G, [_scaled(D.left, nL)], [_scaled(D.right, nL)],
-                                       [[p] for p in P], nP, [0], axioms=False)
+    composition, *twisted = _law_sides(G, [left], [right], [[p] for p in P], nP, [0], axioms=False)
     ident = P[0] == [[nP * x for x in row] for row in _identity(d)]
     return Report([
         Check("identity acts as the identity matrix", ident, None if ident else 0),

@@ -156,7 +156,9 @@ def reference_check_extension(OD, E) -> Report:
     B = E.total
     inc, proj = E.inclusion, E.projection
     d = OD.dim
-    base_report = reference_check_oriented_dialgebra(B)
+    middle = [c.name for report in (reference_check_axioms(B.base),
+                                    reference_check_oriented_dialgebra(B))
+              for c in report.failures()]
     dbasis = list(enumerate(basis(d)))
     bbasis = list(enumerate(basis(B.dim)))
     incl = [apply(inc, x) for _, x in dbasis]
@@ -164,8 +166,7 @@ def reference_check_extension(OD, E) -> Report:
     (bl, br), (dl, dr) = _products(B.base), _products(OD.base)
     prods = (("left", bl, dl), ("right", br, dr))
     return Report([
-        Check("middle term is an oriented dialgebra", base_report.ok,
-              [c.name for c in base_report.failures()] or None),
+        Check("middle term is an oriented dialgebra", not middle, middle or None),
         Check("p . i = 0", proj.mul(inc).is_zero()),
         Check("sequence is exact (ranks d, d on dimension 2d)",
               rank(inc) == d and rank(proj) == d and B.dim == 2 * d),

@@ -317,7 +317,7 @@ def test_degree0_coboundaries_match_the_references(data):
     gamma = _matrix(data, OD.dim)
     assert _shown(coh.degree1_coboundary(OD, gamma)) == \
         _shown(reference_degree1_coboundary(OD, gamma))
-    assert _shown(coh.degree1_coboundary_matrix(OD).to_matrix()) == \
+    assert _shown(coh.total_entries(OD, 0).to_matrix()) == \
         _shown(reference_degree1_coboundary_matrix(OD))
 
 

@@ -415,6 +415,32 @@ def test_rigidity_command(tmp_path, capsys):
     assert payload["dim"] == 1 and not payload["obstruction_trivial"]
 
 
+def _broken_mixed_axioms_bundle():
+    """The dual-numbers ⊣ next to a ⊢ with only e1 ⊢ e1 = e0, which fails three
+    mixed axioms, with the trivial group and the zero cocycle."""
+    bundle = zero_trivial_bundle()
+    zero2 = bundle["dialgebra"]["left"]
+    bundle["dialgebra"] = {"dim": 2, "left": dual_numbers_section()["left"],
+                           "right": [[["0", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
+    bundle["cocycle"] = {"alpha": [[["0", "0"], ["0", "0"]]],
+                         "beta_left": zero2, "beta_right": zero2}
+    return bundle
+
+
+@pytest.mark.parametrize("command", [["extend"], ["equivariant-cohomology", "--n", "0"],
+                                     ["rigidity"]])
+def test_commands_refuse_a_base_that_is_no_dialgebra(tmp_path, capsys, command):
+    path = write_bundle(tmp_path / "b.json", _broken_mixed_axioms_bundle())
+    code, out, err = run_cli(capsys, command + ["--input", path])
+    assert code == 1
+    if command == ["extend"]:
+        assert not out and "middle term is an oriented dialgebra" in err
+    else:
+        payload = json.loads(out)
+        assert payload["error"] == "dialgebra axioms fail"
+        assert [c["ok"] for c in payload["checks"]] == [True, True, False, False, False]
+
+
 @pytest.mark.parametrize("command,golden_name", [
     (["equivariant-cohomology", "--n", "1"], "equivariant_dual_sign_n1.json"),
     (["rigidity"], "rigidity_dual_sign.json"),

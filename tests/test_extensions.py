@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from oridial import cohomology as coh
+from oridial.dialgebra import Check, Dialgebra, check_axioms, zero_tensor
 from oridial.extensions import (
+    ExtensionInvalidError,
     NotCocycleError,
     NotSectionError,
+    SingularExtension,
     build_extension,
     canonical_section,
     check_extension,
@@ -14,7 +18,9 @@ from oridial.extensions import (
     extract_cocycle,
 )
 from oridial.linalg import Matrix, nullspace
+from oridial.oriented import OrientedDialgebra
 
+from conftest import dual_numbers_dialgebra, oriented_trivial
 from reference_checkers import apply, bilinear
 
 
@@ -131,3 +137,48 @@ def test_cocycles_cohomologous_requires_cocycles(od_dual_sign):
     beta[0][1][1][0] = 1
     with pytest.raises(NotCocycleError):
         cocycles_cohomologous(od_dual_sign, (alpha, beta), coh.degree1_zero(od_dual_sign))
+
+
+def _unchecked_extension(OD, beta) -> SingularExtension:
+    """D ⊕ D laid out as ``build_extension`` lays it out for α = 0 and a trivial
+    group, from any β and with no check."""
+    d = OD.dim
+
+    def middle(T, defect):
+        out = zero_tensor(2 * d)
+        for i, j in product(range(d), repeat=2):
+            out[i][d + j][:d] = out[d + i][j][:d] = T[i][j]
+            out[d + i][d + j] = [*defect[i][j], *T[i][j]]
+        return out
+    B = Dialgebra(2 * d, middle(OD.base.left, beta[0]), middle(OD.base.right, beta[1]))
+    return SingularExtension(OrientedDialgebra(B, OD.group, [Matrix.identity(2 * d)]),
+                             Matrix.from_rows([[int(i == j) for j in range(d)]
+                                               for i in range(2 * d)]),
+                             Matrix.from_rows([[int(j == d + i) for j in range(2 * d)]
+                                               for i in range(d)]))
+
+
+def test_middle_term_failing_the_axioms_fails_its_clause():
+    # β⊣(e0, e0) = e0 on dual numbers: every other clause of the definition
+    # holds, but four dialgebra axioms fail in B
+    OD = oriented_trivial(dual_numbers_dialgebra())
+    E = _unchecked_extension(OD, ([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], zero_tensor(2)))
+    failing = [c.name for c in check_axioms(E.total.base).failures()]
+    assert len(failing) == 4
+    assert check_extension(OD, E).failures() == [
+        Check("middle term is an oriented dialgebra", False, failing)]
+
+
+def test_no_extension_of_a_base_that_is_no_dialgebra():
+    # the dual-numbers ⊣ next to a ⊢ with only e1 ⊢ e1 = e0 fails three
+    # mixed axioms; the zero pair still solves the degree-1 equations
+    left = dual_numbers_dialgebra().left
+    OD = oriented_trivial(Dialgebra(2, left, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]))
+    alpha, beta = coh.degree1_zero(OD)
+    assert coh.is_degree1_cocycle(OD, alpha, beta).ok
+    with pytest.raises(ExtensionInvalidError) as info:
+        build_extension(OD, alpha, beta)
+    (middle,) = info.value.report.failures()
+    assert middle.name == "middle term is an oriented dialgebra"
+    assert middle.witness == [c.name for c in check_axioms(OD.base).failures()]
+    assert len(middle.witness) == 3
