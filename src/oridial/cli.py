@@ -402,7 +402,7 @@ def cmd_extend(args) -> tuple:
     alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
     try:
         E = ext.build_extension(OD, alpha, beta)
-    except ext.NotCocycleError as exc:
+    except (ext.NotCocycleError, ext.ExtensionInvalidError) as exc:
         return {"error": str(exc)}, 1
     payload = {
         "extension": {

@@ -63,7 +63,6 @@ from .linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
-    _integral,
     _rational,
     column_space_complement,
     normalize_scalar,
@@ -544,15 +543,16 @@ def _quotient(
 ) -> CohomologyResult:
     """Kernel of d_out modulo image of d_in, with canonical representatives.
 
-    Everything after the elimination of d_out works in the k free
-    coordinates of the canonical kernel basis: Kᵢ has 1 at its free column
-    fᵢ, 0 at the other free columns, and fᵢ is its last nonzero entry.  So
-    a vector u lies in ker d_out exactly when u = Σ u[fᵢ]·Kᵢ.  That is the
-    square check: every column of d_in is compared with its combination in
-    integers, which holds exactly when d_out·d_in = 0; ``fault`` names the
-    failure.  On ker d_out the map u ↦ u[F] is injective, so the rows F of
-    d_in (``image``) have the rank of d_in, and the unit vectors extend
-    their column space exactly where the Kᵢ extend the column space of d_in.
+    ``nullspace(d_out, d_in)`` seeds the elimination with the columns of
+    d_in, which span the image inside the kernel, and multiplies each column
+    that extends their echelon by d_out exactly.  That is the square check:
+    it fails exactly when d_out·d_in ≠ 0, and ``fault`` names the failure.
+    Everything after works in the k free coordinates of the canonical
+    kernel basis: Kᵢ has 1 at its free column fᵢ, 0 at the other free
+    columns, and fᵢ is its last nonzero entry.  So a vector u in ker d_out
+    is u = Σ u[fᵢ]·Kᵢ, and u ↦ u[F] is injective there: the rows F of d_in
+    (``image``) have the rank of d_in, and the unit vectors extend their
+    column space exactly where the Kᵢ extend the column space of d_in.
     Either map may carry a nonzero factor: the cohomology entry points pass
     integer multiples of the coboundaries, which have the same kernel,
     canonical kernel basis, rank and column space.
@@ -560,23 +560,17 @@ def _quotient(
     if d_out.cols != d_in.rows:
         raise ShapeMismatchError(
             f"cannot compose {d_out.rows}x{d_out.cols} with {d_in.rows}x{d_in.cols}")
-    kernel = nullspace(d_out)
+    try:
+        kernel = nullspace(d_out, d_in)
+    except NonComplexError:
+        raise NonComplexError(fault) from None
     k = len(kernel)
     if k == d_out.cols:   # d_out = 0: the Kᵢ are the unit vectors and F is every row
         image, units = d_in, kernel
     else:
         free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
-        image = SparseMap(k, d_in.cols)
-        columns: dict = {}
-        for (r, c), x in d_in.entries.items():
-            if x:
-                columns.setdefault(c, {})[r] = x
-                if r in free:
-                    image.entries[(free[r], c)] = x
-        scaled: dict = {}   # i -> Kᵢ times its denominator, for the Kᵢ in use
-        for u in columns.values():
-            if not _in_kernel(_integral(u), free, kernel, scaled):
-                raise NonComplexError(fault)
+        image = SparseMap(k, d_in.cols, {(free[r], c): x for (r, c), x in d_in.entries.items()
+                                         if x and r in free})
         units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
     image_rank = rank(image)
     keep = column_space_complement(image, units)
@@ -586,30 +580,6 @@ def _quotient(
         raise RuntimeError(f"rank-nullity bookkeeping broke: {len(reps)} representatives, "
                            f"dimension {dim}")
     return CohomologyResult(dim, reps, k, image_rank)
-
-
-def _in_kernel(u: dict, free: dict, kernel: list, scaled: dict) -> bool:
-    """Is the integer vector u equal to Σ u[fᵢ]·Kᵢ?
-
-    ``free`` maps each fᵢ to i.  Kᵢ is scaled to integers on first use and
-    kept in ``scaled``; the scaled Kᵢ has its denominator nᵢ at fᵢ.  Both
-    sides are compared times N = lcm of the nᵢ in use.
-    """
-    terms = []
-    for f, x in u.items():
-        i = free.get(f)
-        if i is not None:
-            K = scaled.get(i)
-            if K is None:
-                K = scaled[i] = _integral({j: y for j, y in enumerate(kernel[i][:f + 1]) if y})
-            terms.append((x, K, K[f]))
-    N = lcm(*(n for _, _, n in terms))
-    diff = {j: -N * x for j, x in u.items()}
-    for x, K, n in terms:
-        s = x * (N // n)
-        for j, y in K.items():
-            diff[j] = diff.get(j, 0) + s * y
-    return not any(diff.values())
 
 
 def dialgebra_cohomology(
@@ -639,9 +609,9 @@ def equivariant_cohomology(
     Tot(n) and Tot(n-1) are assembled together in integers, from the
     products times nL and the action matrices times nR (see "sparse
     matrices").  The square of the total differential is verified to
-    vanish exactly, in the coordinates of the kernel basis right after
-    Tot(n) is eliminated and before the image rank is taken; a nonzero
-    square signals a sign-convention bug.
+    vanish exactly while Tot(n) is eliminated: the columns of Tot(n-1) seed
+    the kernel elimination, and each independent one is multiplied by
+    Tot(n).  A nonzero square signals a sign-convention bug.
     """
     if n + 1 > config.max_degree:
         raise ResourceLimitError(

@@ -24,7 +24,8 @@ combination of columns it stands for.  A tagged vector whose column part
 vanishes is a kernel vector, and the reduced echelon form of those
 vectors, keyed so that the largest column leads, is the canonical kernel
 basis of the row route (see ``nullspace``).  A tall map thus costs at most
-one insertion per column instead of one per row.
+one insertion per column instead of one per row, and none for a column
+that a known kernel vector (a coboundary, checked exactly) accounts for.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ def rref(m) -> tuple[list[int], list[list]]:
     return pivots, rows
 
 
-def nullspace(m) -> list[list]:
-    """Canonical basis of the kernel of m.
+def nullspace(m, image=None) -> list[list]:
+    """Canonical basis of the kernel of m, given kernel vectors ``image``.
 
     One basis vector per free column f, with entry 1 at f, the negated
     reduced-echelon column above the pivots, and 0 at the other free
@@ -301,15 +302,39 @@ def nullspace(m) -> list[list]:
     and read back in reverse pivot order.  For each free column f exactly one
     kernel vector has 1 at f and 0 at every other free column, so this is
     the basis above, in the same order and with the same scalars.
+
+    The columns of ``image`` (m's cols rows) seed the kernel.  In their
+    echelon form each seed w leads at the smallest index p of its support.
+    Each column that extends that echelon is multiplied by m exactly, and a
+    nonzero product raises NonComplexError; so m·w = 0 for every seed.
+    Column p then lies in the span of the later columns, so the
+    last-first insertion would reduce it to zero: it is not inserted, and w
+    joins the kernel echelon under its tag keys.  The reduced form is
+    unique, so the basis is the same with or without seeds.
     """
     r, c = m.rows, m.cols
     columns = _row_dicts(m, transpose=True)
+    seeds: dict = {}
+    if image is not None:
+        if image.rows != c:
+            raise ShapeMismatchError(f"image vectors of length {c} expected, got {image.rows}")
+        for w in map(_integral, _row_dicts(image, transpose=True)):
+            if _insert(dict(w), seeds):   # multiply the column, sparser than its seed
+                out: dict = {}
+                for j, x in w.items():
+                    for i, y in columns[j].items():
+                        out[i] = out.get(i, 0) + x * y
+                if any(out.values()):
+                    raise NonComplexError("an image vector is not in the kernel")
     for j, col in enumerate(columns):
         col[r + c - 1 - j] = 1
     echelon: dict = {}
-    for col in reversed(columns):
-        _insert(_integral(col), echelon)
+    for j in range(c - 1, -1, -1):
+        if j not in seeds:
+            _insert(_integral(columns[j]), echelon)
     kernel = {key: row for key, row in echelon.items() if key >= r}
+    for w in seeds.values():
+        _insert({r + c - 1 - j: x for j, x in w.items()}, kernel)
     basis = []
     for _, row in reversed(_reduced(kernel)):
         v = [0] * c

@@ -313,6 +313,31 @@ def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
         assert 0 < len(calls) <= sm.cols, eliminate.__name__
 
 
+def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):
+    # poly3's δ(1) spans a subspace of ker δ(2); each of its echelon vectors
+    # leads at a column of δ(2) that depends on the later ones, so only the
+    # other columns are inserted
+    sm, d_in = (delta_entries(poly3_dialgebra(), n) for n in (2, 1))
+    image_rank, pivots = rank(d_in), rref(d_in.to_matrix().transpose())[0]
+    assert 0 < image_rank == len(pivots) < sm.cols
+    assert {c for (_, c), x in sm.entries.items() if x} == set(range(sm.cols))   # no zero column
+    insert, calls = linalg._insert, []
+
+    def counted(row, echelon):
+        calls.append(set(row))
+        return insert(row, echelon)
+
+    monkeypatch.setattr(linalg, "_insert", counted)
+    kernel = nullspace(sm, d_in)
+    # a tagged column of δ(2) has row keys below sm.rows and one tag key above
+    inserted = [sm.rows + sm.cols - 1 - max(keys) for keys in calls
+                if keys and min(keys) < sm.rows <= max(keys)]
+    assert len(inserted) == sm.cols - image_rank
+    assert set(inserted) == set(range(sm.cols)) - set(pivots)
+    monkeypatch.undo()
+    assert kernel == nullspace(sm)
+
+
 def _half_triangular(d: int) -> Matrix:
     """Unit lower triangular with ±1/2 below the diagonal: a basis with denominators."""
     return Matrix(d, d, [1 if i == j else Fraction((-1) ** (i + j), 2) if i > j else 0
@@ -321,20 +346,38 @@ def _half_triangular(d: int) -> Matrix:
 
 # Maps in the tree-major layout with dense basis-changed entries, where a
 # column's leading row mostly grows with its index; Tot(2) of the zero-sign
-# copy has a large kernel (54 of 128 columns).
+# copy has a large kernel (54 of 128 columns).  Each comes with its incoming
+# map, whose columns seed the kernel elimination.
 @pytest.mark.parametrize("build", [
-    lambda: total_entries(basis_changed_dual_s3(), 0),
-    lambda: total_entries(basis_changed_dual_s3(), 1),
-    lambda: total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1),
-    lambda: total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 2),
-    lambda: delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 2),
+    lambda: (total_entries(basis_changed_dual_s3(), 0), None),
+    lambda: (total_entries(basis_changed_dual_s3(), 1), total_entries(basis_changed_dual_s3(), 0)),
+    lambda: (total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1),
+             total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 0)),
+    lambda: (total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 2),
+             total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1)),
+    lambda: (delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 2),
+             delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 1)),
 ], ids=["dual-s3-copy Tot(0)", "dual-s3-copy Tot(1)", "zero-sign-copy Tot(1)",
         "zero-sign-copy Tot(2)", "poly3-copy delta(2)"])
 def test_kernel_of_basis_changed_maps_matches_dense_reference(build):
-    sm = build()
+    sm, d_in = build()
     got = nullspace(sm)
     assert got == reference_nullspace(sm.to_matrix().to_rows(), sm.cols)
     assert all(canonical(x) for vec in got for x in vec)
+    images = [SparseMap(sm.cols, 0)] + ([d_in, d_in.to_matrix()] if d_in is not None else [])
+    assert all(nullspace(sm, image) == got for image in images)
+
+
+def test_nullspace_refuses_a_misshaped_or_noncomplex_image():
+    m = Matrix.from_rows([[1, 1, 0], [0, 0, 1]])                  # kernel spanned by (1, -1, 0)
+    assert nullspace(m, Matrix.from_rows([[2], [-2], [0]])) == [[-1, 1, 0]]
+    with pytest.raises(ShapeMismatchError):
+        nullspace(m, Matrix.from_rows([[1], [-1]]))
+    with pytest.raises(NonComplexError):
+        nullspace(m, Matrix.from_rows([[1, 1], [-1, 0], [0, 0]]))   # m·(1, 0, 0) ≠ 0
+    with pytest.raises(NonComplexError):                            # exact with denominators
+        nullspace(SparseMap(1, 2, {(0, 0): 1, (0, 1): Fraction(3, 2)}),
+                  SparseMap(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 5)}))
 
 
 canonical_scalars = st.one_of(
