@@ -93,11 +93,9 @@ def _parse_matrix(data, rows, cols, what) -> Matrix:
     return Matrix.from_rows(_rationals(data, (rows, cols), what))
 
 
-def _per_element(data, order: int, dim: int, what: str) -> list[Matrix]:
-    """One dim x dim matrix per group element."""
-    if not isinstance(data, list) or len(data) != order:
-        raise BundleError(f"{what}: need one matrix per group element")
-    return [_parse_matrix(m, dim, dim, f"{what}[{g}]") for g, m in enumerate(data)]
+def _per_element(data, count: int, dim: int, what: str) -> list[Matrix]:
+    """``count`` dim x dim matrices: one per group element, or one per power of t."""
+    return [Matrix.from_rows(m) for m in _rationals(data, (count, dim, dim), what)]
 
 
 def _parse_dialgebra(data, config, what="dialgebra") -> Dialgebra:
@@ -191,17 +189,11 @@ def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
     order = _int_field(data, "order", "deformation")
     if order < 1:
         raise BundleError("deformation: order must be >= 1")
-    ml = data.get("ml")
-    mr = data.get("mr")
-    phi = data.get("phi")
-    for name, arr in (("ml", ml), ("mr", mr), ("phi", phi)):
-        if not isinstance(arr, list) or len(arr) != order + 1:
-            raise BundleError(f"deformation.{name}: need order+1 = {order + 1} entries")
-    mlt = [_rationals(t, (d, d, d), f"deformation.ml[{i}]") for i, t in enumerate(ml)]
-    mrt = [_rationals(t, (d, d, d), f"deformation.mr[{i}]") for i, t in enumerate(mr)]
-    phis = [_per_element(per_g, OD.group.order, d, f"deformation.phi[{i}]")
-            for i, per_g in enumerate(phi)]
-    return defm.TruncatedDeformation(order, mlt, mrt, phis)
+    mlt, mrt = (_rationals(data.get(key), (order + 1, d, d, d), f"deformation.{key}")
+                for key in ("ml", "mr"))
+    phi = _rationals(data.get("phi"), (order + 1, OD.group.order, d, d), "deformation.phi")
+    return defm.TruncatedDeformation(order, mlt, mrt,
+                                     [[Matrix.from_rows(m) for m in per_g] for per_g in phi])
 
 
 def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
@@ -209,10 +201,7 @@ def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
     order = _int_field(data, "order", "equivalence")
     if order < 1:
         raise BundleError("equivalence: order must be >= 1")
-    psi = data.get("psi")
-    if not isinstance(psi, list) or len(psi) != order + 1:
-        raise BundleError(f"equivalence.psi: need order+1 = {order + 1} matrices")
-    mats = [_parse_matrix(m, d, d, f"equivalence.psi[{i}]") for i, m in enumerate(psi)]
+    mats = _per_element(data.get("psi"), order + 1, d, "equivalence.psi")
     try:
         return defm.DeformationEquivalence(order, mats)
     except ValueError as exc:
@@ -430,6 +419,8 @@ def cmd_extract(args) -> tuple:
         alpha, beta = ext.extract_cocycle(OD, E, section)
     except ext.NotSectionError as exc:
         return {"error": f"NotSection: {exc}"}, 1
+    except (ext.NotCocycleError, ext.ExtensionInvalidError) as exc:
+        return {"error": str(exc)}, 1
     return {"cocycle": _emit_cocycle(alpha, beta)}, 0
 
 

@@ -35,10 +35,13 @@ A truncated deformation is an oriented dialgebra over K[t]/(t^(N+1)), so
 0..N and ``check_equivalence`` runs the intertwining laws over power
 series, in integers as the checkers of ``dialgebra`` and ``oriented`` do,
 and the transports push a deformation forward in the same integer series.
-Each scales its tensor series and each of its matrix series once by one
-common denominator (nL for the products, nP for Φ or Ψ), takes truncated
-Cauchy sums (``_cauchy``) of the integer composition tables of the
-undeformed laws, and compares both sides of every law over one
+Each reads its deformations through one reader, ``_integer_series``: it
+checks Φ's shape against the structure, validates every product
+coefficient and scales once, by one denominator nL shared by all the
+products of the call and one nP shared by all its actions.  Ψ is read by
+``_require_square`` over its own denominator nS.  Each then takes
+truncated Cauchy sums (``_cauchy``) of the integer composition tables of
+the undeformed laws, and compares both sides of every law over one
 denominator: nP·lhs against rhs in the twisted law, for example.  A
 valid deformation is thus checked without building a Fraction.  A failing
 law's witness is (power, indices): the lowest power at which it fails,
@@ -156,23 +159,36 @@ def constant_deformation(OD: OrientedDialgebra, order: int) -> TruncatedDeformat
 # truncated series: coefficient lists of length N + 1
 
 
-def _scaled_matrices(matrices, n: int) -> list:
-    """A series of matrices, each times the common denominator n, as ints."""
-    return [_scaled_rows(m.to_rows(), n) for m in matrices]
-
-
-def _require_square(matrices, d: int, what: str) -> None:
+def _require_square(psis, d: int) -> tuple:
+    """Ψ as (integer matrix series, common denominator), once every ψ_i is d×d."""
     # integer products would truncate a wrongly shaped matrix silently
-    if any(m.shape() != (d, d) for m in matrices):
-        raise ShapeMismatchError(f"{what} must be {d}x{d} matrices")
+    if any(m.shape() != (d, d) for m in psis):
+        raise ShapeMismatchError(f"psi must be {d}x{d} matrices")
+    return _scaled_maps(psis)
 
 
-def _action_series(OD: OrientedDialgebra, deformation: TruncatedDeformation) -> list:
-    """Φ as one series per group element, once every power holds |G| d×d matrices."""
+def _integer_series(OD: OrientedDialgebra, *deformations) -> tuple:
+    """nL, nP, then each deformation's validated and its integer series.
+
+    A deformation reads as (mˡ, mʳ, Φ): a tensor series per product and a
+    matrix series per group element, once every power of Φ holds |G| d×d
+    matrices and every product coefficient is a d×d×d tensor.  nL is the
+    common denominator of all the products given, nP of all the actions,
+    and the integer series are the validated ones times nL or nP.
+    """
     d, m = OD.dim, OD.group.order
-    if any(len(per_g) != m or any(x.shape() != (d, d) for x in per_g) for per_g in deformation.phi):
-        raise ShapeMismatchError(f"phi must hold {m} {d}x{d} matrices per power")
-    return list(zip(*deformation.phi))
+    read = []
+    for dfm in deformations:
+        if any(len(per_g) != m or any(x.shape() != (d, d) for x in per_g) for per_g in dfm.phi):
+            raise ShapeMismatchError(f"phi must hold {m} {d}x{d} matrices per power")
+        read.append(([validated_tensor(d, T) for T in dfm.mlt],
+                     [validated_tensor(d, T) for T in dfm.mrt], list(zip(*dfm.phi))))
+    nL = _denominator(_flat([plane for ml, mr, _ in read for T in (*ml, *mr) for plane in T]))
+    nP = _denominator(x for *_, phi in read for series in phi for g in series for x in g.entries)
+    scaled = [([_scaled(T, nL) for T in ml], [_scaled(T, nL) for T in mr],
+               [[_scaled_rows(g.to_rows(), nP) for g in series] for series in phi])
+              for ml, mr, phi in read]
+    return nL, nP, read, scaled
 
 
 def _matrix_product(X: list, Y: list) -> list:
@@ -216,20 +232,13 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
     """
     d = OD.dim
     G = OD.group
-    ml = [validated_tensor(d, t) for t in deformation.mlt]
-    mr = [validated_tensor(d, t) for t in deformation.mrt]
-    phi = _action_series(OD, deformation)
-
+    _, nP, [(ml, mr, phi)], [(*products, Phi)] = _integer_series(OD, deformation)
     base_ok = (ml[0] == OD.base.left and mr[0] == OD.base.right
                and all(series[0].entries == OD.action[g].entries
                        for g, series in enumerate(phi)))
     checks = [Check("order-0 terms equal the undeformed structure", base_ok,
                     None if base_ok else (0, ()))]
 
-    nL = _denominator(_flat([plane for series in (ml, mr) for T in series for plane in T]))
-    nP = _denominator(x for series in phi for m in series for x in m.entries)
-    products = [[_scaled(T, nL) for T in series] for series in (ml, mr)]
-    Phi = [_scaled_matrices(series, nP) for series in phi]
     names = [f"deformed dialgebra axiom: {name}" for name in DEFORMED_AXIOMS] + [
         "deformed action composes: Φ(gh) = Φ(g)Φ(h)",
         "deformed action respects the left product (ε-twisted)",
@@ -247,19 +256,15 @@ def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: i
         raise ValueError(f"order {n} outside 1..{deformation.order}")
     d = OD.dim
     zero = zero_tensor(d)
-    phi = _action_series(OD, deformation)
+    _, nF, [(ml, mr, phi)], [(*_, Phi)] = _integer_series(OD, deformation)
     for i in range(1, n):
-        if (validated_tensor(d, deformation.mlt[i]) != zero
-                or validated_tensor(d, deformation.mrt[i]) != zero
-                or any(not series[i].is_zero() for series in phi)):
+        if ml[i] != zero or mr[i] != zero or any(not series[i].is_zero() for series in phi):
             raise PrecedingTermsNonzeroError(
                 f"coefficient {i} is nonzero; the order-{n} infinitesimal is undefined")
-    (F, nF), (P, nP) = _scaled_maps([series[n] for series in phi]), _scaled_maps(OD.action)
+    P, nP = _scaled_maps(OD.action)
     theta = [Matrix(d, d, [_rational(x, nF * nP) for x in _flat([t])])
-             for t in _action_term(F, P, OD.group, back=True)]
-    return Infinitesimal(n, theta,
-                         validated_tensor(d, deformation.mlt[n]),
-                         validated_tensor(d, deformation.mrt[n]))
+             for t in _action_term([series[n] for series in Phi], P, OD.group, back=True)]
+    return Infinitesimal(n, theta, ml[n], mr[n])
 
 
 def check_equivalence(
@@ -278,21 +283,14 @@ def check_equivalence(
     if not def1.order == def2.order == eq.order:
         raise ValueError("orders of the deformations and the intertwiner must match")
     d = OD.dim
-    _require_square(eq.psi, d, "psi")
-    phis = [_action_series(OD, dfm) for dfm in (def1, def2)]
-    tensors = [[validated_tensor(d, t) for t in series]
-               for series in (def1.mlt, def2.mlt, def1.mrt, def2.mrt)]
-    nM = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
-    nF = _denominator(x for phi in phis for series in phi for m in series for x in m.entries)
-    m1l, m2l, m1r, m2r = ([_scaled(T, nM) for T in series] for series in tensors)
-    psi, nS = _scaled_maps(eq.psi)
-    # Ψ(m²(y1, y2)) against m¹(Ψy1, Ψy2), over nM·nS²
+    psi, nS = _require_square(eq.psi, d)
+    *_, [(m1l, m1r, phi1), (m2l, m2r, phi2)] = _integer_series(OD, def1, def2)
+    # Ψ(m²(y1, y2)) against m¹(Ψy1, Ψy2), over nL·nS²
     checks = [
         _law(f"Ψ intertwines the {name} products", *_intertwining(psi, m2, m1, False, nS), d, d)
         for name, m2, m1 in (("left", m2l, m1l), ("right", m2r, m1r))
     ]
-    # ΨΦ²(g) against Φ¹(g)Ψ, over nS·nF
-    phi1, phi2 = ([_scaled_matrices(series, nF) for series in phi] for phi in phis)
+    # ΨΦ²(g) against Φ¹(g)Ψ, over nS·nP
     checks.append(_law(
         "Ψ intertwines the actions",
         _concatenated([_cauchy(_matrix_product, psi, f2) for f2 in phi2]),
@@ -375,22 +373,18 @@ def _push_forward(OD: OrientedDialgebra, deformation: TruncatedDeformation,
     nS·nP·nR.
     """
     d = OD.dim
-    phi = _action_series(OD, deformation)
-    tensors = [[validated_tensor(d, T) for T in series]
-               for series in (deformation.mlt, deformation.mrt)]
-    nL = _denominator(_flat([plane for series in tensors for T in series for plane in T]))
-    nP = _denominator(x for series in phi for m in series for x in m.entries)
+    nL, nP, _, [(*products, Phi)] = _integer_series(OD, deformation)
     (S, nS), (R, nR) = S, R
 
     def push(m):
-        moved = _on_both([_scaled(T, nL) for T in m], R)     # m(Rx, Ry)
+        moved = _on_both(m, R)     # m(Rx, Ry)
         out = _cauchy(lambda s, t: _flat(_valued(s, [_rows(t, d)])), S, moved)
         return [_tensor(t, d, nS * nL * nR * nR) for t in out]
 
     pushed = [[Matrix(d, d, [_rational(x, nS * nP * nR) for x in t])
-               for t in _cauchy(_matrix_product, _series_product(S, Phi), R)]
-              for Phi in (_scaled_matrices(series, nP) for series in phi)]
-    return TruncatedDeformation(deformation.order, *map(push, tensors),
+               for t in _cauchy(_matrix_product, _series_product(S, series), R)]
+              for series in Phi]
+    return TruncatedDeformation(deformation.order, *map(push, products),
                                 [list(per_g) for per_g in zip(*pushed)])
 
 
@@ -407,8 +401,7 @@ def transport_deformation(
     """
     if eq.order != deformation.order:
         raise ValueError("orders of the deformation and the intertwiner must match")
-    _require_square(eq.psi, OD.dim, "psi")
-    S, nS = _scaled_maps(eq.psi)
+    S, nS = _require_square(eq.psi, OD.dim)
     return _push_forward(OD, deformation, (S, nS), (_series_inverse(S, nS), nS ** eq.order))
 
 
@@ -422,8 +415,7 @@ def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> Truncat
     d = OD.dim
     if len(psis) != order:
         raise ValueError(f"need {order} matrices psi_1..psi_{order}")
-    _require_square(psis, d, "psi")
-    S, nS = _scaled_maps([Matrix.identity(d)] + list(psis))
+    S, nS = _require_square([Matrix.identity(d)] + list(psis), d)
     # pulling back along Ψ is pushing forward along Ψ⁻¹
     return _push_forward(OD, constant_deformation(OD, order),
                          (_series_inverse(S, nS), nS ** order), (S, nS))

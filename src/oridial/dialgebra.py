@@ -176,11 +176,7 @@ class Dialgebra:
 
 def _denominator(scalars) -> int:
     """The least common denominator of exact scalars."""
-    n = 1
-    for x in scalars:
-        if x.denominator != 1:
-            n = lcm(n, x.denominator)
-    return n
+    return lcm(*{x.denominator for x in scalars})
 
 
 def _scaled_rows(rows, n: int) -> list:

@@ -446,6 +446,10 @@ def _misshaped_calls() -> dict:
     # phi[1] with 1 and with 3 matrices
     short, long = (TruncatedDeformation(1, dfm.mlt, dfm.mrt, [[one] * 2, [one] * k]) for k in (1, 3))
     eq = DeformationEquivalence(1, [one, one])
+    # a 3×3×3 ⊢ coefficient at power 1, and at power 2 of an order-2 deformation
+    bad_mr = TruncatedDeformation(1, dfm.mlt, [OD.base.right, zero_tensor(3)], dfm.phi)
+    dfm2 = constant_deformation(OD, 2)
+    bad_top = TruncatedDeformation(2, dfm2.mlt, [*dfm2.mrt[:2], zero_tensor(3)], dfm2.phi)
     return {
         "OrientedDialgebra-count": (OrientedDialgebra, OD.base, OD.group, [one]),
         "OrientedDialgebra-shape": (OrientedDialgebra, OD.base, OD.group, [big, big]),
@@ -454,6 +458,13 @@ def _misshaped_calls() -> dict:
         "infinitesimal-long-phi": (infinitesimal, OD, long),
         "check_equivalence-short-phi": (check_equivalence, OD, dfm, short, eq),
         "check_equivalence-long-phi": (check_equivalence, OD, long, dfm, eq),
+        "check_deformation-coefficient": (check_deformation, OD, bad_mr),
+        "infinitesimal-coefficient": (infinitesimal, OD, bad_mr),
+        "infinitesimal-coefficient-above-order": (infinitesimal, OD, bad_top, 1),
+        "check_equivalence-first-coefficient": (check_equivalence, OD, bad_mr, dfm, eq),
+        "check_equivalence-second-coefficient": (check_equivalence, OD, dfm, bad_mr, eq),
+        "check_equivalence-psi": (check_equivalence, OD, dfm, dfm,
+                                  DeformationEquivalence(1, [one, big])),
         "transport_deformation-short-phi": (transport_deformation, OD, short, eq),
         "is_degree1_cocycle-one-alpha": (coh.is_degree1_cocycle, OD, alpha[:1], beta),
         "is_degree1_cocycle-three-alpha": (coh.is_degree1_cocycle, OD, alpha * 2 + alpha[:1], beta),

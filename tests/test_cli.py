@@ -404,7 +404,23 @@ def test_engine_rejections_become_structured_errors(tmp_path, capsys):
     }
     path = write_bundle(tmp_path / "broken_ext.json", broken)
     code, out, err = run_cli(capsys, ["extract", "--input", path])
-    assert code == 1
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "extension clauses fail: ['defect lands in the kernel']"}
+
+    # the zero cocycle's extension with e0 added to e2 ⊣ e2, e2 the section's
+    # image of e0: every defect lands in the kernel, but the pair is no cocycle
+    zero = dual_sign_bundle()
+    zero["cocycle"] = {"alpha": zero2, "beta_left": zero2, "beta_right": zero2}
+    path = write_bundle(tmp_path / "zero.json", zero)
+    code, out, err = run_cli(capsys, ["extend", "--input", path])
+    assert code == 0
+    tampered = dual_sign_bundle()
+    tampered["extension"] = json.loads(out)["extension"]
+    tampered["extension"]["dialgebra"]["left"][2][2][0] = "1"
+    path = write_bundle(tmp_path / "tampered_ext.json", tampered)
+    code, out, err = run_cli(capsys, ["extract", "--input", path])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "pair is not a degree-1 cocycle (7 nonzero residuals)"}
 
 
 def test_rigidity_command(tmp_path, capsys):
@@ -652,6 +668,10 @@ def test_mutated_bundles_exit_cleanly(tmp_path, capsys, command, bundle):
     ("deformation.ml[1]", ["check"]),
     ("deformation.phi[1][0]", ["check"]),
     ("equivalence.psi[1]", ["equivalence-check"]),
+    ("action", ["check"]),
+    ("deformation.mr", ["check"]),
+    ("deformation.phi", ["check"]),
+    ("equivalence.psi", ["equivalence-check"]),
 ])
 def test_wrong_length_array_exits_2_naming_its_path(tmp_path, capsys, path, command, change):
     bundle = copy.deepcopy(_every_section_bundle())
@@ -663,7 +683,7 @@ def test_wrong_length_array_exits_2_naming_its_path(tmp_path, capsys, path, comm
     path_file = write_bundle(tmp_path / "bad.json", bundle)
     code, out, err = run_cli(capsys, command + ["--input", path_file])
     assert code == 2 and out == ""
-    assert json.loads(err)["error"].startswith(f"{path}: ")
+    assert json.loads(err)["error"] == f"{path}: expected a list of {len(node)} entries"
 
 
 def test_docstring_names_every_bundle_section_and_config_field():
