@@ -41,9 +41,9 @@ different subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 from .dialgebra import (
     Check,
@@ -75,8 +75,7 @@ from .trees import (
     ResourceLimitError,
     catalan,
     enumerate_trees,
-    face,
-    leaf_orientation,
+    face_table,
     mirror,
     tree_index,
 )
@@ -106,10 +105,16 @@ def sign_exponent(n: int) -> int:
 #
 # Every coboundary, action and total differential is a SparseMap, and
 # cohomology eliminates these maps directly: the functions of ``linalg``
-# accept them as they are, and nothing in the engine densifies.  Two
-# builders make every entry, ``_delta`` and ``_act``; ``_write_horizontal``
-# and ``_write_vertical`` write their maps, and the ±1 identities of the
-# group direction, into a block at its offset.
+# read them by columns, and nothing in the engine densifies.  A SparseMap
+# is stored as its columns, the layout the kernel elimination consumes: a
+# list of ``cols`` dicts {row: value} with int keys and no zero values.
+# ``entries``, a (row, col)-keyed dict, is built on demand for the tests,
+# the benchmark's checks and the products of ``mul``.  Two builders make
+# every entry, ``_delta`` and ``_act``, straight into column dicts; ``_delta``
+# reads its faces and leaf orientations from ``trees.face_table``.
+# ``_write_horizontal`` and ``_write_vertical`` copy each source column to
+# its block offset with one C-level ``dict.update`` over the shifted rows,
+# and add the ±1 identities of the group direction.
 #
 # The cohomology entry points assemble integer maps.  δ is linear in the
 # structure constants, so δ built from the products scaled by their common
@@ -132,14 +137,29 @@ def sign_exponent(n: int) -> int:
 
 
 class SparseMap:
-    """A sparse linear map, dict of (row, col) -> exact scalar."""
+    """A sparse linear map stored by columns: ``columns[j]`` is {row: value}.
 
-    __slots__ = ("rows", "cols", "entries")
+    No stored value is 0.  A map is built from its column dicts, or from an
+    entries dict of (row, col) -> exact scalar, whose zeros are dropped.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, entries: dict | None = None,
+                 columns: list | None = None):
         self.rows = rows
         self.cols = cols
-        self.entries: dict = {} if entries is None else entries
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+            for (r, c), x in (entries or {}).items():
+                if x:
+                    columns[c][r] = x
+        self.columns: list[dict] = columns
+
+    @property
+    def entries(self) -> dict:
+        """A new dict of (row, col) -> value, with no zero values."""
+        return {(r, c): x for c, col in enumerate(self.columns) for r, x in col.items()}
 
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
@@ -150,7 +170,7 @@ class SparseMap:
         right: dict[int, list] = {}
         for (k, j), b in other.entries.items():
             right.setdefault(k, []).append((j, b))
-        out = SparseMap(self.rows, other.cols)
+        out: dict = {}
         for i, terms in left.items():
             acc: dict = {}
             for k, a in terms:
@@ -158,8 +178,8 @@ class SparseMap:
                     acc[j] = acc.get(j, 0) + a * b
             for j, v in acc.items():
                 if v:
-                    out.entries[(i, j)] = v
-        return out
+                    out[(i, j)] = v
+        return SparseMap(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries.values())
@@ -167,8 +187,8 @@ class SparseMap:
     def equals(self, other: "SparseMap") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.entries.get(k, 0) == other.entries.get(k, 0) for k in keys)
+        mine, theirs = self.entries, other.entries
+        return all(mine.get(k, 0) == theirs.get(k, 0) for k in mine.keys() | theirs.keys())
 
     def to_matrix(self) -> Matrix:
         data = [0] * (self.rows * self.cols)
@@ -216,7 +236,8 @@ def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -
     """Sparse matrix of the coboundary CY(n) -> CY(n+1)."""
     _check_delta(D, n, config)
     d = D.dim
-    return SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), _delta(D.left, D.right, d, n))
+    return SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n),
+                     columns=_delta(D.left, D.right, d, n))
 
 
 def _leaf_terms(T: list, sign: int, d: int) -> tuple[list, list, list]:
@@ -233,19 +254,16 @@ def _leaf_terms(T: list, sign: int, d: int) -> tuple[list, list, list]:
     return first, inner, last
 
 
-def _delta(left: list, right: list, d: int, n: int) -> dict:
-    """The entries of δ: CY(n) -> CY(n+1) built from the product tensors given."""
-    e: dict = {}
-    get = e.get
-    t_in = tree_index(n)
+def _delta(left: list, right: list, d: int, n: int) -> list[dict]:
+    """The columns of δ: CY(n) -> CY(n+1) built from the product tensors given."""
+    cols: list[dict] = [{} for _ in range(cochain_dim(d, n))]
     dn = d ** n
     # each leaf's product with the leaf's sign already applied
     terms = {(o, s): _leaf_terms(T, s, d)
              for o, T in ((LeafOrientation.LEFT, left), (LeafOrientation.RIGHT, right))
              for s in (1, -1)}
-    for ti, y in enumerate(enumerate_trees(n + 1)):
-        spots = [(t_in[face(i, y).word] * dn, terms[leaf_orientation(i, y), -1 if i % 2 else 1])
-                 for i in range(n + 2)]
+    for ti, leaves in enumerate(face_table(n + 1)):
+        spots = [(t_in * dn, terms[o, -1 if i % 2 else 1]) for i, (t_in, o) in enumerate(leaves)]
         first_tree, first = spots[0][0], spots[0][1][0]
         last_tree, last = spots[n + 1][0], spots[n + 1][1][2]
         for mi, I in enumerate(product(range(d), repeat=n + 1)):
@@ -253,8 +271,8 @@ def _delta(left: list, right: list, d: int, n: int) -> dict:
 
             col_base = (first_tree + mi % dn) * d  # multiply by the first argument
             for m, k, x in first[I[0]]:
-                key = (row_base + k, col_base + m)
-                e[key] = get(key, 0) + x
+                col, r = cols[col_base + m], row_base + k
+                col[r] = col.get(r, 0) + x
 
             for i in range(1, n + 1):  # contract arguments i and i+1
                 t_off, (_, inner, _) = spots[i]
@@ -264,14 +282,14 @@ def _delta(left: list, right: list, d: int, n: int) -> dict:
                 for m, x in inner[I[i - 1]][I[i]]:
                     col_base = (t_off + hi + m * low + lo) * d
                     for k in range(d):
-                        key = (row_base + k, col_base + k)
-                        e[key] = get(key, 0) + x
+                        col, r = cols[col_base + k], row_base + k
+                        col[r] = col.get(r, 0) + x
 
             col_base = (last_tree + mi // d) * d  # multiply by the last argument
             for m, k, x in last[I[n]]:
-                key = (row_base + k, col_base + m)
-                e[key] = get(key, 0) + x
-    return e if all(e.values()) else {key: x for key, x in e.items() if x}
+                col, r = cols[col_base + m], row_base + k
+                col[r] = col.get(r, 0) + x
+    return [col if all(col.values()) else {r: x for r, x in col.items() if x} for col in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +315,17 @@ def act_entries(
     dim = cochain_dim(d, n)
     _check_target_size(f"CY({n})", dim, config)
     rho, rho_inv = OD.action[g], OD.action[OD.group.inv(g)]
-    return SparseMap(dim, dim, _act(rho.to_rows(), rho_inv.to_rows(), OD.sign(g), d, n))
+    return SparseMap(dim, dim, columns=_act(rho.to_rows(), rho_inv.to_rows(), OD.sign(g), d, n))
 
 
-def _act(rho: list, rho_inv: list, eps: int, d: int, n: int) -> dict:
-    """The entries of the action on CY(n) of an element of sign ``eps``.
+def _act(rho: list, rho_inv: list, eps: int, d: int, n: int) -> list[dict]:
+    """The columns of the action on CY(n) of an element of sign ``eps``.
 
     ``rho`` and ``rho_inv`` are the rows of the matrices of the element and
     of its inverse.  Distinct terms land on distinct entries, so each entry
-    is written once.
+    is written once, and a product of nonzero factors is never 0.
     """
-    e: dict = {}
+    cols: list[dict] = [{} for _ in range(cochain_dim(d, n))]
     # the nonzero entries of each row of rho
     rho_rows = [[(kp, w) for kp, w in enumerate(row) if w] for row in rho]
     # nonzero rows of each column of rho_inv, for pruning the J-sum
@@ -332,8 +350,8 @@ def _act(rho: list, rho_inv: list, eps: int, d: int, n: int) -> dict:
                 for k, row in enumerate(rho_rows):
                     r = row_base + k
                     for kp, w in row:
-                        e[r, col_base + kp] = coeff * w
-    return e
+                        cols[col_base + kp][r] = coeff * w
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +378,24 @@ def _tuple_pos(t: tuple, m: int) -> int:
     return pos
 
 
-def _write_horizontal(e: dict, delta: dict, slots: int, rows: int, cols: int,
+def _scaled_values(cols: list[dict], scale: int) -> list:
+    """The values of each column times ``scale``, in the column's order."""
+    if scale == 1:
+        return [col.values() for col in cols]
+    return [list(map(mul, col.values(), repeat(scale))) for col in cols]
+
+
+def _write_horizontal(out: list, delta: list, slots: int, rows: int, cols: int,
                       row_off: int, col_off: int, scale: int) -> None:
     """Write scale·δ into each of ``slots`` group slots of a block at the offset."""
-    items = list(delta.items()) if scale == 1 else [(key, x * scale) for key, x in delta.items()]
+    values = _scaled_values(delta, scale)
     for t in range(slots):
         ro, co = row_off + t * rows, col_off + t * cols
-        e.update({(r + ro, c + co): x for (r, c), x in items})
+        for col, target, vals in zip(delta, out[co:co + cols], values):
+            target.update(zip(map(ro.__add__, col), vals))
 
 
-def _write_vertical(e: dict, acts: list, G, p: int, cd: int,
+def _write_vertical(out: list, acts: list, G, p: int, cd: int,
                     row_off: int, col_off: int, act_scale: int, id_scale: int) -> None:
     """Write the group-direction block (p, q) -> (p+1, q) at the offset.
 
@@ -378,8 +404,7 @@ def _write_vertical(e: dict, acts: list, G, p: int, cd: int,
     the last face forgets the final argument (±``id_scale`` identities).
     """
     m = G.order
-    scaled = [list(a.items()) if act_scale == 1 else [(key, x * act_scale) for key, x in a.items()]
-              for a in acts]
+    values = [_scaled_values(a, act_scale) for a in acts]
     for gt in _tuples(m, p + 1):
         ro = row_off + _tuple_pos(gt, m) * cd
         ident: dict = {}  # column slot -> coefficient of the identity there
@@ -390,22 +415,23 @@ def _write_vertical(e: dict, acts: list, G, p: int, cd: int,
         ident[last] = ident.get(last, 0) + (-1 if (p + 1) % 2 else 1)
         slot = _tuple_pos(gt[1:], m)
         co = col_off + slot * cd
-        block = {(r + ro, c + co): x for (r, c), x in scaled[gt[0]]}
+        block = out[co:co + cd]
+        for col, target, vals in zip(acts[gt[0]], block, values[gt[0]]):
+            target.update(zip(map(ro.__add__, col), vals))
         x = ident.pop(slot, 0) * id_scale
         if x:  # the identity shares its slot with the action: add, and drop zero sums
-            for i in range(cd):
-                key = (ro + i, co + i)
-                v = block.get(key, 0) + x
+            for i, target in enumerate(block, ro):
+                v = target.get(i, 0) + x
                 if v:
-                    block[key] = v
+                    target[i] = v
                 else:
-                    del block[key]
-        e.update(block)
+                    del target[i]
         for slot, x in ident.items():
             if x:
                 co = col_off + slot * cd
                 x *= id_scale
-                e.update({(ro + i, co + i): x for i in range(cd)})
+                for i, target in enumerate(out[co:co + cd], ro):
+                    target[i] = x
 
 
 def vertical_entries(
@@ -419,8 +445,8 @@ def vertical_entries(
     _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q), config)
     cd = cochain_dim(OD.dim, q)
     sm = SparseMap(m ** (p + 1) * cd, m ** p * cd)
-    acts = [act_entries(OD, g, q, config).entries for g in range(m)]
-    _write_vertical(sm.entries, acts, OD.group, p, cd, 0, 0, 1, 1)
+    acts = [act_entries(OD, g, q, config).columns for g in range(m)]
+    _write_vertical(sm.columns, acts, OD.group, p, cd, 0, 0, 1, 1)
     return sm
 
 
@@ -434,7 +460,7 @@ def horizontal_entries(
     _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1), config)
     delta = delta_entries(OD.base, q, config)
     sm = SparseMap(slots * delta.rows, slots * delta.cols)
-    _write_horizontal(sm.entries, delta.entries, slots, delta.rows, delta.cols, 0, 0, 1)
+    _write_horizontal(sm.columns, delta.columns, slots, delta.rows, delta.cols, 0, 0, 1)
     return sm
 
 
@@ -485,17 +511,17 @@ def _total_maps(OD: OrientedDialgebra, degrees, left: list, right: list, action:
     for n in degrees:
         L = lcm(nL, nR ** (n + 2))
         src, dst = _block_offsets(OD, n), _block_offsets(OD, n + 1)
-        e: dict = {}
+        cols: list[dict] = [{} for _ in range(total_dim(OD, n))]
         for p, q in total_blocks(OD, n):
             if q not in deltas:
                 deltas[q] = _delta(left, right, d, q)
                 acts[q] = [_act(action[g], action[G.inv(g)], G.sign(g), d, q) for g in range(m)]
             cd, sign, col = cochain_dim(d, q), (-1) ** q, src[(p, q)]
-            _write_horizontal(e, deltas[q], m ** p, cochain_dim(d, q + 1), cd,
+            _write_horizontal(cols, deltas[q], m ** p, cochain_dim(d, q + 1), cd,
                               dst[(p, q + 1)], col, L // nL)
-            _write_vertical(e, acts[q], G, p, cd, dst[(p + 1, q)], col,
+            _write_vertical(cols, acts[q], G, p, cd, dst[(p + 1, q)], col,
                             sign * (L // nR ** (q + 1)), sign * L)
-        maps.append(SparseMap(total_dim(OD, n + 1), total_dim(OD, n), e))
+        maps.append(SparseMap(total_dim(OD, n + 1), total_dim(OD, n), columns=cols))
     return maps
 
 
@@ -569,8 +595,8 @@ def _quotient(
         image, units = d_in, kernel
     else:
         free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
-        image = SparseMap(k, d_in.cols, {(free[r], c): x for (r, c), x in d_in.entries.items()
-                                         if x and r in free})
+        image = SparseMap(k, d_in.cols, columns=[{free[r]: x for r, x in col.items() if r in free}
+                                                 for col in d_in.columns])
         units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
     image_rank = rank(image)
     keep = column_space_complement(image, units)
@@ -593,11 +619,12 @@ def dialgebra_cohomology(
     _check_delta(D, n, config)
     d = D.dim
     _, (left, right) = _scaled_products(D)
-    d_out = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), _delta(left, right, d, n))
+    d_out = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), columns=_delta(left, right, d, n))
     if n == 0:
         d_in = SparseMap(cochain_dim(d, 0), 0)
     else:
-        d_in = SparseMap(cochain_dim(d, n), cochain_dim(d, n - 1), _delta(left, right, d, n - 1))
+        d_in = SparseMap(cochain_dim(d, n), cochain_dim(d, n - 1),
+                         columns=_delta(left, right, d, n - 1))
     return _quotient(d_out, d_in)
 
 
@@ -793,6 +820,8 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
     (tot, L), ((C,), nG) = _degree0_map(OD), _scaled_maps([gamma])
     c = [x for col in zip(*C) for x in col]
     out = [0] * tot.rows
-    for (r, j), x in tot.entries.items():
-        out[r] += x * c[j]
+    for col, y in zip(tot.columns, c):
+        if y:
+            for r, x in col.items():
+                out[r] += x * y
     return degree1_unpack(OD, [_rational(x, L * nG) for x in out])

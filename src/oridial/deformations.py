@@ -53,6 +53,7 @@ coefficient of the result is divided by its denominator last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .cohomology import (
     _action_term,
@@ -83,7 +84,7 @@ from .dialgebra import (
     validated_tensor,
     zero_tensor,
 )
-from .linalg import Matrix, ShapeMismatchError, _rational, normalize_scalar
+from .linalg import Matrix, ShapeMismatchError, _rational
 from .oriented import OrientedDialgebra, _law_sides
 
 
@@ -307,16 +308,23 @@ def _certificate(
 ) -> Matrix:
     """ψ_1, once its coboundary is verified to be infinitesimal(def2) - infinitesimal(def1).
 
-    For an equivalence that ``check_equivalence`` accepts.  A mismatch
-    means an engine bug, not bad input, so it raises.
+    For an equivalence that ``check_equivalence`` accepts.  Both order-1
+    terms come from one read of the two deformations, and their difference
+    is packed as ``degree1_pack`` lays out a pair: β⊢ and β⊣ over nL, then
+    each θ₁(g)ᵀ over nF·nP.  A mismatch means an engine bug, not bad input,
+    so it raises.
     """
-    inf1 = infinitesimal(OD, def1, 1)
-    inf2 = infinitesimal(OD, def2, 1)
+    nL, nF, _, [(l1, r1, Phi1), (l2, r2, Phi2)] = _integer_series(OD, def1, def2)
+    P, nP = _scaled_maps(OD.action)
+
+    def theta(Phi):   # θ₁(g)ᵀ flattened for each g, over nF·nP
+        return _flat(zip(*t) for t in _action_term([s[1] for s in Phi], P, OD.group, back=True))
+
+    beta = map(sub, _flat([*r2[1], *l2[1]]), _flat([*r1[1], *l1[1]]))
+    alpha = map(sub, theta(Phi2), theta(Phi1))
+    want = [_rational(x, nL) for x in beta] + [_rational(x, nF * nP) for x in alpha]
     psi1 = eq.psi[1]
-    alpha, beta = degree1_coboundary(OD, psi1)
-    got = degree1_pack(OD, alpha, beta)
-    want = [normalize_scalar(a - b) for a, b in zip(degree1_pack(OD, *inf2.as_pair()),
-                                                     degree1_pack(OD, *inf1.as_pair()))]
+    got = degree1_pack(OD, *degree1_coboundary(OD, psi1))
     if got != want:
         raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
     return psi1

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals, dense or sparse.
 
 Everything here is exact: entries are Python ints or ``fractions.Fraction``
-values, never floats.  A matrix argument is a dense ``Matrix`` or a sparse
-map, that is any object with ``rows``, ``cols`` and an ``entries`` dict
-from (row, col) to a scalar, such as ``cohomology.SparseMap``.
+values, never floats.  A matrix argument is a dense ``Matrix`` or a
+``cohomology.SparseMap``, which is read by its columns: a list of ``cols``
+dicts {row: value} with no zero values, each copied before elimination.
 
 There is one elimination, and it is sparse.  It keeps the nonzero rows as
 integer dicts {column: value}; each vector is scaled to integers once.
@@ -166,19 +166,18 @@ class Matrix:
 
 
 def _row_dicts(m, transpose: bool = False) -> list[dict]:
-    """Every row (or column) of a dense or sparse matrix as a {index: value} dict."""
+    """Every row (or column) of a dense or sparse matrix as a new {index: value} dict."""
     if isinstance(m, Matrix):
         if transpose:
             m = m.transpose()
         c, e = m.cols, m.entries
         return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if x} for i in range(m.rows)]
-    out = [{} for _ in range(m.cols if transpose else m.rows)]
-    for (i, j), x in m.entries.items():
-        if x:
-            if transpose:
-                out[j][i] = x
-            else:
-                out[i][j] = x
+    if transpose:
+        return [dict(col) for col in m.columns]
+    out = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 

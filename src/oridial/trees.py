@@ -120,6 +120,17 @@ def tree_index(n: int) -> dict[tuple[int, ...], int]:
     return {t.word: i for i, t in enumerate(enumerate_trees(n))}
 
 
+@lru_cache(maxsize=None)
+def face_table(n: int) -> tuple[tuple[tuple[int, LeafOrientation], ...], ...]:
+    """For each tree y of Y(n) and each leaf i of y: (position of face(i, y)
+    in Y(n-1), leaf_orientation(i, y)), in canonical order."""
+    if n < 1:
+        raise ValueError("the 0-tree has no faces")
+    below = tree_index(n - 1)
+    return tuple(tuple((below[face(i, y).word], leaf_orientation(i, y)) for i in range(n + 1))
+                 for y in enumerate_trees(n))
+
+
 def tree_from_word(word) -> Tree:
     """Decode a word back into a tree; inverse of ``Tree.word``."""
     word = tuple(word)

@@ -355,6 +355,23 @@ def test_equivalence_check_runs_the_checker_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_certificate_reads_both_deformations_in_one_call(tmp_path, capsys, monkeypatch):
+    # the check reads both deformations once and the certificate once more,
+    # taking the order-1 terms from that read instead of from ``infinitesimal``
+    from oridial import deformations
+
+    path = write_bundle(tmp_path / "eq.json", _transported_bundle())
+    reads = []
+    read = deformations._integer_series
+    monkeypatch.setattr(deformations, "_integer_series",
+                        lambda OD, *dfms: reads.append(len(dfms)) or read(OD, *dfms))
+    monkeypatch.setattr(deformations, "infinitesimal", None)
+    code, out, _ = run_cli(capsys, ["equivalence-check", "--input", path])
+    assert code == 0
+    assert json.loads(out)["certificate_psi1"] == [["0", "1"], ["0", "0"]]
+    assert reads == [2, 2]
+
+
 def test_infinitesimal_command(tmp_path, capsys):
     bundle = _transported_bundle()
     bundle["deformation"] = bundle.pop("deformation2")

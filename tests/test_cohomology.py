@@ -57,6 +57,7 @@ from reference_checkers import (
     vec_sub,
     vec_sum,
 )
+import reference_assembly as ref
 from reference_quotient import (
     reference_dialgebra_cohomology,
     reference_equivariant_cohomology,
@@ -179,14 +180,15 @@ def test_level1_action_is_plain_conjugation(od_dual_sign):
     # at level 1 the parity of the element does not matter
     g = 1  # the sign -1 element
     rho = od_dual_sign.action[g]
-    by_hand = coh.SparseMap(4, 4)
+    entries = {}
     for i in range(2):
         for k in range(2):
             for a in range(2):
                 for b in range(2):
                     v = rho.at(k, b) * rho.at(a, i)  # rho kb * rho^{-1} ai (involution)
                     if v:
-                        by_hand.entries[i * 2 + k, a * 2 + b] = v
+                        entries[i * 2 + k, a * 2 + b] = v
+    by_hand = coh.SparseMap(4, 4, entries)
     assert coh.act_entries(od_dual_sign, g, 1).equals(by_hand)
 
 
@@ -357,11 +359,13 @@ def _eliminated_maps(cohomology, *args) -> tuple:
     return seen[0]
 
 
-def _is_scaled(sm, public, scale: int) -> bool:
-    """Is sm, entry for entry, the integer map scale·public?"""
+def _is_scaled(sm, public, scale: int, reference: dict) -> bool:
+    """Is sm, entry for entry, the integer map scale·public and the reference map?"""
     return ((sm.rows, sm.cols) == (public.rows, public.cols)
+            and _well_stored(sm)
             and all(type(x) is int for x in sm.entries.values())
-            and sm.entries == {key: scale * v for key, v in public.entries.items()})
+            and sm.entries == {key: scale * v for key, v in public.entries.items()}
+            and sm.entries == reference)
 
 
 def _eliminates_scaled_public_maps(OD) -> bool:
@@ -370,16 +374,19 @@ def _eliminates_scaled_public_maps(OD) -> bool:
     nL = lcm(*(x.denominator for T in (D.left, D.right) for plane in T for row in plane
                for x in row))
     nR = lcm(*(x.denominator for m in OD.action for x in m.entries))
+    deltas = [ref.integer_delta(D, n) for n in range(3)]
+    totals = [ref.integer_total(OD, n) for n in range(3)]
     for n in range(3):
         d_out, d_in = _eliminated_maps(coh.dialgebra_cohomology, D, n)
-        if not _is_scaled(d_out, coh.delta_entries(D, n), nL):
+        if not _is_scaled(d_out, coh.delta_entries(D, n), nL, deltas[n]):
             return False
-        if n and not _is_scaled(d_in, coh.delta_entries(D, n - 1), nL):
+        if n and not _is_scaled(d_in, coh.delta_entries(D, n - 1), nL, deltas[n - 1]):
             return False
         d_out, d_in = _eliminated_maps(coh.equivariant_cohomology, OD, n)
-        if not _is_scaled(d_out, coh.total_entries(OD, n), lcm(nL, nR ** (n + 2))):
+        if not _is_scaled(d_out, coh.total_entries(OD, n), lcm(nL, nR ** (n + 2)), totals[n]):
             return False
-        if n and not _is_scaled(d_in, coh.total_entries(OD, n - 1), lcm(nL, nR ** (n + 1))):
+        if n and not _is_scaled(d_in, coh.total_entries(OD, n - 1), lcm(nL, nR ** (n + 1)),
+                                totals[n - 1]):
             return False
     return True
 
@@ -394,6 +401,53 @@ def test_eliminated_maps_are_scaled_public_maps():
 @given(data=st.data())
 def test_eliminated_maps_are_scaled_public_maps_after_basis_change(data):
     assert _eliminates_scaled_public_maps(_draw_basis_changed(data))
+
+
+def _well_stored(sm) -> bool:
+    """One column dict per column, no stored zero, every row key below ``rows``."""
+    return (len(sm.columns) == sm.cols
+            and all(x and 0 <= r < sm.rows for col in sm.columns for r, x in col.items()))
+
+
+def _public_maps(OD) -> list:
+    """(engine map, reference entries) for every public map up to n = 2, or
+    n = 1 when |G| > 2 or the dimension is 3."""
+    top = 1 if OD.group.order > 2 or OD.dim == 3 else 2
+    pairs = []
+    for n in range(top + 1):
+        pairs.append((coh.delta_entries(OD.base, n), ref.delta_entries(OD.base, n)))
+        pairs += [(coh.act_entries(OD, g, n), ref.act_entries(OD, g, n))
+                  for g in OD.group.elements()]
+        pairs.append((coh.total_entries(OD, n), ref.total_entries(OD, n)))
+        for p, q in coh.total_blocks(OD, n):
+            pairs.append((coh.vertical_entries(OD, p, q), ref.vertical_entries(OD, p, q)))
+            pairs.append((coh.horizontal_entries(OD, p, q), ref.horizontal_entries(OD, p, q)))
+    return pairs
+
+
+def _matches_reference_assembly(OD) -> bool:
+    return all(_well_stored(sm) and sm.entries == want
+               and coh.SparseMap(sm.rows, sm.cols, want).entries == want
+               for sm, want in _public_maps(OD))
+
+
+def test_public_maps_match_the_reference_assembly():
+    assert all(_matches_reference_assembly(OD)
+               for OD in _oriented_fixtures() + [basis_changed_dual_s3()])
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_public_maps_match_the_reference_assembly_after_basis_change(data):
+    assert _matches_reference_assembly(_draw_basis_changed(data))
+
+
+def test_sparse_map_drops_zeros_and_reads_back_its_entries():
+    entries = {(0, 1): 2, (2, 1): Fraction(-1, 3), (1, 0): 5}
+    sm = coh.SparseMap(3, 2, {**entries, (2, 0): 0})
+    assert sm.columns == [{1: 5}, {0: 2, 2: Fraction(-1, 3)}]
+    assert sm.entries == entries
+    assert coh.SparseMap(3, 2).entries == {} and coh.SparseMap(3, 2).columns == [{}, {}]
 
 
 def _outcome(cohomology, *args) -> str:

@@ -11,10 +11,12 @@ from oridial.trees import (
     degeneracy,
     enumerate_trees,
     face,
+    face_table,
     graft,
     leaf_orientation,
     mirror,
     tree_from_word,
+    tree_index,
 )
 
 LEFT, RIGHT = LeafOrientation.LEFT, LeafOrientation.RIGHT
@@ -195,3 +197,14 @@ def test_mirror_is_an_involution():
         assert mirror(y).size == y.size
     for n in range(6):
         assert {mirror(t).word for t in enumerate_trees(n)} == {t.word for t in enumerate_trees(n)}
+
+
+def test_face_table_matches_face_and_leaf_orientation():
+    for n in range(1, 6):
+        below = tree_index(n - 1)
+        assert face_table(n) == tuple(
+            tuple((below[face(i, y).word], leaf_orientation(i, y)) for i in range(n + 1))
+            for y in enumerate_trees(n))
+    assert sum(map(len, face_table(4))) == 70   # (3 + 2)·C(4) pairs for δ at level 3
+    with pytest.raises(ValueError):
+        face_table(0)
