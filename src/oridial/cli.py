@@ -347,29 +347,28 @@ def _cohomology_payload(result) -> dict:
     }
 
 
-def cmd_cohomology(args) -> tuple:
-    bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
-    report = check_axioms(D)
-    if not report.ok:
-        return {"error": "dialgebra axioms fail", "checks": _emit_checks(report)}, 1
-    result = coh.dialgebra_cohomology(D, args.n, config)
-    return _cohomology_payload(result), 0
-
-
-def _refusal(OD: OrientedDialgebra) -> dict | None:
-    """The error payload, as ``cohomology`` gives it, of a base that fails the
-    dialgebra axioms, or else the oriented laws; None when both hold."""
-    report, error = check_axioms(OD.base), "dialgebra axioms fail"
-    if report.ok:
+def _refusal(D: Dialgebra, OD: OrientedDialgebra | None) -> dict | None:
+    """The error payload of a base D failing the dialgebra axioms, or else of
+    OD (None: no action) failing the oriented laws; None when they hold."""
+    report, error = check_axioms(D), "dialgebra axioms fail"
+    if report.ok and OD is not None:
         report, error = check_oriented_dialgebra(OD), "oriented dialgebra axioms fail"
     return None if report.ok else {"error": error, "checks": _emit_checks(report)}
 
 
+def cmd_cohomology(args) -> tuple:
+    bundle = load_bundle(args.input)
+    config = _parse_config(bundle)
+    D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+    if refusal := _refusal(D, None):
+        return refusal, 1
+    result = coh.dialgebra_cohomology(D, args.n, config)
+    return _cohomology_payload(result), 0
+
+
 def cmd_equivariant(args) -> tuple:
     _, config, OD = _load(args)
-    if refusal := _refusal(OD):
+    if refusal := _refusal(OD.base, OD):
         return refusal, 1
     result = coh.equivariant_cohomology(OD, args.n, config)
     return _cohomology_payload(result), 0
@@ -461,7 +460,7 @@ def cmd_equivalence_check(args) -> tuple:
 
 def cmd_rigidity(args) -> tuple:
     _, config, OD = _load(args)
-    if refusal := _refusal(OD):
+    if refusal := _refusal(OD.base, OD):
         return refusal, 1
     rig = defm.rigidity_probe(OD, config)
     payload = {

@@ -63,6 +63,9 @@ from .linalg import (
     Matrix,
     NonComplexError,
     ShapeMismatchError,
+    SparseMap,
+    _apply,
+    _integral,
     _rational,
     column_space_complement,
     normalize_scalar,
@@ -103,15 +106,16 @@ def sign_exponent(n: int) -> int:
 # ---------------------------------------------------------------------------
 # sparse matrices
 #
-# Every coboundary, action and total differential is a SparseMap, and
-# cohomology eliminates these maps directly: the functions of ``linalg``
+# Every coboundary, action and total differential is a ``linalg.SparseMap``,
+# and cohomology eliminates these maps directly: the functions of ``linalg``
 # read them by columns, and nothing in the engine densifies.  A SparseMap
 # is stored as its columns, the layout the kernel elimination consumes: a
-# list of ``cols`` dicts {row: value} with int keys and no zero values.
-# ``entries``, a (row, col)-keyed dict, is built on demand for the tests,
-# the benchmark's checks and the products of ``mul``.  Two builders make
-# every entry, ``_delta`` and ``_act``, straight into column dicts; ``_delta``
-# reads its faces and leaf orientations from ``trees.face_table``.
+# list of ``cols`` dicts {row: value} with int keys and no zero values;
+# its product, equality and densification work on those columns too.
+# ``entries``, a (row, col)-keyed dict, is built on demand for the tests
+# and the benchmark's checks.  Two builders make every entry, ``_delta``
+# and ``_act``, straight into column dicts; ``_delta`` reads its faces and
+# leaf orientations from ``trees.face_table``.
 # ``_write_horizontal`` and ``_write_vertical`` copy each source column to
 # its block offset with one C-level ``dict.update`` over the shifted rows,
 # and add the ±1 identities of the group direction.
@@ -134,67 +138,6 @@ def sign_exponent(n: int) -> int:
 # checks the dimension of its target space before it writes an entry, and
 # both cohomology entry points check their outgoing map first.
 # ``to_matrix`` has no cap; tests use it to compare a map with a dense one.
-
-
-class SparseMap:
-    """A sparse linear map stored by columns: ``columns[j]`` is {row: value}.
-
-    No stored value is 0.  A map is built from its column dicts, or from an
-    entries dict of (row, col) -> exact scalar, whose zeros are dropped.
-    """
-
-    __slots__ = ("rows", "cols", "columns")
-
-    def __init__(self, rows: int, cols: int, entries: dict | None = None,
-                 columns: list | None = None):
-        self.rows = rows
-        self.cols = cols
-        if columns is None:
-            columns = [{} for _ in range(cols)]
-            for (r, c), x in (entries or {}).items():
-                if x:
-                    columns[c][r] = x
-        self.columns: list[dict] = columns
-
-    @property
-    def entries(self) -> dict:
-        """A new dict of (row, col) -> value, with no zero values."""
-        return {(r, c): x for c, col in enumerate(self.columns) for r, x in col.items()}
-
-    def mul(self, other: "SparseMap") -> "SparseMap":
-        if self.cols != other.rows:
-            raise ShapeMismatchError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        left: dict[int, list] = {}
-        for (i, k), a in self.entries.items():
-            left.setdefault(i, []).append((k, a))
-        right: dict[int, list] = {}
-        for (k, j), b in other.entries.items():
-            right.setdefault(k, []).append((j, b))
-        out: dict = {}
-        for i, terms in left.items():
-            acc: dict = {}
-            for k, a in terms:
-                for j, b in right.get(k, ()):
-                    acc[j] = acc.get(j, 0) + a * b
-            for j, v in acc.items():
-                if v:
-                    out[(i, j)] = v
-        return SparseMap(self.rows, other.cols, out)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
-
-    def equals(self, other: "SparseMap") -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        mine, theirs = self.entries, other.entries
-        return all(mine.get(k, 0) == theirs.get(k, 0) for k in mine.keys() | theirs.keys())
-
-    def to_matrix(self) -> Matrix:
-        data = [0] * (self.rows * self.cols)
-        for (r, c), v in self.entries.items():
-            data[r * self.cols + c] = v
-        return Matrix(self.rows, self.cols, data)
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +496,13 @@ def _normalize_rep(v: list) -> list:
     by the leading one once.
     """
     nonzero = {j: x for j, x in enumerate(v) if x}
-    lead = next(iter(nonzero.values()), 1)
-    if lead == 1:
+    if next(iter(nonzero.values()), 1) == 1:
         return list(v)
-    denom = lcm(*(x.denominator for x in nonzero.values()))
-    lead = lead.numerator * (denom // lead.denominator)
+    nonzero = _integral(nonzero)
+    lead = next(iter(nonzero.values()))
     out = [0] * len(v)
     for j, x in nonzero.items():
-        out[j] = _rational(x.numerator * (denom // x.denominator), lead)
+        out[j] = _rational(x, lead)
     return out
 
 
@@ -591,13 +533,10 @@ def _quotient(
     except NonComplexError:
         raise NonComplexError(fault) from None
     k = len(kernel)
-    if k == d_out.cols:   # d_out = 0: the Kᵢ are the unit vectors and F is every row
-        image, units = d_in, kernel
-    else:
-        free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
-        image = SparseMap(k, d_in.cols, columns=[{free[r]: x for r, x in col.items() if r in free}
-                                                 for col in d_in.columns])
-        units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
+    image = SparseMap(k, d_in.cols, columns=[{free[r]: x for r, x in col.items() if r in free}
+                                             for col in d_in.columns])
+    units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
     image_rank = rank(image)
     keep = column_space_complement(image, units)
     reps = [_normalize_rep(kernel[i]) for i in keep]
@@ -819,9 +758,5 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
         raise ShapeMismatchError(f"γ must be {d}x{d}")
     (tot, L), ((C,), nG) = _degree0_map(OD), _scaled_maps([gamma])
     c = [x for col in zip(*C) for x in col]
-    out = [0] * tot.rows
-    for col, y in zip(tot.columns, c):
-        if y:
-            for r, x in col.items():
-                out[r] += x * y
-    return degree1_unpack(OD, [_rational(x, L * nG) for x in out])
+    out = _apply(tot.columns, {j: y for j, y in enumerate(c) if y})
+    return degree1_unpack(OD, [_rational(out.get(r, 0), L * nG) for r in range(tot.rows)])

@@ -38,8 +38,9 @@ and the transports push a deformation forward in the same integer series.
 Each reads its deformations through one reader, ``_integer_series``: it
 checks Φ's shape against the structure, validates every product
 coefficient and scales once, by one denominator nL shared by all the
-products of the call and one nP shared by all its actions.  Ψ is read by
-``_require_square`` over its own denominator nS.  Each then takes
+products of the call and one nP shared by all its actions; the
+certificate of an accepted equivalence takes only the order-1 terms.
+Ψ is read by ``_require_square`` over its own denominator nS.  Each then takes
 truncated Cauchy sums (``_cauchy``) of the integer composition tables of
 the undeformed laws, and compares both sides of every law over one
 denominator: nP·lhs against rhs in the twisted law, for example.  A
@@ -308,21 +309,22 @@ def _certificate(
 ) -> Matrix:
     """ψ_1, once its coboundary is verified to be infinitesimal(def2) - infinitesimal(def1).
 
-    For an equivalence that ``check_equivalence`` accepts.  Both order-1
-    terms come from one read of the two deformations, and their difference
-    is packed as ``degree1_pack`` lays out a pair: β⊢ and β⊣ over nL, then
-    each θ₁(g)ᵀ over nF·nP.  A mismatch means an engine bug, not bad input,
-    so it raises.
+    For an equivalence that ``check_equivalence`` accepts, whose read has
+    validated both deformations: only their order-1 terms are read again.
+    Their difference is packed as ``degree1_pack`` lays out a pair: β⊢ and
+    β⊣, then each θ₁(g)ᵀ over nF·nP.  A mismatch means an engine bug, not
+    bad input, so it raises.
     """
-    nL, nF, _, [(l1, r1, Phi1), (l2, r2, Phi2)] = _integer_series(OD, def1, def2)
+    m = OD.group.order
     P, nP = _scaled_maps(OD.action)
+    Phi, nF = _scaled_maps([*def1.phi[1], *def2.phi[1]])
 
-    def theta(Phi):   # θ₁(g)ᵀ flattened for each g, over nF·nP
-        return _flat(zip(*t) for t in _action_term([s[1] for s in Phi], P, OD.group, back=True))
+    def theta(Phi1):   # θ₁(g)ᵀ flattened for each g, over nF·nP
+        return _flat(zip(*t) for t in _action_term(Phi1, P, OD.group, back=True))
 
-    beta = map(sub, _flat([*r2[1], *l2[1]]), _flat([*r1[1], *l1[1]]))
-    alpha = map(sub, theta(Phi2), theta(Phi1))
-    want = [_rational(x, nL) for x in beta] + [_rational(x, nF * nP) for x in alpha]
+    beta1, beta2 = (_flat([*dfm.mrt[1], *dfm.mlt[1]]) for dfm in (def1, def2))
+    alpha = map(sub, theta(Phi[m:]), theta(Phi[:m]))
+    want = list(map(sub, beta2, beta1)) + [_rational(x, nF * nP) for x in alpha]
     psi1 = eq.psi[1]
     got = degree1_pack(OD, *degree1_coboundary(OD, psi1))
     if got != want:

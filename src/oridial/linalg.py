@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, dense or sparse.
 
 Everything here is exact: entries are Python ints or ``fractions.Fraction``
-values, never floats.  A matrix argument is a dense ``Matrix`` or a
-``cohomology.SparseMap``, which is read by its columns: a list of ``cols``
-dicts {row: value} with no zero values, each copied before elimination.
+values, never floats.  There are two matrix types, the dense ``Matrix`` and
+the ``SparseMap`` every coboundary is assembled as, and the elimination
+reads both the same way, by ``columns``: a list of ``cols`` dicts
+{row: value} with no zero values, each copied before elimination.
 
 There is one elimination, and it is sparse.  It keeps the nonzero rows as
 integer dicts {column: value}; each vector is scaled to integers once.
@@ -148,6 +149,12 @@ class Matrix:
         return Matrix(self.rows, other.cols, [sum(map(mul, row, col))
                                               for row in self.to_rows() for col in cols])
 
+    @property
+    def columns(self) -> list[dict]:
+        """Each column as a new {row: value} dict with no zero values."""
+        e, c = self.entries, self.cols
+        return [{i: x for i, x in enumerate(e[j::c]) if x} for j in range(c)]
+
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -165,13 +172,61 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+class SparseMap:
+    """A sparse linear map stored by columns: ``columns[j]`` is {row: value}.
+
+    No stored value is 0.  A map is built from its column dicts, or from an
+    entries dict of (row, col) -> exact scalar, whose zeros are dropped.
+    """
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, entries: dict | None = None,
+                 columns: list | None = None):
+        self.rows = rows
+        self.cols = cols
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+            for (r, c), x in (entries or {}).items():
+                if x:
+                    columns[c][r] = x
+        self.columns: list[dict] = columns
+
+    @property
+    def entries(self) -> dict:
+        """A new dict of (row, col) -> value, with no zero values."""
+        return {(r, c): x for c, col in enumerate(self.columns) for r, x in col.items()}
+
+    def mul(self, other: "SparseMap") -> "SparseMap":
+        if self.cols != other.rows:
+            raise ShapeMismatchError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        products = (_apply(self.columns, col) for col in other.columns)
+        return SparseMap(self.rows, other.cols,
+                         columns=[{i: x for i, x in out.items() if x} for out in products])
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def equals(self, other: "SparseMap") -> bool:
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
+
+    def to_matrix(self) -> Matrix:
+        return Matrix(self.rows, self.cols,
+                      [col.get(r, 0) for r in range(self.rows) for col in self.columns])
+
+
+def _apply(columns: list, vec: dict) -> dict:
+    """The map with these columns applied to {column: value}, as {row: value};
+    a row whose terms cancel is kept, with the value 0."""
+    out: dict = {}
+    for j, x in vec.items():
+        for i, y in columns[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return out
+
+
 def _row_dicts(m, transpose: bool = False) -> list[dict]:
-    """Every row (or column) of a dense or sparse matrix as a new {index: value} dict."""
-    if isinstance(m, Matrix):
-        if transpose:
-            m = m.transpose()
-        c, e = m.cols, m.entries
-        return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if x} for i in range(m.rows)]
+    """Every row (or column) of a ``Matrix`` or ``SparseMap`` as a new {index: value} dict."""
     if transpose:
         return [dict(col) for col in m.columns]
     out = [{} for _ in range(m.rows)]
@@ -318,13 +373,9 @@ def nullspace(m, image=None) -> list[list]:
         if image.rows != c:
             raise ShapeMismatchError(f"image vectors of length {c} expected, got {image.rows}")
         for w in map(_integral, _row_dicts(image, transpose=True)):
-            if _insert(dict(w), seeds):   # multiply the column, sparser than its seed
-                out: dict = {}
-                for j, x in w.items():
-                    for i, y in columns[j].items():
-                        out[i] = out.get(i, 0) + x * y
-                if any(out.values()):
-                    raise NonComplexError("an image vector is not in the kernel")
+            # multiply the column, sparser than its seed
+            if _insert(dict(w), seeds) and any(_apply(columns, w).values()):
+                raise NonComplexError("an image vector is not in the kernel")
     for j, col in enumerate(columns):
         col[r + c - 1 - j] = 1
     echelon: dict = {}

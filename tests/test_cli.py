@@ -356,8 +356,9 @@ def test_equivalence_check_runs_the_checker_once(tmp_path, capsys, monkeypatch):
 
 
 def test_certificate_reads_both_deformations_in_one_call(tmp_path, capsys, monkeypatch):
-    # the check reads both deformations once and the certificate once more,
-    # taking the order-1 terms from that read instead of from ``infinitesimal``
+    # one accepted bundle reads both deformations once, in the check: the
+    # certificate takes the order-1 terms without reading the series again,
+    # and without ``infinitesimal``
     from oridial import deformations
 
     path = write_bundle(tmp_path / "eq.json", _transported_bundle())
@@ -369,7 +370,7 @@ def test_certificate_reads_both_deformations_in_one_call(tmp_path, capsys, monke
     code, out, _ = run_cli(capsys, ["equivalence-check", "--input", path])
     assert code == 0
     assert json.loads(out)["certificate_psi1"] == [["0", "1"], ["0", "0"]]
-    assert reads == [2, 2]
+    assert reads == [2]
 
 
 def test_infinitesimal_command(tmp_path, capsys):
@@ -461,7 +462,7 @@ def _broken_mixed_axioms_bundle():
 
 
 @pytest.mark.parametrize("command", [["extend"], ["equivariant-cohomology", "--n", "0"],
-                                     ["rigidity"]])
+                                     ["rigidity"], ["cohomology", "--n", "0"]])
 def test_commands_refuse_a_base_that_is_no_dialgebra(tmp_path, capsys, command):
     path = write_bundle(tmp_path / "b.json", _broken_mixed_axioms_bundle())
     code, out, err = run_cli(capsys, command + ["--input", path])

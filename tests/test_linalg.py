@@ -433,9 +433,10 @@ def _fraction_sum(terms) -> Fraction:
     return sum((Fraction(a) * b for a, b in terms), Fraction(0))
 
 
+@pytest.mark.parametrize("build", [dense, sparse])
 @settings(max_examples=150, deadline=None)
 @given(case=parity_cases(), data=st.data())
-def test_mul_matches_fraction_reference(case, data):
+def test_mul_matches_fraction_reference(build, case, data):
     rows, ncols = case
     inner = data.draw(st.integers(0, 4))
     flat = data.draw(vectors(ncols * inner))
@@ -445,12 +446,19 @@ def test_mul_matches_fraction_reference(case, data):
         for row in rows:
             row[1] = -row[0]
         other[1] = list(other[0])
-    m = dense(rows, ncols)
-    product = m.mul(Matrix(ncols, inner, [x for row in other for x in row]))
-    assert product.to_rows() == [
-        [_fraction_sum((row[k], other[k][j]) for k in range(ncols)) for j in range(inner)]
-        for row in rows]
-    assert all(canonical(x) for x in product.entries)
+    product = build(rows, ncols).mul(build(other, inner))
+    want = [[_fraction_sum((row[k], other[k][j]) for k in range(ncols)) for j in range(inner)]
+            for row in rows]
+    assert product.columns == [{i: row[j] for i, row in enumerate(want) if row[j]}
+                               for j in range(inner)]
+    reference = dense(want, inner)
+    matrix = product if build is dense else product.to_matrix()
+    assert matrix == reference
+    assert all(canonical(x) for x in matrix.entries)
+    if build is sparse:
+        assert product.equals(sparse(want, inner))
+        assert not product.equals(sparse(want + [[0] * inner], inner))
+        assert product.is_zero() == reference.is_zero()
 
 
 def test_rational_serialization():
