@@ -434,15 +434,11 @@ def cmd_infinitesimal(args) -> tuple:
     bundle, _, OD = _load(args)
     dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     try:
-        inf = defm.infinitesimal(OD, dfm, args.order)
+        alpha, beta = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
         return {"error": f"PrecedingTermsNonzero: {exc}"}, 1
-    rep = coh.is_degree1_cocycle(OD, *inf.as_pair())
-    payload = {
-        "order": inf.order,
-        "cocycle": _emit_cocycle(inf.theta, (inf.m_left, inf.m_right)),
-        "cocycle_ok": rep.ok,
-    }
+    rep = coh.is_degree1_cocycle(OD, alpha, beta)
+    payload = {"order": args.order, "cocycle": _emit_cocycle(alpha, beta), "cocycle_ok": rep.ok}
     return payload, 0 if rep.ok else 1
 
 
@@ -462,11 +458,11 @@ def cmd_rigidity(args) -> tuple:
     _, config, OD = _load(args)
     if refusal := _refusal(OD.base, OD):
         return refusal, 1
-    rig = defm.rigidity_probe(OD, config)
+    candidates = defm.rigidity_probe(OD, config)
     payload = {
-        "dim": rig.dim,
-        "obstruction_trivial": rig.obstruction_trivial,
-        "candidates": [_emit_cocycle(alpha, beta) for alpha, beta in rig.candidates],
+        "dim": len(candidates),
+        "obstruction_trivial": not candidates,
+        "candidates": [_emit_cocycle(alpha, beta) for alpha, beta in candidates],
     }
     return payload, 0
 

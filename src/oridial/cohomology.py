@@ -29,8 +29,8 @@ direction ∂'', tree direction ∂'); dropping the q = 0 column and taking
 the total complex with D = ∂' + (-1)^q ∂'' yields the reduced equivariant
 cohomology.  Degree-1 cocycles are pairs (α, β).  Their explicit
 equations, the t¹ part of the deformation laws, are evaluated apart from
-the matrix machinery as a cross-check (``degree1_residuals``).  Those laws
-are written once, in ``oriented._law_sides``, and for ε(g) = -1 they read
+the matrix machinery as a cross-check (``degree1_residuals``).  Their group
+laws are written once, in ``oriented._law_sides``, and for ε(g) = -1 they read
 g(x ⊣ y) = gy ⊣ gx, while the cochain action, which mirrors the tree,
 encodes g(x ⊣ y) = gy ⊢ gx (g maps D to its opposite dialgebra).  The two
 routes agree where β⊣ and β⊢ of the cocycles coincide; on zero products
@@ -49,6 +49,7 @@ from .dialgebra import (
     Check,
     Dialgebra,
     Report,
+    _axiom_sides,
     _denominator,
     _flat,
     _interleaved,
@@ -610,9 +611,10 @@ def equivariant_cohomology(
 #
 # The explicit equations are the t¹ part of the deformation laws of the
 # order-1 deformation of (α, β) (``_action_term``): ``degree1_residuals``
-# reads power 1 of ``oriented._law_sides``, in ints over one denominator per
-# law, so a valid cocycle builds no Fraction.  ``degree1_coboundary`` and
-# ``extensions.cocycles_cohomologous`` run on the integer L·Tot(0) (``_degree0_map``).
+# reads power 1 of ``dialgebra._axiom_sides`` and ``oriented._law_sides``, in
+# ints over one denominator per law, so a valid cocycle builds no Fraction.
+# ``degree1_coboundary`` and ``extensions.cocycles_cohomologous`` run on the
+# integer L·Tot(0) (``_degree0_map``).
 
 
 def degree1_zero(OD: OrientedDialgebra):
@@ -696,7 +698,7 @@ def degree1_residuals(OD: OrientedDialgebra, alpha, beta):
     # mˡ = ⊣ + t·β⊣ and mʳ = ⊢ + t·β⊢ over nM, Φ(g) = ρ(g) + t·φ₁(g) over nF
     products = [[_scaled(T, nM), _scaled(B, nM)] for T, B in ((D.left, beta_l), (D.right, beta_r))]
     Phi = [[[[nA * x for x in row] for row in p], f] for p, f in zip(P, _action_term(A, P, G))]
-    sides = _law_sides(G, *products, Phi, nF, [1])
+    sides = _axiom_sides(*products, [1]) + _law_sides(G, *products, Phi, nF, [1])
     *axioms, composition, left, right = [list(map(sub, lhs, rhs)) for (lhs,), (rhs,) in sides]
     labels = chain(
         product(("group-cocycle",), elements, elements, rd, rd),

@@ -18,12 +18,17 @@ A degree-1 pair (α, β) is the order-1 part of a deformation
     and back     θ_1(g) = -φ_1(g)ρ(g⁻¹) = α(g),
 
 and the degree-1 cocycle equations are the t¹ part of the laws above.  So
-the order-1 data (m_1, θ_1) of a deformation is always a degree-1
-cocycle, and equivalent deformations (intertwined by an invertible series
-Ψ_t with ψ_0 = id) have cohomologous infinitesimals: ψ_1 is an explicit
-certificate.  Transporting the constant deformation along an arbitrary
-Ψ_t is the standard source of valid nontrivial examples and is provided
-as ``transport_constant``.
+the order-1 data of a deformation is always a degree-1 cocycle, and
+``infinitesimal`` returns it as that pair, (θ_n, (mˡ_n, mʳ_n)) at the
+first nonzero order n.  Equivalent deformations (intertwined by an
+invertible series Ψ_t with ψ_0 = id) have cohomologous infinitesimals:
+ψ_1 is an explicit certificate, whose coboundary ``_certificate``
+compares with the difference of the two infinitesimals as packed Tot(1)
+vectors (``degree1_pack``), so no other code here knows that layout.
+``rigidity_probe`` lists one candidate pair per basis class of H¹, the
+infinitesimals no equivalence removes.  Transporting the constant
+deformation along an arbitrary Ψ_t is the standard source of valid
+nontrivial examples and is provided as ``transport_constant``.
 
 Every law and every transport here works on truncated power series, each
 a list of its N + 1 coefficients by power of t.  A tensor series is a list
@@ -31,10 +36,11 @@ of structure-constant tensors (``mlt``, ``mrt``), and a matrix series a
 list of ``Matrix`` (``psi``, or one group element's ``phi[n][g]`` over n).
 
 A truncated deformation is an oriented dialgebra over K[t]/(t^(N+1)), so
-``check_deformation`` reads the laws of ``oriented._law_sides`` at powers
-0..N and ``check_equivalence`` runs the intertwining laws over power
-series, in integers as the checkers of ``dialgebra`` and ``oriented`` do,
-and the transports push a deformation forward in the same integer series.
+``check_deformation`` reads the axioms of ``dialgebra._axiom_sides`` and
+the group laws of ``oriented._law_sides`` at powers 0..N, and
+``check_equivalence`` runs the intertwining laws over power series, in
+integers as the checkers of ``dialgebra`` and ``oriented`` do, and the
+transports push a deformation forward in the same integer series.
 Each reads its deformations through one reader, ``_integer_series``: it
 checks Φ's shape against the structure, validates every product
 coefficient and scales once, by one denominator nL shared by all the
@@ -68,6 +74,7 @@ from .cohomology import (
 from .dialgebra import (
     Check,
     Report,
+    _axiom_sides,
     _cauchy,
     _denominator,
     _differing,
@@ -131,20 +138,6 @@ class DeformationEquivalence:
         d = self.psi[0].rows
         if self.psi[0] != Matrix.identity(d):
             raise ValueError("psi_0 must be the identity")
-
-
-@dataclass
-class Infinitesimal:
-    """The pair (m_n, θ_n) of the first potentially nonzero coefficients."""
-
-    order: int
-    theta: list          # one matrix per group element, θ_n(g)
-    m_left: list         # tensor, the ⊣ direction of m_n
-    m_right: list        # tensor, the ⊢ direction of m_n
-
-    def as_pair(self):
-        """(α, β) shape accepted by the degree-1 cocycle layer."""
-        return self.theta, (self.m_left, self.m_right)
 
 
 def constant_deformation(OD: OrientedDialgebra, order: int) -> TruncatedDeformation:
@@ -246,27 +239,33 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
         "deformed action respects the left product (ε-twisted)",
         "deformed action respects the right product (ε-twisted)"]
     shapes = [(d, d, d)] * 5 + [(G.order, G.order)] + [(G.order, d, d)] * 2
-    sides = _law_sides(G, *products, Phi, nP, range(deformation.order + 1))
+    powers = range(deformation.order + 1)
+    sides = _axiom_sides(*products, powers) + _law_sides(G, *products, Phi, nP, powers)
     checks += [_law(name, lhs, rhs, *shape)
                for name, (lhs, rhs), shape in zip(names, sides, shapes)]
     return Report(checks)
 
 
-def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: int = 1) -> Infinitesimal:
-    """The pair (m_n, θ_n); earlier coefficients must vanish for n > 1."""
+def _theta(OD: OrientedDialgebra, phis: list) -> list:
+    """θ(g) = -φ(g)ρ(g⁻¹) for each g, from the action terms φ(g) of one power of t."""
+    d = OD.dim
+    P, nP = _scaled_maps(OD.action)
+    Phi, nF = _scaled_maps(phis)
+    return [Matrix(d, d, [_rational(x, nF * nP) for x in _flat([t])])
+            for t in _action_term(Phi, P, OD.group, back=True)]
+
+
+def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: int = 1) -> tuple:
+    """The degree-1 pair (θ_n, (mˡ_n, mʳ_n)); earlier coefficients must vanish for n > 1."""
     if not 1 <= n <= deformation.order:
         raise ValueError(f"order {n} outside 1..{deformation.order}")
-    d = OD.dim
-    zero = zero_tensor(d)
-    _, nF, [(ml, mr, phi)], [(*_, Phi)] = _integer_series(OD, deformation)
+    zero = zero_tensor(OD.dim)
+    _, _, [(ml, mr, phi)], _ = _integer_series(OD, deformation)
     for i in range(1, n):
         if ml[i] != zero or mr[i] != zero or any(not series[i].is_zero() for series in phi):
             raise PrecedingTermsNonzeroError(
                 f"coefficient {i} is nonzero; the order-{n} infinitesimal is undefined")
-    P, nP = _scaled_maps(OD.action)
-    theta = [Matrix(d, d, [_rational(x, nF * nP) for x in _flat([t])])
-             for t in _action_term([series[n] for series in Phi], P, OD.group, back=True)]
-    return Infinitesimal(n, theta, ml[n], mr[n])
+    return _theta(OD, deformation.phi[n]), (ml[n], mr[n])
 
 
 def check_equivalence(
@@ -310,24 +309,14 @@ def _certificate(
     """ψ_1, once its coboundary is verified to be infinitesimal(def2) - infinitesimal(def1).
 
     For an equivalence that ``check_equivalence`` accepts, whose read has
-    validated both deformations: only their order-1 terms are read again.
-    Their difference is packed as ``degree1_pack`` lays out a pair: β⊢ and
-    β⊣, then each θ₁(g)ᵀ over nF·nP.  A mismatch means an engine bug, not
-    bad input, so it raises.
+    validated both deformations: only their order-1 terms are read again,
+    and each is packed as a degree-1 pair by ``degree1_pack``.  A mismatch
+    means an engine bug, not bad input, so it raises.
     """
-    m = OD.group.order
-    P, nP = _scaled_maps(OD.action)
-    Phi, nF = _scaled_maps([*def1.phi[1], *def2.phi[1]])
-
-    def theta(Phi1):   # θ₁(g)ᵀ flattened for each g, over nF·nP
-        return _flat(zip(*t) for t in _action_term(Phi1, P, OD.group, back=True))
-
-    beta1, beta2 = (_flat([*dfm.mrt[1], *dfm.mlt[1]]) for dfm in (def1, def2))
-    alpha = map(sub, theta(Phi[m:]), theta(Phi[:m]))
-    want = list(map(sub, beta2, beta1)) + [_rational(x, nF * nP) for x in alpha]
+    first, second = (degree1_pack(OD, _theta(OD, dfm.phi[1]), (dfm.mlt[1], dfm.mrt[1]))
+                     for dfm in (def1, def2))
     psi1 = eq.psi[1]
-    got = degree1_pack(OD, *degree1_coboundary(OD, psi1))
-    if got != want:
+    if degree1_pack(OD, *degree1_coboundary(OD, psi1)) != list(map(sub, second, first)):
         raise CertificateFailureError("coboundary of ψ_1 does not match the infinitesimal difference")
     return psi1
 
@@ -431,20 +420,11 @@ def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> Truncat
                          (_series_inverse(S, nS), nS ** order), (S, nS))
 
 
-@dataclass
-class RigidityReport:
-    """Necessary-condition probe: a trivial obstruction space does not by
-    itself prove rigidity, but a nonzero one exhibits candidate
-    infinitesimals no equivalence can remove."""
+def rigidity_probe(OD: OrientedDialgebra, config: EngineConfig = DEFAULT_CONFIG) -> list:
+    """One candidate (α, β) pair per basis class of the degree-1 obstruction space.
 
-    dim: int
-    obstruction_trivial: bool
-    candidates: list  # (α, β) pairs for each nonzero class representative
-
-
-def rigidity_probe(
-    OD: OrientedDialgebra, config: EngineConfig = DEFAULT_CONFIG
-) -> RigidityReport:
-    result = equivariant_cohomology(OD, 1, config)
-    candidates = [degree1_unpack(OD, rep) for rep in result.representatives]
-    return RigidityReport(result.dim, result.dim == 0, candidates)
+    A necessary-condition probe: an empty list does not by itself prove
+    rigidity, but each candidate is an infinitesimal no equivalence can
+    remove.
+    """
+    return [degree1_unpack(OD, rep) for rep in equivariant_cohomology(OD, 1, config).representatives]

@@ -23,7 +23,6 @@ from .dialgebra import (
     Check,
     Dialgebra,
     Report,
-    _axiom_sides,
     _differing,
     _identity,
     _intertwining,
@@ -183,9 +182,8 @@ class OrientedDialgebra:
         return f"OrientedDialgebra(dim={self.dim}, group_order={self.group.order})"
 
 
-def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, powers,
-               axioms: bool = True) -> list:
-    """Both sides of every law of an oriented dialgebra, at the given powers of t.
+def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, powers) -> list:
+    """Both sides of the group laws of an oriented dialgebra, at the given powers of t.
 
     ``left`` and ``right`` are integer tensor series over one common
     denominator nL, and ``Phi[g]`` is an integer matrix series for each
@@ -193,8 +191,6 @@ def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, po
     length one.  Returns (lhs, rhs) per law, each side a list over
     ``powers`` of flat tables, in this order:
 
-    * the five dialgebra axioms (unless ``axioms`` is false), over
-      (x, y, z, output), both sides over nL²;
     * the composition law nP·Φ(gh) against Φ(g)Φ(h), over
       (g, h, row, column), over nP²;
     * the ε-twisted law of ⊣ and then of ⊢: nP·Φ(g)(x ∘ y) against
@@ -203,9 +199,10 @@ def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, po
 
     The Cauchy sums run over ``powers`` only, so power 0 checks a
     structure, powers 0..N a deformation of order N, and power 1 alone the
-    degree-1 cocycle equations (``cohomology.degree1_residuals``).
+    degree-1 cocycle equations (``cohomology.degree1_residuals``).  The
+    five dialgebra axioms are ``dialgebra._axiom_sides``; the callers that
+    check them as well put them first.
     """
-    sides = _axiom_sides(left, right, powers) if axioms else []
     elements, d = G.elements(), len(left[0])
     composition = ([], [])
     for n in powers:
@@ -221,7 +218,7 @@ def _law_sides(G: OrientedGroup, left: list, right: list, Phi: list, nP: int, po
         composition[0].append([nP * x for g in elements for h in elements
                                for row in Phi[G.mul(g, h)][n] for x in row])
         composition[1].append(rhs)
-    sides.append(composition)
+    sides = [composition]
     both = _side_by_side(left, right)   # one pass moves ⊣ and ⊢
     twisted = [_intertwining(Phi[g], both, both, G.sign(g) != 1, nP, powers) for g in elements]
 
@@ -248,7 +245,7 @@ def check_oriented_dialgebra(OD: OrientedDialgebra) -> Report:
     d = D.dim
     _, (left, right) = _scaled_products(D)
     P, nP = _scaled_maps(OD.action)
-    composition, *twisted = _law_sides(G, [left], [right], [[p] for p in P], nP, [0], axioms=False)
+    composition, *twisted = _law_sides(G, [left], [right], [[p] for p in P], nP, [0])
     ident = P[0] == [[nP * x for x in row] for row in _identity(d)]
     return Report([
         Check("identity acts as the identity matrix", ident, None if ident else 0),

@@ -252,3 +252,20 @@ def fractions_built(monkeypatch):
         result = fn(*args)
         return result, list(built)
     return run
+
+
+@pytest.fixture
+def shifted_coboundary(monkeypatch):
+    """``deformations.degree1_coboundary`` off by one in every Tot(1) coordinate.
+
+    The certificate of an equivalence then disagrees with the infinitesimal
+    difference, the engine bug that ``CertificateFailureError`` reports.
+    """
+    from oridial import deformations
+
+    coboundary = deformations.degree1_coboundary
+
+    def shifted(OD, gamma):
+        packed = coh.degree1_pack(OD, *coboundary(OD, gamma))
+        return coh.degree1_unpack(OD, [x + 1 for x in packed])
+    monkeypatch.setattr(deformations, "degree1_coboundary", shifted)

@@ -261,7 +261,7 @@ def test_criterion_9_infinitesimals():
         if not check_deformation(OD, moved).ok:
             ok = False
         inf = infinitesimal(OD, moved, 1)
-        if not coh.is_degree1_cocycle(OD, *inf.as_pair()).ok:
+        if not coh.is_degree1_cocycle(OD, *inf).ok:
             ok = False
         eq = DeformationEquivalence(2, [Matrix.identity(2)] + psis)
         cert = infinitesimals_cohomologous(OD, const, moved, eq)  # verifies exactly

@@ -373,6 +373,13 @@ def test_certificate_reads_both_deformations_in_one_call(tmp_path, capsys, monke
     assert reads == [2]
 
 
+def test_certificate_failure_exits_1(tmp_path, capsys, shifted_coboundary):
+    path = write_bundle(tmp_path / "eq.json", _transported_bundle())
+    code, out, err = run_cli(capsys, ["equivalence-check", "--input", path])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("CertificateFailureError: ")
+
+
 def test_infinitesimal_command(tmp_path, capsys):
     bundle = _transported_bundle()
     bundle["deformation"] = bundle.pop("deformation2")

@@ -66,8 +66,8 @@ def test_transported_deformations_pass_and_are_equivalent(od_dual_sign):
 
 def test_infinitesimal_of_constant_is_zero(od_dual_sign):
     inf = infinitesimal(od_dual_sign, constant_deformation(od_dual_sign, 2), 1)
-    assert all(m.is_zero() for m in inf.theta)
-    assert all(v == 0 for v in coh.degree1_pack(od_dual_sign, *inf.as_pair()))
+    assert all(m.is_zero() for m in inf[0])
+    assert all(v == 0 for v in coh.degree1_pack(od_dual_sign, *inf))
 
 
 def test_infinitesimal_is_coboundary_of_psi1(od_dual_sign):
@@ -77,9 +77,9 @@ def test_infinitesimal_is_coboundary_of_psi1(od_dual_sign):
         moved = transport_constant(od_dual_sign, [psi1, Matrix.zeros(2, 2)], 2)
         inf = infinitesimal(od_dual_sign, moved, 1)
         alpha, beta = coh.degree1_coboundary(od_dual_sign, psi1)
-        assert coh.degree1_pack(od_dual_sign, *inf.as_pair()) == coh.degree1_pack(
+        assert coh.degree1_pack(od_dual_sign, *inf) == coh.degree1_pack(
             od_dual_sign, alpha, beta)
-        assert coh.is_degree1_cocycle(od_dual_sign, *inf.as_pair()).ok
+        assert coh.is_degree1_cocycle(od_dual_sign, *inf).ok
 
 
 def test_second_infinitesimal_is_cocycle(od_dual_sign):
@@ -91,7 +91,7 @@ def test_second_infinitesimal_is_cocycle(od_dual_sign):
         moved = transport_constant(od_dual_sign, [Matrix.zeros(2, 2), psi2], 2)
         assert check_deformation(od_dual_sign, moved).ok
         inf = infinitesimal(od_dual_sign, moved, 2)
-        assert coh.is_degree1_cocycle(od_dual_sign, *inf.as_pair()).ok
+        assert coh.is_degree1_cocycle(od_dual_sign, *inf).ok
 
 
 def test_infinitesimal_requires_vanishing_lower_terms(od_dual_sign):
@@ -127,6 +127,18 @@ def test_certificate_between_two_transports(od_dual_sign):
     assert rep.ok
     cert = infinitesimals_cohomologous(od_dual_sign, d1, d2, eq)
     assert cert == psi1
+
+
+def test_certificate_mismatch_raises(od_dual_sign, shifted_coboundary):
+    # a ψ_1 whose coboundary is not the infinitesimal difference is an
+    # engine bug, so the certificate raises instead of returning ψ_1
+    psis = [Matrix.from_rows([[0, 1], [0, 0]]), Matrix.zeros(2, 2)]
+    moved = transport_constant(od_dual_sign, psis, 2)
+    eq = DeformationEquivalence(2, [Matrix.identity(2)] + psis)
+    const = constant_deformation(od_dual_sign, 2)
+    assert check_equivalence(od_dual_sign, const, moved, eq).ok
+    with pytest.raises(CertificateFailureError, match="does not match"):
+        infinitesimals_cohomologous(od_dual_sign, const, moved, eq)
 
 
 def test_transport_preserves_validity_of_arbitrary_deformations(od_dual_sign):
@@ -192,21 +204,19 @@ def test_order0_terms_validated(od_dual_sign):
 
 def test_rigidity_probe_matches_cohomology(od_dual_sign):
     probe = rigidity_probe(od_dual_sign)
-    assert probe.dim == coh.equivariant_cohomology(od_dual_sign, 1).dim == 1
-    assert not probe.obstruction_trivial
-    assert len(probe.candidates) == 1
-    alpha, beta = probe.candidates[0]
+    assert len(probe) == coh.equivariant_cohomology(od_dual_sign, 1).dim == 1
+    alpha, beta = probe[0]
     assert coh.is_degree1_cocycle(od_dual_sign, alpha, beta).ok
 
 
 def test_rigidity_probe_trivial_case():
     probe = rigidity_probe(oriented_trivial(scalar_product_dialgebra()))
-    assert probe.dim == 0 and probe.obstruction_trivial and probe.candidates == []
+    assert probe == []
 
 
 def test_rigidity_probe_zero_products():
     probe = rigidity_probe(oriented_trivial(zero_dialgebra(2)))
-    assert probe.dim == 16 and not probe.obstruction_trivial
+    assert len(probe) == 16
 
 
 def test_equivalence_shape_validation(od_dual_sign):

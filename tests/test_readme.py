@@ -1,0 +1,19 @@
+"""The README's library example runs and prints what its comments say."""
+
+import re
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_prints_its_comments():
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    expected = [line.rsplit("#", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert expected, "the example prints nothing"
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
