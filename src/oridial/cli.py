@@ -98,10 +98,10 @@ def _per_element(data, count: int, dim: int, what: str) -> list[Matrix]:
     return [Matrix.from_rows(m) for m in _rationals(data, (count, dim, dim), what)]
 
 
-def _parse_dialgebra(data, config, what="dialgebra") -> Dialgebra:
+def _parse_dialgebra(data, max_dim: int, what="dialgebra") -> Dialgebra:
     dim = _int_field(data, "dim", what)
-    if not 1 <= dim <= config.max_dim:
-        raise BundleError(f"{what}: dim {dim} outside 1..{config.max_dim}")
+    if not 1 <= dim <= max_dim:
+        raise BundleError(f"{what}: dim {dim} outside 1..{max_dim}")
     cube = (dim, dim, dim)
     left = _rationals(data.get("left"), cube, f"{what}.left")
     right = _rationals(data.get("right"), cube, f"{what}.right")
@@ -169,7 +169,8 @@ def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
     d = OD.dim
     if "dialgebra" not in data:
         raise BundleError("extension: missing middle-term dialgebra")
-    base2 = _parse_dialgebra(data["dialgebra"], _widen(config), "extension.dialgebra")
+    # extensions live in dimension 2d, above the cap for fresh input
+    base2 = _parse_dialgebra(data["dialgebra"], 2 * config.max_dim, "extension.dialgebra")
     if base2.dim != 2 * d:
         raise BundleError(f"extension middle term must have dimension {2 * d}")
     action = _per_element(data.get("action"), OD.group.order, 2 * d, "extension.action")
@@ -177,11 +178,6 @@ def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
     inclusion = _parse_matrix(data.get("inclusion"), 2 * d, d, "extension.inclusion")
     projection = _parse_matrix(data.get("projection"), d, 2 * d, "extension.projection")
     return ext.SingularExtension(total, inclusion, projection)
-
-
-def _widen(config: coh.EngineConfig) -> coh.EngineConfig:
-    # extensions live in dimension 2d, above the cap for fresh input
-    return dataclasses.replace(config, max_dim=2 * config.max_dim)
 
 
 def _parse_deformation(data, OD) -> defm.TruncatedDeformation:
@@ -279,7 +275,7 @@ def _load(args) -> tuple:
     """The bundle at ``--input``, its config and its oriented dialgebra."""
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
-    base = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+    base = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
     group = _parse_group(_section(bundle, "group"), config)
     return bundle, config, _parse_oriented(bundle, base, group)
 
@@ -295,7 +291,7 @@ def cmd_check(args) -> tuple:
     reports = {}
     D = G = OD = None
     if "dialgebra" in bundle:
-        D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+        D = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
         reports["dialgebra axioms"] = check_axioms(D)
     if "group" in bundle:
         G = _parse_group(_section(bundle, "group"), config)
@@ -359,7 +355,7 @@ def _refusal(D: Dialgebra, OD: OrientedDialgebra | None) -> dict | None:
 def cmd_cohomology(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
-    D = _parse_dialgebra(_section(bundle, "dialgebra"), config)
+    D = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
     if refusal := _refusal(D, None):
         return refusal, 1
     result = coh.dialgebra_cohomology(D, args.n, config)

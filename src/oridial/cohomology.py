@@ -121,19 +121,19 @@ def sign_exponent(n: int) -> int:
 # its block offset with one C-level ``dict.update`` over the shifted rows,
 # and add the ±1 identities of the group direction.
 #
-# The cohomology entry points assemble integer maps.  δ is linear in the
-# structure constants, so δ built from the products scaled by their common
-# denominator nL is nL·δ.  The action on CY(q) is multilinear of degree
-# q + 1 in the action matrices, so built from them scaled by their common
-# denominator nR it is nR^(q+1)·act(g, q).  A total differential Tot(n) ->
-# Tot(n+1) carries one factor L = lcm(nL, nR^(n+2)) in all of its blocks:
-# δ blocks times L/nL, action blocks times L/nR^(q+1) and the identities
-# times L.  A map times a nonzero constant has the same kernel, rank and
-# column space, so the quotient eliminates these maps as they are.  The
-# public maps (``delta_entries``, ``act_entries``, ``vertical_entries``,
-# ``horizontal_entries`` and ``total_entries``) come from the same builders
-# and writers, run on the unscaled structure with unit scales: they are the
-# exact rational maps.
+# Every builder runs in integers.  δ is linear in the structure constants,
+# so δ built from the products scaled by their common denominator nL is
+# nL·δ.  The action on CY(q) is multilinear of degree q + 1 in the action
+# matrices, so built from them scaled by their common denominator nR it is
+# nR^(q+1)·act(g, q).  A total differential Tot(n) -> Tot(n+1) carries one
+# factor L = lcm(nL, nR^(n+2)) in all of its blocks: δ blocks times L/nL,
+# action blocks times L/nR^(q+1) and the identities times L.  A map times a
+# nonzero constant has the same kernel, rank and column space, so the
+# quotient eliminates these maps as they are.  ``delta_entries``,
+# ``act_entries`` and ``total_entries`` divide the same integer maps once
+# by their scale (``_divided``), so every public map is the exact rational
+# map in canonical scalars; ``vertical_entries`` and ``horizontal_entries``
+# copy those public maps into their blocks.
 #
 # The one size cap is ``EngineConfig.max_cochain_dim``: every assembly
 # checks the dimension of its target space before it writes an entry, and
@@ -176,12 +176,26 @@ def _check_delta(D: Dialgebra, n: int, config: EngineConfig) -> None:
     _check_target_size(f"CY({n + 1})", cochain_dim(D.dim, n + 1), config)
 
 
+def _divided(sm: SparseMap, scale: int) -> SparseMap:
+    """An integer map divided by ``scale``, each entry once, in canonical scalars."""
+    if scale == 1:
+        return sm
+    return SparseMap(sm.rows, sm.cols, columns=[{r: _rational(x, scale) for r, x in col.items()}
+                                                for col in sm.columns])
+
+
+def _delta_maps(D: Dialgebra, levels) -> list[tuple[SparseMap, int]]:
+    """(nL·δ_n, nL) for each n in ``levels``; the caps are the caller's."""
+    nL, (left, right) = _scaled_products(D)
+    d = D.dim
+    return [(SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), columns=_delta(left, right, d, n)),
+             nL) for n in levels]
+
+
 def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> SparseMap:
     """Sparse matrix of the coboundary CY(n) -> CY(n+1)."""
     _check_delta(D, n, config)
-    d = D.dim
-    return SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n),
-                     columns=_delta(D.left, D.right, d, n))
+    return _divided(*_delta_maps(D, [n])[0])
 
 
 def _leaf_terms(T: list, sign: int, d: int) -> tuple[list, list, list]:
@@ -258,8 +272,9 @@ def act_entries(
     d = OD.dim
     dim = cochain_dim(d, n)
     _check_target_size(f"CY({n})", dim, config)
-    rho, rho_inv = OD.action[g], OD.action[OD.group.inv(g)]
-    return SparseMap(dim, dim, columns=_act(rho.to_rows(), rho_inv.to_rows(), OD.sign(g), d, n))
+    (rho, rho_inv), nR = _scaled_maps([OD.action[g], OD.action[OD.group.inv(g)]])
+    return _divided(SparseMap(dim, dim, columns=_act(rho, rho_inv, OD.sign(g), d, n)),
+                    nR ** (n + 1))
 
 
 def _act(rho: list, rho_inv: list, eps: int, d: int, n: int) -> list[dict]:
@@ -439,16 +454,17 @@ def _check_total(OD: OrientedDialgebra, n: int, config: EngineConfig) -> None:
     _check_group_order(OD, config)
 
 
-def _total_maps(OD: OrientedDialgebra, degrees, left: list, right: list, action: list,
-                nL: int = 1, nR: int = 1) -> list[SparseMap]:
-    """Tot(n) -> Tot(n+1) for each n in ``degrees``; the caps are the caller's.
+def _total_maps(OD: OrientedDialgebra, degrees) -> list[tuple[SparseMap, int]]:
+    """(L·Tot(n), L) for each n in ``degrees``; the caps are the caller's.
 
-    ``left`` and ``right`` are the products times nL and ``action`` holds the
-    rows of each action matrix times nR.  The map for n is lcm(nL, nR^(n+2))
-    times D = ∂' + (-1)^q ∂'', blockwise.  Each δ_q and each action of an
-    element on CY(q) is built once, for all the maps.
+    The maps are built from the products times nL and the action matrices
+    times nR, their common denominators, so L = lcm(nL, nR^(n+2)) and the
+    map is L times D = ∂' + (-1)^q ∂'', blockwise, in integers.  Each δ_q
+    and each action of an element on CY(q) is built once, for all the maps.
     """
     G, d, m = OD.group, OD.dim, OD.group.order
+    nL, (left, right) = _scaled_products(OD.base)
+    action, nR = _scaled_maps(OD.action)
     deltas: dict = {}
     acts: dict = {}
     maps = []
@@ -465,7 +481,7 @@ def _total_maps(OD: OrientedDialgebra, degrees, left: list, right: list, action:
                               dst[(p, q + 1)], col, L // nL)
             _write_vertical(cols, acts[q], G, p, cd, dst[(p + 1, q)], col,
                             sign * (L // nR ** (q + 1)), sign * L)
-        maps.append(SparseMap(total_dim(OD, n + 1), total_dim(OD, n), columns=cols))
+        maps.append((SparseMap(total_dim(OD, n + 1), total_dim(OD, n), columns=cols), L))
     return maps
 
 
@@ -474,8 +490,7 @@ def total_entries(
 ) -> SparseMap:
     """Total differential Tot(n) -> Tot(n+1): D = ∂' + (-1)^q ∂'' blockwise."""
     _check_total(OD, n, config)
-    D = OD.base
-    return _total_maps(OD, [n], D.left, D.right, [a.to_rows() for a in OD.action])[0]
+    return _divided(*_total_maps(OD, [n])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +552,7 @@ def _quotient(
     free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
     image = SparseMap(k, d_in.cols, columns=[{free[r]: x for r, x in col.items() if r in free}
                                              for col in d_in.columns])
-    units = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    units = SparseMap(k, k, columns=[{i: 1} for i in range(k)])
     image_rank = rank(image)
     keep = column_space_complement(image, units)
     reps = [_normalize_rep(kernel[i]) for i in keep]
@@ -557,15 +572,9 @@ def dialgebra_cohomology(
     are nL·δ, in integers.
     """
     _check_delta(D, n, config)
-    d = D.dim
-    _, (left, right) = _scaled_products(D)
-    d_out = SparseMap(cochain_dim(d, n + 1), cochain_dim(d, n), columns=_delta(left, right, d, n))
-    if n == 0:
-        d_in = SparseMap(cochain_dim(d, 0), 0)
-    else:
-        d_in = SparseMap(cochain_dim(d, n), cochain_dim(d, n - 1),
-                         columns=_delta(left, right, d, n - 1))
-    return _quotient(d_out, d_in)
+    maps = [delta for delta, _ in _delta_maps(D, [n, n - 1] if n else [n])]
+    d_in = maps[1] if n else SparseMap(cochain_dim(D.dim, 0), 0)
+    return _quotient(maps[0], d_in)
 
 
 def equivariant_cohomology(
@@ -585,9 +594,7 @@ def equivariant_cohomology(
             f"total degree {n} needs degree {n + 1} blocks; cap is {config.max_degree}"
         )
     _check_total(OD, n, config)
-    nL, (left, right) = _scaled_products(OD.base)
-    action, nR = _scaled_maps(OD.action)
-    maps = _total_maps(OD, [n, n - 1] if n else [n], left, right, action, nL, nR)
+    maps = [tot for tot, _ in _total_maps(OD, [n, n - 1] if n else [n])]
     d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)
     return _quotient(maps[0], d_in, "total differential does not square to zero")
 
@@ -614,7 +621,7 @@ def equivariant_cohomology(
 # reads power 1 of ``dialgebra._axiom_sides`` and ``oriented._law_sides``, in
 # ints over one denominator per law, so a valid cocycle builds no Fraction.
 # ``degree1_coboundary`` and ``extensions.cocycles_cohomologous`` run on the
-# integer L·Tot(0) (``_degree0_map``).
+# integer L·Tot(0) of ``_total_maps``.
 
 
 def degree1_zero(OD: OrientedDialgebra):
@@ -738,27 +745,19 @@ def degree1_system(OD: OrientedDialgebra) -> Matrix:
     return Matrix.from_rows(zip(*cols))
 
 
-def _degree0_map(OD: OrientedDialgebra) -> tuple[SparseMap, int]:
-    """(L·Tot(0), L): the integer Tot(0) of ``_total_maps``, from the products
-    over nL and the action over nR, with L = lcm(nL, nR²); the caps are the caller's."""
-    nL, (left, right) = _scaled_products(OD.base)
-    action, nR = _scaled_maps(OD.action)
-    return _total_maps(OD, [0], left, right, action, nL, nR)[0], lcm(nL, nR * nR)
-
-
 def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
     """The degree-0 coboundary of a linear map γ, as an (α, β) pair.
 
     α(g) = γ - g∘γ∘g⁻¹ (the group coboundary, with the sign it acquires
     inside the total differential) and β is the product defect
     x∘γy + γx∘y - γ(x∘y) of γ.  This is Tot(0)·γ, with γ packed as the
-    level-1 cochain γᵀ flattened: the map is L·Tot(0) (``_degree0_map``),
+    level-1 cochain γᵀ flattened: the map is L·Tot(0) (``_total_maps``),
     γ is over nG, and each entry is divided by L·nG once.
     """
     d = OD.dim
     if gamma.shape() != (d, d):
         raise ShapeMismatchError(f"γ must be {d}x{d}")
-    (tot, L), ((C,), nG) = _degree0_map(OD), _scaled_maps([gamma])
+    [(tot, L)], ((C,), nG) = _total_maps(OD, [0]), _scaled_maps([gamma])
     c = [x for col in zip(*C) for x in col]
     out = _apply(tot.columns, {j: y for j, y in enumerate(c) if y})
     return degree1_unpack(OD, [_rational(out.get(r, 0), L * nG) for r in range(tot.rows)])

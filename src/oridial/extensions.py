@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cohomology import _action_term, _degree0_map, degree1_pack, is_degree1_cocycle
+from .cohomology import _action_term, _total_maps, degree1_pack, is_degree1_cocycle
 from .dialgebra import (
     Check,
     Dialgebra,
@@ -230,12 +230,12 @@ def cocycles_cohomologous(OD: OrientedDialgebra, pair1, pair2):
 
     γ is returned as a d x d matrix; plugging it into the degree-0
     coboundary reproduces the difference exactly.  It is L times the
-    preimage under the integer L·Tot(0) (``cohomology._degree0_map``).
+    preimage under the integer L·Tot(0) (``cohomology._total_maps``).
     """
     for pair in (pair1, pair2):
         _require_cocycle(OD, *pair)
     diff = [normalize_scalar(a - b)
             for a, b in zip(degree1_pack(OD, *pair1), degree1_pack(OD, *pair2))]
-    tot, L = _degree0_map(OD)
+    [(tot, L)] = _total_maps(OD, [0])
     u = in_image(tot, diff)
     return None if u is None else Matrix(OD.dim, OD.dim, [L * x for x in u]).transpose()

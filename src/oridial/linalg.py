@@ -411,14 +411,14 @@ def in_image(m, v: list):
     return u
 
 
-def column_space_complement(image, candidates: list[list]) -> list[int]:
-    """Indices of candidate vectors that extend the column space of ``image``.
+def column_space_complement(image, candidates) -> list[int]:
+    """Indices of the columns of ``candidates`` that extend the column space of ``image``.
 
-    Candidates are scanned in order; an index is kept when its vector is
-    not in the span of the columns of ``image`` and the candidates kept
-    before it.  Deterministic, used to pick cohomology representatives.
+    Columns are scanned in order; an index is kept when its column is not
+    in the span of the columns of ``image`` and the candidates kept before
+    it.  Deterministic, used to pick cohomology representatives.
     """
     echelon = _echelon(_row_dicts(image, transpose=True))
-    return [i for i, vec in enumerate(candidates)
-            if _insert(_integral({j: x for j, x in enumerate(vec) if x}), echelon)]
+    return [i for i, col in enumerate(_row_dicts(candidates, transpose=True))
+            if _insert(_integral(col), echelon)]
 

@@ -12,7 +12,7 @@ keeps its column space, so the parity tests require the engine's
 from math import lcm
 
 from oridial import cohomology as coh
-from oridial.linalg import NonComplexError, column_space_complement, nullspace, rank
+from oridial.linalg import Matrix, NonComplexError, column_space_complement, nullspace, rank
 
 
 def integral(sm: coh.SparseMap, axis: int) -> coh.SparseMap:
@@ -31,7 +31,8 @@ def reference_quotient(d_out, d_in, fault: str) -> coh.CohomologyResult:
         raise NonComplexError(fault)
     kernel = nullspace(d_out)
     image_rank = rank(d_in)
-    reps = [coh._normalize_rep(kernel[i]) for i in column_space_complement(d_in, kernel)]
+    candidates = Matrix.from_rows(kernel).transpose()
+    reps = [coh._normalize_rep(kernel[i]) for i in column_space_complement(d_in, candidates)]
     return coh.CohomologyResult(len(kernel) - image_rank, reps, len(kernel), image_rank)
 
 

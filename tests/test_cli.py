@@ -176,6 +176,10 @@ def test_bad_json_and_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["check", "--input", str(tmp_path / "absent.json")])
     assert code == 2
+    code, out, err = run_cli(capsys, ["check", "--input",
+                                      write_bundle(tmp_path / "list.json", [dual_sign_bundle()])])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "bundle must be a JSON object"
 
 
 def test_dimension_cap_exits_2(tmp_path, capsys):
@@ -254,6 +258,8 @@ def test_extend_extract_round_trip_through_json(tmp_path, capsys):
     ({"section": "garbage"}, "section: expected a list of 4 entries"),
     ({"section": [["0", "0"]] * 4, "dialgebra": None, "group": None, "action": None},
      "section checking needs a 'dialgebra' section"),
+    ({"group": {"order": 25}}, "group: order 25 outside 1..24"),
+    ({"dialgebra": None, "group": None, "action": None}, "bundle contains nothing to check"),
 ])
 def test_check_parses_action_and_section(tmp_path, capsys, change, message):
     bundle = dual_sign_bundle()
@@ -719,3 +725,16 @@ def test_docstring_names_every_bundle_section_and_config_field():
     config = config[:config.index("}")]
     shown = {key: int(value) for key, value in re.findall(r'"(\w+)": (\d+)', config)}
     assert shown == dataclasses.asdict(coh.DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("command,change,message", [
+    ("extract", {"extension": {}}, "extension: missing middle-term dialgebra"),
+    ("extract", {"extension": {"dialgebra": dual_numbers_section()}},
+     "extension middle term must have dimension 4"),
+    ("deform-check", {"deformation": {"order": 0}}, "deformation: order must be >= 1"),
+])
+def test_refused_sections_exit_2(tmp_path, capsys, command, change, message):
+    path = write_bundle(tmp_path / "bad.json", {**dual_sign_bundle(), **change})
+    code, out, err = run_cli(capsys, [command, "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message

@@ -409,20 +409,24 @@ def _well_stored(sm) -> bool:
             and all(x and 0 <= r < sm.rows for col in sm.columns for r, x in col.items()))
 
 
+def _public_calls(OD, top: int) -> list:
+    """(builder name, arguments) of every public map up to level or total degree ``top``."""
+    calls = []
+    for n in range(top + 1):
+        calls.append(("delta_entries", (OD.base, n)))
+        calls += [("act_entries", (OD, g, n)) for g in OD.group.elements()]
+        calls.append(("total_entries", (OD, n)))
+        for p, q in coh.total_blocks(OD, n):
+            calls += [("vertical_entries", (OD, p, q)), ("horizontal_entries", (OD, p, q))]
+    return calls
+
+
 def _public_maps(OD) -> list:
     """(engine map, reference entries) for every public map up to n = 2, or
     n = 1 when |G| > 2 or the dimension is 3."""
     top = 1 if OD.group.order > 2 or OD.dim == 3 else 2
-    pairs = []
-    for n in range(top + 1):
-        pairs.append((coh.delta_entries(OD.base, n), ref.delta_entries(OD.base, n)))
-        pairs += [(coh.act_entries(OD, g, n), ref.act_entries(OD, g, n))
-                  for g in OD.group.elements()]
-        pairs.append((coh.total_entries(OD, n), ref.total_entries(OD, n)))
-        for p, q in coh.total_blocks(OD, n):
-            pairs.append((coh.vertical_entries(OD, p, q), ref.vertical_entries(OD, p, q)))
-            pairs.append((coh.horizontal_entries(OD, p, q), ref.horizontal_entries(OD, p, q)))
-    return pairs
+    return [(getattr(coh, name)(*args), getattr(ref, name)(*args))
+            for name, args in _public_calls(OD, top)]
 
 
 def _matches_reference_assembly(OD) -> bool:
@@ -864,7 +868,7 @@ def test_degree1_residuals_refuse_a_group_without_inverses():
     with pytest.raises(NoInverseError, match="group element 1 has no inverse") as refused:
         G.inv(1)
     assert refused.value.witness == 1 and G.inv(0) == 0
-    OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config), G)
+    OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config.max_dim), G)
     alpha, beta = cli._parse_cocycle(bundle["cocycle"], OD)
     deformation = cli._parse_deformation(bundle["deformation"], OD)
     for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
@@ -959,6 +963,8 @@ def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
     tot6 = f"Tot\\(6\\) has dimension {coh.total_dim(s3, 6)}"
     for build, args, target in (
         (coh.act_entries, (dim4, 0, 6), "CY\\(6\\) has dimension 2162688"),
+        (coh.act_entries, (dim4, 0, 7), "level 7 exceeds cap 6"),
+        (coh.delta_entries, (zero_dialgebra(5), 0), "dimension 5 exceeds cap 4"),
         (coh.vertical_entries, (s3, 6, 1), "block \\(7, 1\\) has dimension 1119744"),
         (coh.horizontal_entries, (s3, 5, 1), "block \\(5, 2\\) has dimension 124416"),
         (coh.total_entries, (s3, 5, deep), tot6),
@@ -983,3 +989,36 @@ def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
         assert build(*args, coh.EngineConfig(max_cochain_dim=rows)).rows == rows
         with pytest.raises(ResourceLimitError):
             build(*args, coh.EngineConfig(max_cochain_dim=rows - 1))
+
+
+def test_builders_refuse_negative_levels_and_q_zero(dia_dual, od_dual_sign):
+    level, q_zero = "cochain level must be non-negative", "the reduced bicomplex keeps only q >= 1"
+    degree = "total degree must be non-negative"
+    for build, args, text in (
+        (coh.delta_entries, (dia_dual, -1), level),
+        (coh.dialgebra_cohomology, (dia_dual, -1), level),
+        (coh.vertical_entries, (od_dual_sign, 0, 0), q_zero),
+        (coh.horizontal_entries, (od_dual_sign, 0, 0), q_zero),
+        (coh.total_entries, (od_dual_sign, -1), degree),
+        (coh.equivariant_cohomology, (od_dual_sign, -1), degree),
+    ):
+        with pytest.raises(ValueError) as refused:
+            build(*args)
+        assert type(refused.value) is ValueError and str(refused.value) == text
+
+
+def test_public_maps_hold_canonical_scalars():
+    # an entry is an int or a Fraction that is not an integer, never Fraction(-9, 1)
+    half = Fraction(1, 2)
+    copies = [basis_changed_dual_s3(),
+              in_basis(oriented_dual_sign(), Matrix.from_rows([[1, half], [-3, 1 - 3 * half]]))]
+    # and every fixture in the basis P = ½·I + (the ones above the diagonal)
+    copies += [in_basis(OD, Matrix(OD.dim, OD.dim, [half if i == j else int(i < j)
+                                                    for i in range(OD.dim)
+                                                    for j in range(OD.dim)]))
+               for OD in _oriented_fixtures()]
+    for OD in copies:
+        bad = [(name, args[1:], x) for name, args in _public_calls(OD, 2)
+               for x in getattr(coh, name)(*args).entries.values()
+               if not (type(x) is int or type(x) is Fraction and x.denominator != 1)]
+        assert bad == []

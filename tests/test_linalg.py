@@ -264,7 +264,7 @@ def test_elimination_matches_dense_reference(build, case, data):
     candidates = data.draw(st.lists(vectors(len(rows)), max_size=4))
     if candidates and data.draw(st.booleans()):   # a dependent candidate
         candidates.append([2 * x for x in candidates[0]])
-    assert column_space_complement(m, candidates) == \
+    assert column_space_complement(m, Matrix.from_rows(candidates).transpose()) == \
         reference_complement(rows, ncols, candidates)
 
 
