@@ -41,7 +41,6 @@ import dataclasses
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import cohomology as coh
 from . import deformations as defm
@@ -244,22 +243,12 @@ def _emit(x):
     return format_rational(x)
 
 
-def _jsonify(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    return obj
-
-
 def _emit_cocycle(alpha, beta) -> dict:
     return {"alpha": _emit(alpha), "beta_left": _emit(beta[0]), "beta_right": _emit(beta[1])}
 
 
 def _emit_checks(report) -> list[dict]:
-    return [{"name": c.name, "ok": c.ok, "witness": _jsonify(c.witness)} for c in report.checks]
+    return [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]
 
 
 def _emit_residual(residual) -> list:
@@ -329,7 +318,7 @@ def cmd_check(args) -> tuple:
     if not reports:
         raise BundleError("bundle contains nothing to check")
     ok = all(report.ok for report in reports.values())
-    checks = [{"check": f"{label}: {c.name}", "ok": c.ok, "witness": _jsonify(c.witness)}
+    checks = [{"check": f"{label}: {c.name}", "ok": c.ok, "witness": c.witness}
               for label, report in reports.items() for c in report.checks]
     return {"ok": ok, "checks": checks}, 0 if ok else 1
 

@@ -112,7 +112,7 @@ def sign_exponent(n: int) -> int:
 # read them by columns, and nothing in the engine densifies.  A SparseMap
 # is stored as its columns, the layout the kernel elimination consumes: a
 # list of ``cols`` dicts {row: value} with int keys and no zero values;
-# its product, equality and densification work on those columns too.
+# its product and densification work on those columns too.
 # ``entries``, a (row, col)-keyed dict, is built on demand for the tests
 # and the benchmark's checks.  Two builders make every entry, ``_delta``
 # and ``_act``, straight into column dicts; ``_delta`` reads its faces and
@@ -326,10 +326,6 @@ def _check_group_order(OD: OrientedDialgebra, config: EngineConfig) -> None:
         raise ResourceLimitError(f"group order {OD.group.order} exceeds cap {config.max_group}")
 
 
-def _tuples(m: int, p: int):
-    return product(range(m), repeat=p)
-
-
 def _tuple_pos(t: tuple, m: int) -> int:
     pos = 0
     for g in t:
@@ -364,7 +360,7 @@ def _write_vertical(out: list, acts: list, G, p: int, cd: int,
     """
     m = G.order
     values = [_scaled_values(a, act_scale) for a in acts]
-    for gt in _tuples(m, p + 1):
+    for gt in product(range(m), repeat=p + 1):
         ro = row_off + _tuple_pos(gt, m) * cd
         ident: dict = {}  # column slot -> coefficient of the identity there
         for i in range(1, p + 1):
@@ -622,10 +618,6 @@ def equivariant_cohomology(
 # ints over one denominator per law, so a valid cocycle builds no Fraction.
 # ``degree1_coboundary`` and ``extensions.cocycles_cohomologous`` run on the
 # integer L·Tot(0) of ``_total_maps``.
-
-
-def degree1_zero(OD: OrientedDialgebra):
-    return degree1_unpack(OD, [0] * total_dim(OD, 1))
 
 
 def _degree1_betas(OD: OrientedDialgebra, alpha, beta) -> list:

@@ -41,11 +41,12 @@ the group laws of ``oriented._law_sides`` at powers 0..N, and
 ``check_equivalence`` runs the intertwining laws over power series, in
 integers as the checkers of ``dialgebra`` and ``oriented`` do, and the
 transports push a deformation forward in the same integer series.
-Each reads its deformations through one reader, ``_integer_series``: it
-checks Φ's shape against the structure, validates every product
-coefficient and scales once, by one denominator nL shared by all the
-products of the call and one nP shared by all its actions; the
-certificate of an accepted equivalence takes only the order-1 terms.
+Each reads a deformation through ``_read``, which checks Φ's shape
+against the structure and validates every product coefficient, and then
+``_integer_series``, which scales once, by one denominator nL shared by
+all the products of the call and one nP shared by all its actions.
+``infinitesimal`` reads without scaling, and the certificate of an
+accepted equivalence takes only the order-1 terms.
 Ψ is read by ``_require_square`` over its own denominator nS.  Each then takes
 truncated Cauchy sums (``_cauchy``) of the integer composition tables of
 the undeformed laws, and compares both sides of every law over one
@@ -162,28 +163,30 @@ def _require_square(psis, d: int) -> tuple:
     return _scaled_maps(psis)
 
 
-def _integer_series(OD: OrientedDialgebra, *deformations) -> tuple:
-    """nL, nP, then each deformation's validated and its integer series.
+def _read(OD: OrientedDialgebra, dfm: TruncatedDeformation) -> tuple:
+    """The deformation as (mˡ, mʳ, Φ): a tensor series per product and a matrix series per g.
 
-    A deformation reads as (mˡ, mʳ, Φ): a tensor series per product and a
-    matrix series per group element, once every power of Φ holds |G| d×d
-    matrices and every product coefficient is a d×d×d tensor.  nL is the
-    common denominator of all the products given, nP of all the actions,
-    and the integer series are the validated ones times nL or nP.
+    Every power of Φ must hold |G| d×d matrices and every product
+    coefficient must be a d×d×d tensor.
     """
     d, m = OD.dim, OD.group.order
-    read = []
-    for dfm in deformations:
-        if any(len(per_g) != m or any(x.shape() != (d, d) for x in per_g) for per_g in dfm.phi):
-            raise ShapeMismatchError(f"phi must hold {m} {d}x{d} matrices per power")
-        read.append(([validated_tensor(d, T) for T in dfm.mlt],
-                     [validated_tensor(d, T) for T in dfm.mrt], list(zip(*dfm.phi))))
-    nL = _denominator(_flat([plane for ml, mr, _ in read for T in (*ml, *mr) for plane in T]))
-    nP = _denominator(x for *_, phi in read for series in phi for g in series for x in g.entries)
-    scaled = [([_scaled(T, nL) for T in ml], [_scaled(T, nL) for T in mr],
-               [[_scaled_rows(g.to_rows(), nP) for g in series] for series in phi])
-              for ml, mr, phi in read]
-    return nL, nP, read, scaled
+    if any(len(per_g) != m or any(x.shape() != (d, d) for x in per_g) for per_g in dfm.phi):
+        raise ShapeMismatchError(f"phi must hold {m} {d}x{d} matrices per power")
+    return ([validated_tensor(d, T) for T in dfm.mlt],
+            [validated_tensor(d, T) for T in dfm.mrt], list(zip(*dfm.phi)))
+
+
+def _integer_series(*reads) -> tuple:
+    """nL, nP, then each read deformation's integer series.
+
+    nL is the common denominator of all the products given, nP of all the
+    actions, and the integer series are the read ones times nL or nP.
+    """
+    nL = _denominator(_flat([plane for ml, mr, _ in reads for T in (*ml, *mr) for plane in T]))
+    nP = _denominator(x for *_, phi in reads for series in phi for g in series for x in g.entries)
+    return nL, nP, [([_scaled(T, nL) for T in ml], [_scaled(T, nL) for T in mr],
+                     [[_scaled_rows(g.to_rows(), nP) for g in series] for series in phi])
+                    for ml, mr, phi in reads]
 
 
 def _matrix_product(X: list, Y: list) -> list:
@@ -227,7 +230,8 @@ def check_deformation(OD: OrientedDialgebra, deformation: TruncatedDeformation) 
     """
     d = OD.dim
     G = OD.group
-    _, nP, [(ml, mr, phi)], [(*products, Phi)] = _integer_series(OD, deformation)
+    ml, mr, phi = read = _read(OD, deformation)
+    _, nP, [(*products, Phi)] = _integer_series(read)
     base_ok = (ml[0] == OD.base.left and mr[0] == OD.base.right
                and all(series[0].entries == OD.action[g].entries
                        for g, series in enumerate(phi)))
@@ -260,7 +264,7 @@ def infinitesimal(OD: OrientedDialgebra, deformation: TruncatedDeformation, n: i
     if not 1 <= n <= deformation.order:
         raise ValueError(f"order {n} outside 1..{deformation.order}")
     zero = zero_tensor(OD.dim)
-    _, _, [(ml, mr, phi)], _ = _integer_series(OD, deformation)
+    ml, mr, phi = _read(OD, deformation)
     for i in range(1, n):
         if ml[i] != zero or mr[i] != zero or any(not series[i].is_zero() for series in phi):
             raise PrecedingTermsNonzeroError(
@@ -285,7 +289,7 @@ def check_equivalence(
         raise ValueError("orders of the deformations and the intertwiner must match")
     d = OD.dim
     psi, nS = _require_square(eq.psi, d)
-    *_, [(m1l, m1r, phi1), (m2l, m2r, phi2)] = _integer_series(OD, def1, def2)
+    *_, [(m1l, m1r, phi1), (m2l, m2r, phi2)] = _integer_series(_read(OD, def1), _read(OD, def2))
     # Ψ(m²(y1, y2)) against m¹(Ψy1, Ψy2), over nL·nS²
     checks = [
         _law(f"Ψ intertwines the {name} products", *_intertwining(psi, m2, m1, False, nS), d, d)
@@ -372,7 +376,7 @@ def _push_forward(OD: OrientedDialgebra, deformation: TruncatedDeformation,
     nS·nP·nR.
     """
     d = OD.dim
-    nL, nP, _, [(*products, Phi)] = _integer_series(OD, deformation)
+    nL, nP, [(*products, Phi)] = _integer_series(_read(OD, deformation))
     (S, nS), (R, nR) = S, R
 
     def push(m):

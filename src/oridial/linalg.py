@@ -175,22 +175,16 @@ class Matrix:
 class SparseMap:
     """A sparse linear map stored by columns: ``columns[j]`` is {row: value}.
 
-    No stored value is 0.  A map is built from its column dicts, or from an
-    entries dict of (row, col) -> exact scalar, whose zeros are dropped.
+    A map is built from its column dicts, none of whose values is 0; with
+    no columns given it is the zero map.
     """
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None,
-                 columns: list | None = None):
+    def __init__(self, rows: int, cols: int, columns: list | None = None):
         self.rows = rows
         self.cols = cols
-        if columns is None:
-            columns = [{} for _ in range(cols)]
-            for (r, c), x in (entries or {}).items():
-                if x:
-                    columns[c][r] = x
-        self.columns: list[dict] = columns
+        self.columns: list[dict] = [{} for _ in range(cols)] if columns is None else columns
 
     @property
     def entries(self) -> dict:
@@ -203,12 +197,6 @@ class SparseMap:
         products = (_apply(self.columns, col) for col in other.columns)
         return SparseMap(self.rows, other.cols,
                          columns=[{i: x for i, x in out.items() if x} for out in products])
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def equals(self, other: "SparseMap") -> bool:
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.rows, self.cols,

@@ -94,13 +94,6 @@ def sign_group() -> OrientedGroup:
     return OrientedGroup([[0, 1], [1, 0]], [1, -1])
 
 
-def cyclic_group(n: int, epsilon=None) -> OrientedGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    if epsilon is None:
-        epsilon = [1] * n
-    return OrientedGroup(table, epsilon)
-
-
 def symmetric_group(n: int) -> OrientedGroup:
     """S_n with ε the sign of the permutation; identity first."""
     elems = sorted(permutations(range(n)))  # identity is lexicographically first

@@ -137,19 +137,18 @@ def tree_from_word(word) -> Tree:
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"word must contain each of 1..{n} exactly once: {list(word)}")
-    return _decode(word)
+    tree = _decode(word)
+    if tree.word != word:   # some left subword is not a permutation of 1..p
+        raise ValueError(f"not a valid tree word: {list(word)}")
+    return tree
 
 
 def _decode(word: tuple[int, ...]) -> Tree:
-    n = len(word)
-    if n == 0:
+    """The tree rooted at the largest label, with the parts on either side as subtrees."""
+    if not word:
         return LEAF
-    pos = word.index(n)  # the root carries the maximal label
-    left = _decode(word[:pos])
-    right_word = tuple(x - pos for x in word[pos + 1:])
-    if right_word and sorted(right_word) != list(range(1, len(right_word) + 1)):
-        raise ValueError(f"not a valid tree word: {list(word)}")
-    return Tree(left, _decode(right_word))
+    pos = word.index(max(word))
+    return Tree(_decode(word[:pos]), _decode(word[pos + 1:]))
 
 
 def mirror(y: Tree) -> Tree:

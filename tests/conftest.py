@@ -11,6 +11,7 @@ from oridial.linalg import Matrix, in_image
 from oridial.oriented import OrientedDialgebra, sign_group, symmetric_group, trivial_group
 
 from reference_checkers import apply, bilinear
+from reference_quotient import sparse_map
 
 
 def scalar_product_dialgebra() -> Dialgebra:
@@ -177,8 +178,13 @@ def alt_sign_action(OD, g, n):
     """
     shipped = coh.act_entries(OD, g, n)
     sign = (-1) ** ((n * (n - 1) // 2 - coh.sign_exponent(n)) % 2)
-    return coh.SparseMap(shipped.rows, shipped.cols,
-                         {key: sign * v for key, v in shipped.entries.items()})
+    return sparse_map(shipped.rows, shipped.cols,
+                      {key: sign * v for key, v in shipped.entries.items()})
+
+
+def degree1_zero(OD: OrientedDialgebra):
+    """The zero degree-1 pair (α, β) of OD."""
+    return coh.degree1_unpack(OD, [0] * coh.total_dim(OD, 1))
 
 
 @pytest.fixture

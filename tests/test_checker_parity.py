@@ -49,6 +49,7 @@ from conftest import (
     _draw_basis_changed,
     _oriented_fixtures,
     basis_changed_dual_s3,
+    degree1_zero,
     in_basis,
     oriented_dual_sign,
     oriented_swap_sum,
@@ -435,11 +436,11 @@ def _misshaped_calls() -> dict:
     """
     OD = oriented_dual_sign()
     big = Matrix.identity(3)
-    E = build_extension(OD, *coh.degree1_zero(OD))
+    E = build_extension(OD, *degree1_zero(OD))
     dfm = constant_deformation(OD, 1)
     bad = TruncatedDeformation(1, [OD.base.left, zero_tensor(3)], dfm.mrt, dfm.phi)
     one = Matrix.identity(2)
-    alpha, beta = coh.degree1_zero(OD)
+    alpha, beta = degree1_zero(OD)
     wide_beta = ([[[0] * 3 for _ in range(2)] for _ in range(2)], beta[1])   # 2x2x3
     # one 2x4 α has as many entries as two 2x2 ones
     wide_alpha = [Matrix.zeros(2, 4)]

@@ -151,6 +151,16 @@ def test_equivalence_order_below_one_exits_2(tmp_path, capsys, order, psi):
     assert json.loads(err)["error"] == "equivalence: order must be >= 1"
 
 
+def test_equivalence_psi0_not_identity_exits_2(tmp_path, capsys):
+    bundle = _constant_order1_bundle()
+    not_identity, zero = [["1", "1"], ["0", "1"]], [["0", "0"], ["0", "0"]]
+    bundle["equivalence"] = {"order": 1, "psi": [not_identity, zero]}
+    path = write_bundle(tmp_path / "eq.json", bundle)
+    code, out, err = run_cli(capsys, ["equivalence-check", "--input", path])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "equivalence: psi_0 must be the identity"}
+
+
 def test_infinitesimal_order_below_one_exits_2(tmp_path, capsys):
     path = write_bundle(tmp_path / "order1.json", _constant_order1_bundle())
     for order in (0, -1):
@@ -279,10 +289,10 @@ def test_extract_with_bad_section_exits_1(tmp_path, capsys):
     from oridial import cohomology as coh
     from oridial.cli import _emit
     from oridial.extensions import build_extension
-    from conftest import oriented_dual_sign
+    from conftest import degree1_zero, oriented_dual_sign
 
     OD = oriented_dual_sign()
-    alpha, beta = coh.degree1_zero(OD)
+    alpha, beta = degree1_zero(OD)
     E = build_extension(OD, alpha, beta)
     bundle["extension"] = json.loads(json.dumps({
         "dialgebra": {"dim": 4,
@@ -371,7 +381,7 @@ def test_certificate_reads_both_deformations_in_one_call(tmp_path, capsys, monke
     reads = []
     read = deformations._integer_series
     monkeypatch.setattr(deformations, "_integer_series",
-                        lambda OD, *dfms: reads.append(len(dfms)) or read(OD, *dfms))
+                        lambda *dfms: reads.append(len(dfms)) or read(*dfms))
     monkeypatch.setattr(deformations, "infinitesimal", None)
     code, out, _ = run_cli(capsys, ["equivalence-check", "--input", path])
     assert code == 0

@@ -231,6 +231,21 @@ def test_equivalence_shape_validation(od_dual_sign):
         check_equivalence(od_dual_sign, const1, const2, eq)
 
 
+def test_transports_and_certificate_refuse_mismatched_input(od_dual_sign):
+    OD = od_dual_sign
+    eq1 = DeformationEquivalence(1, [Matrix.identity(2), Matrix.zeros(2, 2)])
+    with pytest.raises(ValueError) as exc:
+        transport_deformation(OD, constant_deformation(OD, 2), eq1)
+    assert str(exc.value) == "orders of the deformation and the intertwiner must match"
+    with pytest.raises(ValueError) as exc:
+        transport_constant(OD, [Matrix.zeros(2, 2)], 2)
+    assert str(exc.value) == "need 2 matrices psi_1..psi_2"
+    moved = transport_constant(OD, [Matrix.from_rows([[0, 1], [0, 0]])], 1)
+    with pytest.raises(ValueError) as exc:
+        infinitesimals_cohomologous(OD, constant_deformation(OD, 1), moved, eq1)
+    assert str(exc.value).startswith("deformations are not equivalent via the given Ψ: ")
+
+
 # ---------------------------------------------------------------------------
 # the series checkers against a per-power reference
 #

@@ -13,9 +13,10 @@ from oridial.dialgebra import (
     from_bimodule_map,
     from_differential,
     is_morphism,
+    validated_tensor,
     zero_tensor,
 )
-from oridial.linalg import Matrix
+from oridial.linalg import Matrix, ShapeMismatchError
 
 from conftest import dual_numbers_dialgebra, poly3_dialgebra, split_products_dialgebra
 from reference_checkers import basis, bilinear
@@ -26,6 +27,15 @@ POLY3_MULT = [
     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
     [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
 ]
+
+
+def test_dimension_and_tensor_shape_refused():
+    with pytest.raises(ValueError) as exc:
+        Dialgebra(0, [], [])
+    assert str(exc.value) == "dimension must be positive"
+    with pytest.raises(ShapeMismatchError) as exc:
+        validated_tensor(2, [[[1, 0], [0, 1]], [[0, 1]]])
+    assert str(exc.value) == "tensor slice must have 2 rows"
 
 
 def test_from_associative_accepts_associative_products():

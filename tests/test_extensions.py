@@ -17,10 +17,10 @@ from oridial.extensions import (
     cocycles_cohomologous,
     extract_cocycle,
 )
-from oridial.linalg import Matrix, nullspace
+from oridial.linalg import Matrix, ShapeMismatchError, nullspace
 from oridial.oriented import OrientedDialgebra
 
-from conftest import dual_numbers_dialgebra, oriented_trivial
+from conftest import degree1_zero, dual_numbers_dialgebra, oriented_trivial
 from reference_checkers import apply, bilinear
 
 
@@ -39,7 +39,7 @@ def sample_cocycles(OD, count, seed=0):
 
 
 def test_zero_cocycle_gives_split_extension(od_dual_sign):
-    alpha, beta = coh.degree1_zero(od_dual_sign)
+    alpha, beta = degree1_zero(od_dual_sign)
     E = build_extension(od_dual_sign, alpha, beta)
     B = E.total
     d = 2
@@ -94,7 +94,7 @@ def test_extraction_from_other_sections_is_cohomologous(od_dual_sign):
 
 
 def test_extract_rejects_non_section(od_dual_sign):
-    alpha, beta = coh.degree1_zero(od_dual_sign)
+    alpha, beta = degree1_zero(od_dual_sign)
     E = build_extension(od_dual_sign, alpha, beta)
     with pytest.raises(NotSectionError):
         extract_cocycle(od_dual_sign, E, Matrix.zeros(4, 2))
@@ -102,8 +102,19 @@ def test_extract_rejects_non_section(od_dual_sign):
         extract_cocycle(od_dual_sign, E, Matrix.zeros(2, 4).transpose())
 
 
+def test_check_and_extract_refuse_misshaped_maps(od_dual_sign):
+    E = build_extension(od_dual_sign, *degree1_zero(od_dual_sign))
+    swapped = SingularExtension(E.total, E.projection, E.inclusion)
+    with pytest.raises(ShapeMismatchError) as exc:
+        check_extension(od_dual_sign, swapped)
+    assert str(exc.value) == "i must be 4x2 and p 2x4"
+    with pytest.raises(NotSectionError) as exc:
+        extract_cocycle(od_dual_sign, E, Matrix.identity(2))
+    assert str(exc.value) == "section must be 4x2"
+
+
 def test_build_rejects_non_cocycle(od_dual_sign):
-    alpha, beta = coh.degree1_zero(od_dual_sign)
+    alpha, beta = degree1_zero(od_dual_sign)
     beta[0][1][1][0] = 1
     with pytest.raises(NotCocycleError):
         build_extension(od_dual_sign, alpha, beta)
@@ -118,7 +129,7 @@ def test_identical_pairs_give_zero_certificate(od_dual_sign):
 def test_coboundary_pair_is_in_zero_class(od_dual_sign):
     gamma = Matrix(2, 2, [1, 2, Fraction(1, 2), -1])
     pair = coh.degree1_coboundary(od_dual_sign, gamma)
-    zero = coh.degree1_zero(od_dual_sign)
+    zero = degree1_zero(od_dual_sign)
     cert = cocycles_cohomologous(od_dual_sign, pair, zero)
     assert cert is not None
     da, db = coh.degree1_coboundary(od_dual_sign, cert)
@@ -128,15 +139,15 @@ def test_coboundary_pair_is_in_zero_class(od_dual_sign):
 def test_distinct_classes_have_no_certificate(od_dual_sign):
     rep = coh.equivariant_cohomology(od_dual_sign, 1).representatives[0]
     pair = coh.degree1_unpack(od_dual_sign, rep)
-    zero = coh.degree1_zero(od_dual_sign)
+    zero = degree1_zero(od_dual_sign)
     assert cocycles_cohomologous(od_dual_sign, pair, zero) is None
 
 
 def test_cocycles_cohomologous_requires_cocycles(od_dual_sign):
-    alpha, beta = coh.degree1_zero(od_dual_sign)
+    alpha, beta = degree1_zero(od_dual_sign)
     beta[0][1][1][0] = 1
     with pytest.raises(NotCocycleError):
-        cocycles_cohomologous(od_dual_sign, (alpha, beta), coh.degree1_zero(od_dual_sign))
+        cocycles_cohomologous(od_dual_sign, (alpha, beta), degree1_zero(od_dual_sign))
 
 
 def _unchecked_extension(OD, beta) -> SingularExtension:
@@ -174,7 +185,7 @@ def test_no_extension_of_a_base_that_is_no_dialgebra():
     # mixed axioms; the zero pair still solves the degree-1 equations
     left = dual_numbers_dialgebra().left
     OD = oriented_trivial(Dialgebra(2, left, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]))
-    alpha, beta = coh.degree1_zero(OD)
+    alpha, beta = degree1_zero(OD)
     assert coh.is_degree1_cocycle(OD, alpha, beta).ok
     with pytest.raises(ExtensionInvalidError) as info:
         build_extension(OD, alpha, beta)

@@ -34,6 +34,7 @@ from conftest import (
     split_products_dialgebra,
 )
 from reference_checkers import apply, bilinear
+from reference_quotient import is_zero, same_map, sparse_map
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -194,8 +195,8 @@ def dense(rows: list, ncols: int) -> Matrix:
 
 
 def sparse(rows: list, ncols: int) -> SparseMap:
-    return SparseMap(len(rows), ncols,
-                     {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
+    return sparse_map(len(rows), ncols,
+                      {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
 
 
 def canonical(x) -> bool:
@@ -376,8 +377,8 @@ def test_nullspace_refuses_a_misshaped_or_noncomplex_image():
     with pytest.raises(NonComplexError):
         nullspace(m, Matrix.from_rows([[1, 1], [-1, 0], [0, 0]]))   # m·(1, 0, 0) ≠ 0
     with pytest.raises(NonComplexError):                            # exact with denominators
-        nullspace(SparseMap(1, 2, {(0, 0): 1, (0, 1): Fraction(3, 2)}),
-                  SparseMap(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 5)}))
+        nullspace(sparse_map(1, 2, {(0, 0): 1, (0, 1): Fraction(3, 2)}),
+                  sparse_map(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 5)}))
 
 
 canonical_scalars = st.one_of(
@@ -396,6 +397,12 @@ def test_divisions_match_fraction_arithmetic(zeros, lead, rest, num, den):
     assert got[zeros] == 1 and all(canonical(x) for x in got)
     q = _rational(num, den)
     assert q == normalize_scalar(Fraction(num, den)) and canonical(q)
+
+
+def test_normalize_scalar_refuses_a_float():
+    with pytest.raises(TypeError) as exc:
+        normalize_scalar(0.5)
+    assert str(exc.value) == "exact scalar expected, got float"
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
@@ -456,9 +463,9 @@ def test_mul_matches_fraction_reference(build, case, data):
     assert matrix == reference
     assert all(canonical(x) for x in matrix.entries)
     if build is sparse:
-        assert product.equals(sparse(want, inner))
-        assert not product.equals(sparse(want + [[0] * inner], inner))
-        assert product.is_zero() == reference.is_zero()
+        assert same_map(product, sparse(want, inner))
+        assert not same_map(product, sparse(want + [[0] * inner], inner))
+        assert is_zero(product) == reference.is_zero()
 
 
 def test_rational_serialization():

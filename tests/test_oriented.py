@@ -10,7 +10,6 @@ from oridial.oriented import (
     OrientedGroup,
     check_oriented_dialgebra,
     check_oriented_group,
-    cyclic_group,
     sign_group,
     symmetric_group,
     trivial_group,
@@ -29,7 +28,8 @@ from reference_checkers import apply
 def test_basic_groups_pass():
     assert check_oriented_group(trivial_group()).ok
     assert check_oriented_group(sign_group()).ok
-    assert check_oriented_group(cyclic_group(5)).ok
+    z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+    assert check_oriented_group(OrientedGroup(z5, [1] * 5)).ok
 
 
 def test_symmetric_group_with_sign_character():
@@ -54,6 +54,16 @@ def test_broken_group_detected():
     assert not report.ok
     assert any("homomorphism" in item.name for item in report.failures())
     assert report.failures()[0].witness is not None
+
+
+def test_group_refusals():
+    with pytest.raises(ValueError) as exc:
+        OrientedGroup([[0]], [1, 1])
+    assert str(exc.value) == "epsilon must assign a sign to every element"
+    # an entry outside the elements stops the check at that clause
+    report = check_oriented_group(OrientedGroup([[0, 5], [1, 0]], [1, 1]))
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+        ("table entries are element indices", False, (0, 1))]
 
 
 def test_trivial_group_any_dialgebra_passes(dia_dual, dia_split, dia_diff3):

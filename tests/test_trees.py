@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -89,6 +90,19 @@ def test_bad_words_rejected():
     for bad in ([1, 1], [2], [0], [1, 3], [2, 3, 1]):
         with pytest.raises(ValueError):
             tree_from_word(bad)
+
+
+def test_every_permutation_round_trips_or_is_refused_by_name():
+    # a permutation of 1..n is either a tree's word or refused as the whole input
+    for n in range(7):
+        words = {t.word for t in enumerate_trees(n)}
+        for perm in permutations(range(1, n + 1)):
+            if perm in words:
+                assert tree_from_word(perm).word == perm
+            else:
+                with pytest.raises(ValueError) as exc:
+                    tree_from_word(perm)
+                assert str(exc.value) == f"not a valid tree word: {list(perm)}"
 
 
 def test_resource_cap():
