@@ -69,6 +69,7 @@ from .linalg import (
     _integral,
     _rational,
     column_space_complement,
+    kernel_vector,
     normalize_scalar,
     nullspace,
     rank,
@@ -94,6 +95,7 @@ class EngineConfig:
     max_group: int = 24
     max_dim: int = 4
     max_cochain_dim: int = 32_768   # dim of the largest space a map lands in
+    max_order: int = 8          # highest order of a deformation or equivalence
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -523,35 +525,40 @@ def _quotient(
 ) -> CohomologyResult:
     """Kernel of d_out modulo image of d_in, with canonical representatives.
 
-    ``nullspace(d_out, d_in)`` seeds the elimination with the columns of
-    d_in, which span the image inside the kernel, and multiplies each column
-    that extends their echelon by d_out exactly.  That is the square check:
-    it fails exactly when d_out·d_in ≠ 0, and ``fault`` names the failure.
-    Everything after works in the k free coordinates of the canonical
-    kernel basis: Kᵢ has 1 at its free column fᵢ, 0 at the other free
-    columns, and fᵢ is its last nonzero entry.  So a vector u in ker d_out
-    is u = Σ u[fᵢ]·Kᵢ, and u ↦ u[F] is injective there: the rows F of d_in
-    (``image``) have the rank of d_in, and the unit vectors extend their
-    column space exactly where the Kᵢ extend the column space of d_in.
-    Either map may carry a nonzero factor: the cohomology entry points pass
-    integer multiples of the coboundaries, which have the same kernel,
-    canonical kernel basis, rank and column space.
+    ``nullspace(d_out, d_in, reduced=False)`` seeds the elimination with
+    the columns of d_in, which span the image inside the kernel, and
+    multiplies each column that extends their echelon by d_out exactly.
+    That is the square check: it fails exactly when d_out·d_in ≠ 0, and
+    ``fault`` names the failure.  It returns the kernel echelon before any
+    back-substitution.  Everything after works in the k free coordinates of
+    the canonical kernel basis: Kᵢ has 1 at its free column fᵢ, 0 at the
+    other free columns, and fᵢ is its last nonzero entry.  The fᵢ are read
+    off the echelon's keys.  A vector u in ker d_out is u = Σ u[fᵢ]·Kᵢ, and
+    u ↦ u[F] is injective there: the rows F of d_in (``image``) have the
+    rank of d_in, and the unit vectors extend their column space exactly
+    where the Kᵢ extend the column space of d_in.  Only the kept Kᵢ, dim of
+    the k, are back-substituted, by ``kernel_vector``.  Either map may
+    carry a nonzero factor: the cohomology entry points pass integer
+    multiples of the coboundaries, which have the same kernel, canonical
+    kernel basis, rank and column space.
     """
     if d_out.cols != d_in.rows:
         raise ShapeMismatchError(
             f"cannot compose {d_out.rows}x{d_out.cols} with {d_in.rows}x{d_in.cols}")
     try:
-        kernel = nullspace(d_out, d_in)
+        kernel = nullspace(d_out, d_in, reduced=False)
     except NonComplexError:
         raise NonComplexError(fault) from None
-    k = len(kernel)
-    free = {len(v) - 1 - v[::-1].index(1): i for i, v in enumerate(kernel)}   # fᵢ -> i
+    k, last = len(kernel), d_out.rows + d_out.cols - 1
+    keys = sorted(kernel, reverse=True)   # Kᵢ's tag key, fᵢ = last - key ascending
+    free = {last - key: i for i, key in enumerate(keys)}   # fᵢ -> i
     image = SparseMap(k, d_in.cols, columns=[{free[r]: x for r, x in col.items() if r in free}
                                              for col in d_in.columns])
     units = SparseMap(k, k, columns=[{i: 1} for i in range(k)])
     image_rank = rank(image)
     keep = column_space_complement(image, units)
-    reps = [_normalize_rep(kernel[i]) for i in keep]
+    reps = [_normalize_rep(kernel_vector(kernel, keys[i], d_out.rows, d_out.cols))
+            for i in keep]
     dim = k - image_rank
     if len(reps) != dim:
         raise RuntimeError(f"rank-nullity bookkeeping broke: {len(reps)} representatives, "

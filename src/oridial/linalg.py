@@ -27,6 +27,8 @@ vectors, keyed so that the largest column leads, is the canonical kernel
 basis of the row route (see ``nullspace``).  A tall map thus costs at most
 one insertion per column instead of one per row, and none for a column
 that a known kernel vector (a coboundary, checked exactly) accounts for.
+A caller that needs only a few of the basis vectors takes the kernel
+echelon unreduced and back-substitutes just those, with ``kernel_vector``.
 """
 
 from __future__ import annotations
@@ -325,12 +327,14 @@ def rref(m) -> tuple[list[int], list[list]]:
     return pivots, rows
 
 
-def nullspace(m, image=None) -> list[list]:
+def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
     """Canonical basis of the kernel of m, given kernel vectors ``image``.
 
     One basis vector per free column f, with entry 1 at f, the negated
     reduced-echelon column above the pivots, and 0 at the other free
-    columns.  Size is always cols - rank.
+    columns.  Size is always cols - rank.  With ``reduced=False`` nothing
+    is back-substituted: the result is the kernel echelon, a dict from tag
+    key to integer row, and ``kernel_vector`` reads one basis vector off it.
 
     The basis comes from the cols columns, not the rows, so a tall map
     costs at most cols insertions.  Column j is tagged with an identity
@@ -373,6 +377,8 @@ def nullspace(m, image=None) -> list[list]:
     kernel = {key: row for key, row in echelon.items() if key >= r}
     for w in seeds.values():
         _insert({r + c - 1 - j: x for j, x in w.items()}, kernel)
+    if not reduced:
+        return kernel
     basis = []
     for _, row in reversed(_reduced(kernel)):
         v = [0] * c
@@ -380,6 +386,25 @@ def nullspace(m, image=None) -> list[list]:
             v[r + c - 1 - key] = x
         basis.append(v)
     return basis
+
+
+def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
+    """The canonical kernel vector of the echelon row at ``key``.
+
+    ``kernel`` is ``nullspace(m, image, reduced=False)`` for an r x c map
+    m.  A copy of the row is cleared of the other pivot keys in ascending
+    order and divided by its pivot once.  A pivot row has no key below its
+    own, so a cleared key never comes back, and the vector is the one that
+    ``nullspace`` returns for the free column r + c - 1 - key.
+    """
+    row = dict(kernel[key])
+    for j in sorted(kernel):
+        if j != key and j in row:
+            _eliminate(row, kernel[j], j)
+    p, v = row[key], [0] * c
+    for j, x in row.items():
+        v[r + c - 1 - j] = _rational(x, p)
+    return v
 
 
 def in_image(m, v: list):

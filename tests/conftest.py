@@ -133,6 +133,12 @@ def in_basis(OD: OrientedDialgebra, P: Matrix) -> OrientedDialgebra:
     return _basis_changed(OD, P, P_inv)
 
 
+def half_triangular(d: int) -> Matrix:
+    """Unit lower triangular with ±1/2 below the diagonal: a basis with denominators."""
+    return Matrix(d, d, [1 if i == j else Fraction((-1) ** (i + j), 2) if i > j else 0
+                         for i in range(d) for j in range(d)])
+
+
 def basis_changed_dual_s3() -> OrientedDialgebra:
     """Dual-S₃ in the basis (1 + u, 1 + 4u): products and action both have denominators."""
     return in_basis(oriented_dual_s3(), Matrix.from_rows([[1, 1], [1, 4]]))

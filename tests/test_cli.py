@@ -124,6 +124,7 @@ def _constant_order1_bundle():
     ("config.max_group", "24"),
     ("config.max_dim", 4.5),
     ("config.max_cochain_dim", 1e6),
+    ("config.max_order", 2.5),
 ])
 def test_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
     section, key = field.split(".")
@@ -149,6 +150,25 @@ def test_equivalence_order_below_one_exits_2(tmp_path, capsys, order, psi):
     code, out, err = run_cli(capsys, ["equivalence-check", "--input", path])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "equivalence: order must be >= 1"
+
+
+@pytest.mark.parametrize("command,section", [
+    (["deform-check"], "deformation"),
+    (["infinitesimal", "--order", "1"], "deformation"),
+    (["equivalence-check"], "equivalence"),
+])
+def test_order_above_max_order_exits_2(tmp_path, capsys, command, section):
+    # the section's arrays are no lists at all, so the order is refused
+    # before any of them is read; the cap is the default or the bundle's own
+    bundle = _constant_order1_bundle()
+    assert run_cli(capsys, command + ["--input", write_bundle(tmp_path / "ok.json", bundle)])[0] == 0
+    default = coh.DEFAULT_CONFIG.max_order
+    for config, order, cap in [({}, default + 1, default), ({"config": {"max_order": 1}}, 2, 1)]:
+        arrays = {key: "unread" for key in bundle[section] if key != "order"}
+        deep = {**bundle, section: {"order": order, **arrays}, **config}
+        code, out, err = run_cli(capsys, command + ["--input", write_bundle(tmp_path / "deep.json", deep)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"{section}: order {order} above max_order {cap}"
 
 
 def test_equivalence_psi0_not_identity_exits_2(tmp_path, capsys):

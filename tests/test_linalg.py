@@ -17,6 +17,7 @@ from oridial.linalg import (
     column_space_complement,
     format_rational,
     in_image,
+    kernel_vector,
     normalize_scalar,
     nullspace,
     parse_rational,
@@ -27,6 +28,7 @@ from oridial.linalg import (
 from conftest import (
     basis_changed_dual_s3,
     dual_numbers_dialgebra,
+    half_triangular,
     in_basis,
     oriented_trivial,
     oriented_zero_sign,
@@ -339,10 +341,14 @@ def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):
     assert kernel == nullspace(sm)
 
 
-def _half_triangular(d: int) -> Matrix:
-    """Unit lower triangular with ±1/2 below the diagonal: a basis with denominators."""
-    return Matrix(d, d, [1 if i == j else Fraction((-1) ** (i + j), 2) if i > j else 0
-                         for i in range(d) for j in range(d)])
+def _kernel_vectors(sm, image=None) -> list:
+    """``kernel_vector`` at every key of the unreduced kernel echelon, in
+    ``nullspace``'s order; the echelon must come through unchanged."""
+    kernel = nullspace(sm, image, reduced=False)
+    before = {key: dict(row) for key, row in kernel.items()}
+    got = [kernel_vector(kernel, key, sm.rows, sm.cols) for key in sorted(kernel, reverse=True)]
+    assert kernel == before
+    return got
 
 
 # Maps in the tree-major layout with dense basis-changed entries, where a
@@ -352,12 +358,12 @@ def _half_triangular(d: int) -> Matrix:
 @pytest.mark.parametrize("build", [
     lambda: (total_entries(basis_changed_dual_s3(), 0), None),
     lambda: (total_entries(basis_changed_dual_s3(), 1), total_entries(basis_changed_dual_s3(), 0)),
-    lambda: (total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1),
-             total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 0)),
-    lambda: (total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 2),
-             total_entries(in_basis(oriented_zero_sign(), _half_triangular(2)), 1)),
-    lambda: (delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 2),
-             delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), _half_triangular(3)).base, 1)),
+    lambda: (total_entries(in_basis(oriented_zero_sign(), half_triangular(2)), 1),
+             total_entries(in_basis(oriented_zero_sign(), half_triangular(2)), 0)),
+    lambda: (total_entries(in_basis(oriented_zero_sign(), half_triangular(2)), 2),
+             total_entries(in_basis(oriented_zero_sign(), half_triangular(2)), 1)),
+    lambda: (delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), half_triangular(3)).base, 2),
+             delta_entries(in_basis(oriented_trivial(poly3_dialgebra()), half_triangular(3)).base, 1)),
 ], ids=["dual-s3-copy Tot(0)", "dual-s3-copy Tot(1)", "zero-sign-copy Tot(1)",
         "zero-sign-copy Tot(2)", "poly3-copy delta(2)"])
 def test_kernel_of_basis_changed_maps_matches_dense_reference(build):
@@ -367,6 +373,31 @@ def test_kernel_of_basis_changed_maps_matches_dense_reference(build):
     assert all(canonical(x) for vec in got for x in vec)
     images = [SparseMap(sm.cols, 0)] + ([d_in, d_in.to_matrix()] if d_in is not None else [])
     assert all(nullspace(sm, image) == got for image in images)
+    assert all(_kernel_vectors(sm, image) == got for image in [None] + images)
+
+
+@st.composite
+def small_sparse_maps(draw, max_dim=6):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    entries = draw(st.dictionaries(cells, rationals, max_size=2 * max_dim)) if rows and cols else {}
+    return sparse_map(rows, cols, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_vector_matches_nullspace_on_random_sparse_maps(data):
+    # the seeds are combinations of the kernel basis, as d_in's columns are
+    sm = data.draw(small_sparse_maps())
+    basis = nullspace(sm)
+    coefficients = data.draw(st.lists(st.lists(rationals, min_size=len(basis),
+                                               max_size=len(basis)), max_size=3))
+    seeds = [[sum(a * v[i] for a, v in zip(cs, basis)) for i in range(sm.cols)]
+             for cs in coefficients]
+    image = sparse_map(sm.cols, len(seeds),
+                       {(i, j): x for j, w in enumerate(seeds) for i, x in enumerate(w)})
+    assert _kernel_vectors(sm) == basis
+    assert _kernel_vectors(sm, image) == basis
 
 
 def test_nullspace_refuses_a_misshaped_or_noncomplex_image():
