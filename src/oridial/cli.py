@@ -20,7 +20,7 @@ Bundle sections (all optional, each command states what it needs):
     "deformation2": second deformation for equivalence checking
     "equivalence": {"order": N, "psi": [matrix ..]}
     "config":      {"max_level": 6, "max_degree": 3, "max_group": 24,
-                    "max_dim": 4, "max_cochain_dim": 32768, "max_order": 8}
+                    "max_dim": 4, "max_cochain_dim": 32768}
 
 A section written {..} above must be a JSON object, and a key not listed
 above is malformed.  The "config" fields are the engine's resource caps
@@ -61,6 +61,11 @@ from .trees import ResourceLimitError, enumerate_trees
 # so a misspelled section cannot be skipped without a word
 BUNDLE_KEYS = frozenset({"dialgebra", "group", "action", "cocycle", "extension", "section",
                          "deformation", "deformation2", "equivalence", "config"})
+
+
+# the highest order of a bundle's deformation, deformation2 or equivalence;
+# a deeper series is refused before any of its arrays is read
+MAX_ORDER = 8
 
 
 class BundleError(ValueError):
@@ -179,29 +184,29 @@ def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
     return ext.SingularExtension(total, inclusion, projection)
 
 
-def _order(data, what: str, config) -> int:
-    """The section's order, refused outside 1..max_order before any array is read."""
+def _order(data, what: str) -> int:
+    """The section's order, refused outside 1..MAX_ORDER before any array is read."""
     order = _int_field(data, "order", what)
     if order < 1:
         raise BundleError(f"{what}: order must be >= 1")
-    if order > config.max_order:
-        raise BundleError(f"{what}: order {order} above max_order {config.max_order}")
+    if order > MAX_ORDER:
+        raise BundleError(f"{what}: order {order} exceeds cap {MAX_ORDER}")
     return order
 
 
-def _parse_deformation(data, OD, config) -> defm.TruncatedDeformation:
+def _parse_deformation(data, OD, what: str = "deformation") -> defm.TruncatedDeformation:
     d = OD.dim
-    order = _order(data, "deformation", config)
-    mlt, mrt = (_rationals(data.get(key), (order + 1, d, d, d), f"deformation.{key}")
+    order = _order(data, what)
+    mlt, mrt = (_rationals(data.get(key), (order + 1, d, d, d), f"{what}.{key}")
                 for key in ("ml", "mr"))
-    phi = _rationals(data.get("phi"), (order + 1, OD.group.order, d, d), "deformation.phi")
+    phi = _rationals(data.get("phi"), (order + 1, OD.group.order, d, d), f"{what}.phi")
     return defm.TruncatedDeformation(order, mlt, mrt,
                                      [[Matrix.from_rows(m) for m in per_g] for per_g in phi])
 
 
-def _parse_equivalence(data, OD, config) -> defm.DeformationEquivalence:
+def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
     d = OD.dim
-    order = _order(data, "equivalence", config)
+    order = _order(data, "equivalence")
     mats = _per_element(data.get("psi"), order + 1, d, "equivalence.psi")
     try:
         return defm.DeformationEquivalence(order, mats)
@@ -319,7 +324,7 @@ def cmd_check(args) -> tuple:
         E = _parse_extension(bundle, OD, config)
         reports["singular extension"] = ext.check_extension(OD, E)
     if "deformation" in bundle:
-        dfm = _parse_deformation(_section(bundle, "deformation"), OD, config)
+        dfm = _parse_deformation(_section(bundle, "deformation"), OD)
         reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
         raise BundleError("bundle contains nothing to check")
@@ -415,15 +420,15 @@ def cmd_extract(args) -> tuple:
 
 
 def cmd_deform_check(args) -> tuple:
-    bundle, config, OD = _load(args)
-    dfm = _parse_deformation(_section(bundle, "deformation"), OD, config)
+    bundle, _, OD = _load(args)
+    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     report = defm.check_deformation(OD, dfm)
     return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
 
 def cmd_infinitesimal(args) -> tuple:
-    bundle, config, OD = _load(args)
-    dfm = _parse_deformation(_section(bundle, "deformation"), OD, config)
+    bundle, _, OD = _load(args)
+    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
     try:
         alpha, beta = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
@@ -434,10 +439,10 @@ def cmd_infinitesimal(args) -> tuple:
 
 
 def cmd_equivalence_check(args) -> tuple:
-    bundle, config, OD = _load(args)
-    def1 = _parse_deformation(_section(bundle, "deformation"), OD, config)
-    def2 = _parse_deformation(_section(bundle, "deformation2"), OD, config)
-    eq = _parse_equivalence(_section(bundle, "equivalence"), OD, config)
+    bundle, _, OD = _load(args)
+    def1 = _parse_deformation(_section(bundle, "deformation"), OD)
+    def2 = _parse_deformation(_section(bundle, "deformation2"), OD, "deformation2")
+    eq = _parse_equivalence(_section(bundle, "equivalence"), OD)
     report = defm.check_equivalence(OD, def1, def2, eq)
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:

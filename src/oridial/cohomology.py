@@ -95,7 +95,6 @@ class EngineConfig:
     max_group: int = 24
     max_dim: int = 4
     max_cochain_dim: int = 32_768   # dim of the largest space a map lands in
-    max_order: int = 8          # highest order of a deformation or equivalence
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -34,6 +34,7 @@ echelon unreduced and back-substitutes just those, with ``kernel_vector``.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -395,12 +396,20 @@ def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
     m.  A copy of the row is cleared of the other pivot keys in ascending
     order and divided by its pivot once.  A pivot row has no key below its
     own, so a cleared key never comes back, and the vector is the one that
-    ``nullspace`` returns for the free column r + c - 1 - key.
+    ``nullspace`` returns for the free column r + c - 1 - key.  Only the
+    pivot keys the row holds are queued, so a row with none costs its length.
     """
     row = dict(kernel[key])
-    for j in sorted(kernel):
-        if j != key and j in row:
-            _eliminate(row, kernel[j], j)
+    todo = [j for j in row if j != key and j in kernel]
+    heapify(todo)
+    while todo:
+        j = heappop(todo)
+        if j in row:   # a key queued twice is cleared at its first pop
+            piv = kernel[j]
+            _eliminate(row, piv, j)
+            for i in piv:
+                if i in row and i in kernel:
+                    heappush(todo, i)
     p, v = row[key], [0] * c
     for j, x in row.items():
         v[r + c - 1 - j] = _rational(x, p)

@@ -124,7 +124,6 @@ def _constant_order1_bundle():
     ("config.max_group", "24"),
     ("config.max_dim", 4.5),
     ("config.max_cochain_dim", 1e6),
-    ("config.max_order", 2.5),
 ])
 def test_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
     section, key = field.split(".")
@@ -155,20 +154,20 @@ def test_equivalence_order_below_one_exits_2(tmp_path, capsys, order, psi):
 @pytest.mark.parametrize("command,section", [
     (["deform-check"], "deformation"),
     (["infinitesimal", "--order", "1"], "deformation"),
+    (["equivalence-check"], "deformation2"),
     (["equivalence-check"], "equivalence"),
 ])
 def test_order_above_max_order_exits_2(tmp_path, capsys, command, section):
     # the section's arrays are no lists at all, so the order is refused
-    # before any of them is read; the cap is the default or the bundle's own
+    # before any of them is read
     bundle = _constant_order1_bundle()
     assert run_cli(capsys, command + ["--input", write_bundle(tmp_path / "ok.json", bundle)])[0] == 0
-    default = coh.DEFAULT_CONFIG.max_order
-    for config, order, cap in [({}, default + 1, default), ({"config": {"max_order": 1}}, 2, 1)]:
-        arrays = {key: "unread" for key in bundle[section] if key != "order"}
-        deep = {**bundle, section: {"order": order, **arrays}, **config}
-        code, out, err = run_cli(capsys, command + ["--input", write_bundle(tmp_path / "deep.json", deep)])
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == f"{section}: order {order} above max_order {cap}"
+    order = cli.MAX_ORDER + 1
+    arrays = {key: "unread" for key in bundle[section] if key != "order"}
+    deep = {**bundle, section: {"order": order, **arrays}}
+    code, out, err = run_cli(capsys, command + ["--input", write_bundle(tmp_path / "deep.json", deep)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{section}: order {order} exceeds cap {cli.MAX_ORDER}"
 
 
 def test_equivalence_psi0_not_identity_exits_2(tmp_path, capsys):
@@ -729,6 +728,8 @@ def test_mutated_bundles_exit_cleanly(tmp_path, capsys, command, bundle):
     ("deformation.ml[1]", ["check"]),
     ("deformation.phi[1][0]", ["check"]),
     ("equivalence.psi[1]", ["equivalence-check"]),
+    ("deformation2.ml", ["equivalence-check"]),
+    ("deformation2.phi[1][0]", ["equivalence-check"]),
     ("action", ["check"]),
     ("deformation.mr", ["check"]),
     ("deformation.phi", ["check"]),

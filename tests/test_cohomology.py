@@ -899,7 +899,7 @@ def test_degree1_residuals_refuse_a_group_without_inverses():
     assert refused.value.witness == 1 and G.inv(0) == 0
     OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config.max_dim), G)
     alpha, beta = cli._parse_cocycle(bundle["cocycle"], OD)
-    deformation = cli._parse_deformation(bundle["deformation"], OD, config)
+    deformation = cli._parse_deformation(bundle["deformation"], OD)
     for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
                    lambda: coh.degree1_coboundary(OD, Matrix.identity(2)),
                    lambda: coh.act_entries(OD, 1, 1),
