@@ -44,6 +44,7 @@ import sys
 
 from . import cohomology as coh
 from . import deformations as defm
+from .deformations import MAX_ORDER
 from . import extensions as ext
 from .dialgebra import Check, Dialgebra, Report, check_axioms
 from .linalg import Matrix, format_rational, parse_rational
@@ -61,11 +62,6 @@ from .trees import ResourceLimitError, enumerate_trees
 # so a misspelled section cannot be skipped without a word
 BUNDLE_KEYS = frozenset({"dialgebra", "group", "action", "cocycle", "extension", "section",
                          "deformation", "deformation2", "equivalence", "config"})
-
-
-# the highest order of a bundle's deformation, deformation2 or equivalence;
-# a deeper series is refused before any of its arrays is read
-MAX_ORDER = 8
 
 
 class BundleError(ValueError):

@@ -97,6 +97,11 @@ from .linalg import Matrix, ShapeMismatchError, _rational
 from .oriented import OrientedDialgebra, _law_sides
 
 
+# the highest truncation order of a deformation or an equivalence, a fixed
+# ceiling like ``trees.MAX_LEVEL``; a deeper series is refused on construction
+MAX_ORDER = 8
+
+
 class PrecedingTermsNonzeroError(ValueError):
     pass
 
@@ -121,6 +126,8 @@ class TruncatedDeformation:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("deformation order must be at least 1")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"deformation order {self.order} exceeds cap {MAX_ORDER}")
         for arr, name in ((self.mlt, "mlt"), (self.mrt, "mrt"), (self.phi, "phi")):
             if len(arr) != self.order + 1:
                 raise ValueError(f"{name} must have order+1 = {self.order + 1} entries")
@@ -134,6 +141,8 @@ class DeformationEquivalence:
     psi: list
 
     def __post_init__(self):
+        if self.order > MAX_ORDER:
+            raise ValueError(f"equivalence order {self.order} exceeds cap {MAX_ORDER}")
         if len(self.psi) != self.order + 1:
             raise ValueError(f"psi must have order+1 = {self.order + 1} entries")
         d = self.psi[0].rows

@@ -11,24 +11,28 @@ integer dicts {column: value}; each vector is scaled to integers once.
 ``_echelon`` inserts rows sparsest first; ``nullspace`` inserts its tagged
 columns last first, for the reason given there.  A pivot row removes its
 leading column from another row by a gcd-scaled integer combination; a row
-that had to be scaled up for it is then divided by its content.  Only the surviving pivot
-rows are back-substituted and divided by their pivots, each entry once by
-``_rational``, which gives the reduced row echelon form.
-That form is unique, so ranks, pivot columns, nullspace bases and
-preimages do not depend on the order of elimination and are reproducible
-bit for bit across runs and platforms.
+that had to be scaled up for it is then divided by its content.
 
-Coboundaries are tall: many more rows than columns.  So ``rank``
-eliminates the shorter side, rows or columns, and ``nullspace`` eliminates
-the columns, each tagged with an identity entry that records which
-combination of columns it stands for.  A tagged vector whose column part
-vanishes is a kernel vector, and the reduced echelon form of those
-vectors, keyed so that the largest column leads, is the canonical kernel
-basis of the row route (see ``nullspace``).  A tall map thus costs at most
-one insertion per column instead of one per row, and none for a column
-that a known kernel vector (a coboundary, checked exactly) accounts for.
-A caller that needs only a few of the basis vectors takes the kernel
-echelon unreduced and back-substitutes just those, with ``kernel_vector``.
+There is one solve route, the tagged column echelon of ``nullspace``.
+Each column is tagged with an identity entry that records which
+combination of columns a vector stands for, and a tagged vector whose
+column part vanishes is a kernel vector.  Keyed so that the largest column
+leads, those vectors form the kernel echelon, and ``kernel_vector`` is the
+one back-substitution: it clears one echelon row of the other pivot keys
+and divides it by its pivot, each entry once by ``_rational``, which gives
+one vector of the canonical kernel basis.  That basis is unique, so
+kernels, preimages and reduced row echelon forms do not depend on the
+order of elimination and are reproducible bit for bit across runs and
+platforms.  ``nullspace`` reduces every row, ``in_image`` the one row of
+the column it appends, and ``rref`` reads its rows off the basis.  A
+caller that needs only a few of the basis vectors takes the kernel
+echelon unreduced and reduces just those.
+
+Coboundaries are tall: many more rows than columns.  Eliminating columns
+costs at most one insertion per column instead of one per row, and none
+for a column that a known kernel vector (a coboundary, checked exactly)
+accounts for.  ``rank`` and ``column_space_complement`` need no
+back-substitution and keep the row echelon, ``rank`` of the shorter side.
 """
 
 from __future__ import annotations
@@ -288,43 +292,31 @@ def _echelon(rows) -> dict:
     return echelon
 
 
-def _reduced(echelon: dict) -> list[tuple[int, dict]]:
-    """Back-substitute echelon rows into (pivot column, RREF row) pairs.
-
-    Pivot rows are cleared from the right: a row never gains a pivot
-    column from a row below it that is already reduced.
-    """
-    pivots = sorted(echelon)
-    for c in reversed(pivots):
-        row = echelon[c]
-        for j in [j for j in row if j != c and j in echelon]:
-            _eliminate(row, echelon[j], j)
-    out = []
-    for c in pivots:
-        row, p = echelon[c], echelon[c][c]
-        if p != 1:
-            row = {j: _rational(x, p) for j, x in row.items()}
-        out.append((c, row))
-    return out
-
-
 def rank(m) -> int:
     """Rank over the rationals, eliminating the shorter side of m."""
     return len(_echelon(_row_dicts(m, transpose=m.rows > m.cols)))
 
 
 def rref(m) -> tuple[list[int], list[list]]:
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form over the rationals, read off the kernel basis.
 
-    Returns (pivot columns, nonzero rows), the rows as dense lists.
+    Returns (pivot columns, nonzero rows), the rows as dense lists.  Each
+    key of the kernel echelon names a free column f, whose canonical kernel
+    vector K_f is 1 at f and 0 at the other free columns.  The pivots are
+    the other columns, and the row of pivot p has 1 at p and -K_f[p] at
+    each free column f.
     """
-    pivots, rows = [], []
-    for c, row in _reduced(_echelon(_row_dicts(m))):
-        dense = [0] * m.cols
-        for j, x in row.items():
-            dense[j] = x
-        pivots.append(c)
-        rows.append(dense)
+    r, c = m.rows, m.cols
+    kernel = nullspace(m, reduced=False)
+    free = {r + c - 1 - key: kernel_vector(kernel, key, r, c) for key in kernel}
+    pivots = [p for p in range(c) if p not in free]
+    rows = []
+    for p in pivots:
+        row = [0] * c
+        row[p] = 1
+        for f, v in free.items():
+            row[f] = -v[p]
+        rows.append(row)
     return pivots, rows
 
 
@@ -345,10 +337,10 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
     index, so a column inserted after all later ones usually becomes a
     pivot after few eliminations or none.  Once the row part of a vector
     vanishes, the vector lies in the kernel and leads with the tag of the
-    largest column in its support.  Those echelon rows are back-substituted
-    and read back in reverse pivot order.  For each free column f exactly one
-    kernel vector has 1 at f and 0 at every other free column, so this is
-    the basis above, in the same order and with the same scalars.
+    largest column in its support.  ``kernel_vector`` reduces each of those
+    echelon rows, in descending key order.  For each free column f exactly
+    one kernel vector has 1 at f and 0 at every other free column, so this
+    is the basis above, in the same order and with the same scalars.
 
     The columns of ``image`` (m's cols rows) seed the kernel.  In their
     echelon form each seed w leads at the smallest index p of its support.
@@ -380,13 +372,7 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
         _insert({r + c - 1 - j: x for j, x in w.items()}, kernel)
     if not reduced:
         return kernel
-    basis = []
-    for _, row in reversed(_reduced(kernel)):
-        v = [0] * c
-        for key, x in row.items():
-            v[r + c - 1 - key] = x
-        basis.append(v)
-    return basis
+    return [kernel_vector(kernel, key, r, c) for key in sorted(kernel, reverse=True)]
 
 
 def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
@@ -417,20 +403,22 @@ def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
 
 
 def in_image(m, v: list):
-    """A preimage u with m*u = v, or None when v is not in the column space."""
-    if len(v) != m.rows:
-        raise ShapeMismatchError(f"vector of length {m.rows} expected, got {len(v)}")
-    rows = _row_dicts(m)
-    for row, x in zip(rows, v):
-        if x:
-            row[m.cols] = x
-    echelon = _echelon(rows)
-    if m.cols in echelon:
+    """A preimage u with m*u = v, or None when v is not in the column space.
+
+    v is appended to m as column c, whose tag key in ``nullspace`` is r:
+    v lies in the column space exactly when that column is free, that is
+    when the kernel echelon has a row at key r.  The canonical kernel
+    vector of that row is 1 at c and 0 at m's free columns, so its first c
+    entries, negated, are the preimage the reduced row echelon form gives.
+    """
+    r, c = m.rows, m.cols
+    if len(v) != r:
+        raise ShapeMismatchError(f"vector of length {r} expected, got {len(v)}")
+    aug = SparseMap(r, c + 1, columns=m.columns + [{i: x for i, x in enumerate(v) if x}])
+    kernel = nullspace(aug, reduced=False)
+    if r not in kernel:
         return None
-    u = [0] * m.cols
-    for pc, row in _reduced(echelon):
-        u[pc] = row.get(m.cols, 0)
-    return u
+    return [-x for x in kernel_vector(kernel, r, r, c + 1)[:c]]
 
 
 def column_space_complement(image, candidates) -> list[int]:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial import cohomology as coh
+from oridial import deformations
 from oridial.deformations import (
+    MAX_ORDER,
     CertificateFailureError,
     DeformationEquivalence,
     PrecedingTermsNonzeroError,
@@ -226,9 +228,42 @@ def test_equivalence_shape_validation(od_dual_sign):
         TruncatedDeformation(0, [], [], [])
     const1 = constant_deformation(od_dual_sign, 1)
     const2 = constant_deformation(od_dual_sign, 2)
+    with pytest.raises(ValueError) as exc:
+        TruncatedDeformation(2, const2.mlt[:2], const2.mrt, const2.phi)
+    assert str(exc.value) == "mlt must have order+1 = 3 entries"
+    with pytest.raises(ValueError) as exc:
+        DeformationEquivalence(2, [Matrix.identity(2), Matrix.zeros(2, 2)])
+    assert str(exc.value) == "psi must have order+1 = 3 entries"
     eq = DeformationEquivalence(1, [Matrix.identity(2), Matrix.zeros(2, 2)])
     with pytest.raises(ValueError):
         check_equivalence(od_dual_sign, const1, const2, eq)
+
+
+def test_deformation_above_max_order_is_refused(od_dual_sign):
+    const = constant_deformation(od_dual_sign, MAX_ORDER)   # the cap itself is allowed
+    order = MAX_ORDER + 1
+    with pytest.raises(ValueError) as exc:
+        TruncatedDeformation(order, const.mlt + const.mlt[1:2], const.mrt + const.mrt[1:2],
+                             const.phi + const.phi[1:2])
+    assert str(exc.value) == f"deformation order {order} exceeds cap {MAX_ORDER}"
+
+
+def test_equivalence_above_max_order_is_refused():
+    order = MAX_ORDER + 1
+    with pytest.raises(ValueError) as exc:
+        DeformationEquivalence(order, [Matrix.identity(2)] + [Matrix.zeros(2, 2)] * order)
+    assert str(exc.value) == f"equivalence order {order} exceeds cap {MAX_ORDER}"
+
+
+def test_transport_constant_above_max_order_is_refused(od_dual_sign, monkeypatch):
+    def transported(*args):
+        raise AssertionError("the refusal came after the transport began")
+
+    monkeypatch.setattr(deformations, "_series_inverse", transported)
+    monkeypatch.setattr(deformations, "_push_forward", transported)
+    with pytest.raises(ValueError) as exc:
+        transport_constant(od_dual_sign, [Matrix.zeros(2, 2)] * 9, 9)
+    assert str(exc.value) == f"deformation order 9 exceeds cap {MAX_ORDER}"
 
 
 def test_transports_and_certificate_refuse_mismatched_input(od_dual_sign):

@@ -291,12 +291,20 @@ def test_coboundary_kernel_and_rank_match_dense_reference(D):
         sm = delta_entries(D, n)
         rows = sm.to_matrix().to_rows()
         kernel = reference_nullspace(rows, sm.cols)
-        pivots, _ = reference_rref(rows, sm.cols)
+        pivots, reduced = reference_rref(rows, sm.cols)
+        image = [sum(row) for row in rows]   # m times the all-ones vector
+        outside = next(e for e in ([int(i == j) for i in range(sm.rows)] for j in range(sm.rows))
+                       if reference_in_image(rows, sm.cols, e) is None)
         for m in (sm, sm.to_matrix()):
             got = nullspace(m)
             assert got == kernel
             assert all(canonical(x) for vec in got for x in vec)
             assert rank(m) == len(pivots)
+            assert rref(m) == (pivots, reduced)
+            u = in_image(m, image)
+            assert u == reference_in_image(rows, sm.cols, image)
+            assert all(canonical(x) for x in u)
+            assert in_image(m, outside) is None
 
 
 def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
@@ -314,6 +322,14 @@ def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
         calls.clear()
         eliminate(sm)
         assert 0 < len(calls) <= sm.cols, eliminate.__name__
+    # a preimage costs one more insertion, for the appended column
+    calls.clear()
+    w = {j: j % 3 - 1 for j in range(sm.cols)}
+    product = linalg._apply(sm.columns, w)
+    v = [product.get(i, 0) for i in range(sm.rows)]
+    u = in_image(sm, v)
+    assert 0 < len(calls) <= sm.cols + 1
+    assert apply(sm.to_matrix(), u) == v
 
 
 def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):

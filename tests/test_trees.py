@@ -90,6 +90,9 @@ def test_bad_words_rejected():
     for bad in ([1, 1], [2], [0], [1, 3], [2, 3, 1]):
         with pytest.raises(ValueError):
             tree_from_word(bad)
+    with pytest.raises(ValueError) as exc:
+        Tree(LEAF, None)
+    assert str(exc.value) == "a tree has either two subtrees or none"
 
 
 def test_every_permutation_round_trips_or_is_refused_by_name():
