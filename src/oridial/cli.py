@@ -340,9 +340,12 @@ def _cohomology_payload(result) -> dict:
 
 
 def _refusal(D: Dialgebra, OD: OrientedDialgebra | None) -> dict | None:
-    """The error payload of a base D failing the dialgebra axioms, or else of
-    OD (None: no action) failing the oriented laws; None when they hold."""
+    """The error payload of a base D failing the dialgebra axioms, or else of OD
+    (None: no action) failing the group axioms, which the laws need, or the
+    oriented laws; None when they hold."""
     report, error = check_axioms(D), "dialgebra axioms fail"
+    if report.ok and OD is not None:
+        report, error = check_oriented_group(OD.group), "oriented group axioms fail"
     if report.ok and OD is not None:
         report, error = check_oriented_dialgebra(OD), "oriented dialgebra axioms fail"
     return None if report.ok else {"error": error, "checks": _emit_checks(report)}
@@ -472,20 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_input=True, **extra):
+    def add(name, fn, **extra):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="input bundle (JSON)")
+        p.add_argument("--input", required=True, help="input bundle (JSON)")
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="compact JSON output (default)")
-        fmt.add_argument("--pretty", action="store_true", help="indented JSON output")
+        p.add_argument("--pretty", action="store_true", help="indented JSON output")
         p.set_defaults(fn=fn)
-        return p
 
-    add("trees", cmd_trees, needs_input=False,
-        **{"--n": dict(type=int, required=True, help="tree level")})
+    trees = sub.add_parser("trees")
+    trees.add_argument("--n", type=int, required=True, help="tree level")
+    trees.set_defaults(fn=cmd_trees)
     add("check", cmd_check)
     add("cohomology", cmd_cohomology, **{"--n": dict(type=int, required=True)})
     add("equivariant-cohomology", cmd_equivariant, **{"--n": dict(type=int, required=True)})

@@ -66,13 +66,13 @@ from .linalg import (
     ShapeMismatchError,
     SparseMap,
     _apply,
-    _integral,
     _rational,
     column_space_complement,
-    kernel_vector,
     normalize_scalar,
     nullspace,
     rank,
+    reduced_row,
+    scaled_vector,
 )
 from .oriented import OrientedDialgebra, _law_sides
 from .trees import (
@@ -90,7 +90,7 @@ from .trees import (
 class EngineConfig:
     """Resource caps; requests beyond them raise ResourceLimitError."""
 
-    max_level: int = 6          # highest tree level handled anywhere
+    max_level: int = 6          # highest tree level of an assembled δ or action
     max_degree: int = 3         # highest assembled total degree
     max_group: int = 24
     max_dim: int = 4
@@ -502,23 +502,6 @@ class CohomologyResult:
     image_rank: int
 
 
-def _normalize_rep(v: list) -> list:
-    """v scaled to a leading 1; v's entries are canonical scalars.
-
-    The nonzero entries are scaled to integers once, and each is divided
-    by the leading one once.
-    """
-    nonzero = {j: x for j, x in enumerate(v) if x}
-    if next(iter(nonzero.values()), 1) == 1:
-        return list(v)
-    nonzero = _integral(nonzero)
-    lead = next(iter(nonzero.values()))
-    out = [0] * len(v)
-    for j, x in nonzero.items():
-        out[j] = _rational(x, lead)
-    return out
-
-
 def _quotient(
     d_out: SparseMap, d_in: SparseMap, fault: str = "coboundaries do not compose to zero"
 ) -> CohomologyResult:
@@ -536,10 +519,12 @@ def _quotient(
     u ↦ u[F] is injective there: the rows F of d_in (``image``) have the
     rank of d_in, and the unit vectors extend their column space exactly
     where the Kᵢ extend the column space of d_in.  Only the kept Kᵢ, dim of
-    the k, are back-substituted, by ``kernel_vector``.  Either map may
-    carry a nonzero factor: the cohomology entry points pass integer
-    multiples of the coboundaries, which have the same kernel, canonical
-    kernel basis, rank and column space.
+    the k, are back-substituted, by ``reduced_row``.  Each is divided once,
+    by its entry at its largest key, which is its first nonzero entry, so
+    a representative comes out with a leading 1.  Either map may carry a
+    nonzero factor: the cohomology entry points pass integer multiples of
+    the coboundaries, which have the same kernel, canonical kernel basis,
+    rank and column space.
     """
     if d_out.cols != d_in.rows:
         raise ShapeMismatchError(
@@ -556,8 +541,8 @@ def _quotient(
     units = SparseMap(k, k, columns=[{i: 1} for i in range(k)])
     image_rank = rank(image)
     keep = column_space_complement(image, units)
-    reps = [_normalize_rep(kernel_vector(kernel, keys[i], d_out.rows, d_out.cols))
-            for i in keep]
+    rows = [reduced_row(kernel, keys[i]) for i in keep]
+    reps = [scaled_vector(row, max(row), d_out.rows, d_out.cols) for row in rows]
     dim = k - image_rank
     if len(reps) != dim:
         raise RuntimeError(f"rank-nullity bookkeeping broke: {len(reps)} representatives, "

@@ -17,16 +17,15 @@ There is one solve route, the tagged column echelon of ``nullspace``.
 Each column is tagged with an identity entry that records which
 combination of columns a vector stands for, and a tagged vector whose
 column part vanishes is a kernel vector.  Keyed so that the largest column
-leads, those vectors form the kernel echelon, and ``kernel_vector`` is the
-one back-substitution: it clears one echelon row of the other pivot keys
-and divides it by its pivot, each entry once by ``_rational``, which gives
-one vector of the canonical kernel basis.  That basis is unique, so
-kernels, preimages and reduced row echelon forms do not depend on the
-order of elimination and are reproducible bit for bit across runs and
-platforms.  ``nullspace`` reduces every row, ``in_image`` the one row of
-the column it appends, and ``rref`` reads its rows off the basis.  A
-caller that needs only a few of the basis vectors takes the kernel
-echelon unreduced and reduces just those.
+leads, those vectors form the kernel echelon.  ``reduced_row`` clears one
+echelon row of the other pivot keys in integers, and ``scaled_vector``
+divides it once by its pivot, which gives one vector of the canonical
+kernel basis.  That basis is unique, so kernels, preimages and reduced
+row echelon forms do not depend on the order of elimination and are
+reproducible bit for bit across runs and platforms.  ``nullspace``
+reduces every row, ``in_image`` the one row of the column it appends, and
+``rref`` reads its rows off the basis.  A caller that needs only a few of
+the basis vectors reduces just those, and may divide by another entry.
 
 Coboundaries are tall: many more rows than columns.  Eliminating columns
 costs at most one insertion per column instead of one per row, and none
@@ -308,7 +307,7 @@ def rref(m) -> tuple[list[int], list[list]]:
     """
     r, c = m.rows, m.cols
     kernel = nullspace(m, reduced=False)
-    free = {r + c - 1 - key: kernel_vector(kernel, key, r, c) for key in kernel}
+    free = {r + c - 1 - key: scaled_vector(reduced_row(kernel, key), key, r, c) for key in kernel}
     pivots = [p for p in range(c) if p not in free]
     rows = []
     for p in pivots:
@@ -327,7 +326,7 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
     reduced-echelon column above the pivots, and 0 at the other free
     columns.  Size is always cols - rank.  With ``reduced=False`` nothing
     is back-substituted: the result is the kernel echelon, a dict from tag
-    key to integer row, and ``kernel_vector`` reads one basis vector off it.
+    key to integer row, and ``reduced_row`` reduces one row of it.
 
     The basis comes from the cols columns, not the rows, so a tall map
     costs at most cols insertions.  Column j is tagged with an identity
@@ -337,8 +336,8 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
     index, so a column inserted after all later ones usually becomes a
     pivot after few eliminations or none.  Once the row part of a vector
     vanishes, the vector lies in the kernel and leads with the tag of the
-    largest column in its support.  ``kernel_vector`` reduces each of those
-    echelon rows, in descending key order.  For each free column f exactly
+    largest column in its support.  Each echelon row is reduced and divided
+    by its pivot, in descending key order.  For each free column f exactly
     one kernel vector has 1 at f and 0 at every other free column, so this
     is the basis above, in the same order and with the same scalars.
 
@@ -372,18 +371,16 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
         _insert({r + c - 1 - j: x for j, x in w.items()}, kernel)
     if not reduced:
         return kernel
-    return [kernel_vector(kernel, key, r, c) for key in sorted(kernel, reverse=True)]
+    return [scaled_vector(reduced_row(kernel, k), k, r, c) for k in sorted(kernel, reverse=True)]
 
 
-def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
-    """The canonical kernel vector of the echelon row at ``key``.
+def reduced_row(kernel: dict, key: int) -> dict:
+    """A copy of the kernel echelon row at ``key``, cleared of the other pivot keys.
 
-    ``kernel`` is ``nullspace(m, image, reduced=False)`` for an r x c map
-    m.  A copy of the row is cleared of the other pivot keys in ascending
-    order and divided by its pivot once.  A pivot row has no key below its
-    own, so a cleared key never comes back, and the vector is the one that
-    ``nullspace`` returns for the free column r + c - 1 - key.  Only the
-    pivot keys the row holds are queued, so a row with none costs its length.
+    ``kernel`` is ``nullspace(m, image, reduced=False)``.  The other pivot
+    keys are cleared in ascending order, in integers.  A pivot row has no
+    key below its own, so a cleared key never comes back.  Only the pivot
+    keys the row holds are queued, so a row with none costs its length.
     """
     row = dict(kernel[key])
     todo = [j for j in row if j != key and j in kernel]
@@ -396,7 +393,17 @@ def kernel_vector(kernel: dict, key: int, r: int, c: int) -> list:
             for i in piv:
                 if i in row and i in kernel:
                     heappush(todo, i)
-    p, v = row[key], [0] * c
+    return row
+
+
+def scaled_vector(row: dict, at: int, r: int, c: int) -> list:
+    """A tagged row of an r x c map, divided once by its entry at key ``at``.
+
+    Key k stands for column r + c - 1 - k.  A ``reduced_row`` divided at its
+    own key is its canonical kernel vector, and at its largest key that
+    vector scaled to a leading 1.
+    """
+    p, v = row[at], [0] * c
     for j, x in row.items():
         v[r + c - 1 - j] = _rational(x, p)
     return v
@@ -418,7 +425,7 @@ def in_image(m, v: list):
     kernel = nullspace(aug, reduced=False)
     if r not in kernel:
         return None
-    return [-x for x in kernel_vector(kernel, r, r, c + 1)[:c]]
+    return [-x for x in scaled_vector(reduced_row(kernel, r), r, r, c + 1)[:c]]
 
 
 def column_space_complement(image, candidates) -> list[int]:

@@ -46,6 +46,16 @@ def poly3_dialgebra() -> Dialgebra:
     return from_associative(mult)
 
 
+def cube_root_two_dialgebra() -> Dialgebra:
+    """The field Q(∛2); basis (1, x, x^2) with x^3 = 2, both products the field product."""
+    mult = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 1], [2, 0, 0]],
+        [[0, 0, 1], [2, 0, 0], [0, 2, 0]],
+    ]
+    return from_associative(mult)
+
+
 def diff3_dialgebra() -> Dialgebra:
     """K[u]/(u^3) with x ⊣ y = x d(y), x ⊢ y = d(x) y for d(u) = u^2.
 

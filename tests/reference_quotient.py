@@ -10,14 +10,16 @@ keeps its column space, so the parity tests require the engine's
 
 ``sparse_map``, ``is_zero`` and ``same_map`` build a ``SparseMap`` from
 (row, col) entries and test or compare maps by their columns, for this
-reference and the tests.
+reference and the tests.  ``leading_one`` scales a representative to a
+leading 1 in ``Fraction`` arithmetic, apart from the engine's division.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from oridial import cohomology as coh
 from oridial.linalg import (Matrix, NonComplexError, SparseMap, column_space_complement,
-                            nullspace, rank)
+                            normalize_scalar, nullspace, rank)
 
 
 def sparse_map(rows: int, cols: int, entries: dict) -> SparseMap:
@@ -37,6 +39,12 @@ def same_map(a: SparseMap, b: SparseMap) -> bool:
     return (a.rows, a.cols, a.columns) == (b.rows, b.cols, b.columns)
 
 
+def leading_one(v: list) -> list:
+    """A nonzero vector divided by its first nonzero entry, in canonical scalars."""
+    lead = Fraction(next(x for x in v if x))
+    return [normalize_scalar(x / lead) for x in v]
+
+
 def integral(sm: SparseMap, axis: int) -> SparseMap:
     """A copy with each row (axis 0) or column (axis 1) scaled to integers."""
     denoms: dict = {}
@@ -54,7 +62,7 @@ def reference_quotient(d_out, d_in, fault: str) -> coh.CohomologyResult:
     kernel = nullspace(d_out)
     image_rank = rank(d_in)
     candidates = Matrix.from_rows(kernel).transpose()
-    reps = [coh._normalize_rep(kernel[i]) for i in column_space_complement(d_in, candidates)]
+    reps = [leading_one(kernel[i]) for i in column_space_complement(d_in, candidates)]
     return coh.CohomologyResult(len(kernel) - image_rank, reps, len(kernel), image_rank)
 
 

@@ -519,6 +519,32 @@ def test_commands_refuse_a_base_that_is_no_dialgebra(tmp_path, capsys, command):
         assert [c["ok"] for c in payload["checks"]] == [True, True, False, False, False]
 
 
+@pytest.mark.parametrize("group,failing", [
+    # has inverses, but (1·2)·2 = 2 while 1·(2·2) = 1
+    ({"order": 3, "table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]], "epsilon": [1, 1, 1]},
+     "multiplication is associative"),
+    # associative with identity 0, but 1·1 = 1, so 1 has no inverse
+    ({"order": 2, "table": [[0, 1], [1, 1]], "epsilon": [1, 1]},
+     "every element has an inverse"),
+], ids=["non-associative", "no-inverse"])
+@pytest.mark.parametrize("command", [["equivariant-cohomology", "--n", "0"],
+                                     ["equivariant-cohomology", "--n", "1"], ["rigidity"]],
+                         ids=["equivariant-n0", "equivariant-n1", "rigidity"])
+def test_commands_refuse_a_table_that_is_no_group(tmp_path, capsys, group, failing, command):
+    bundle = {"dialgebra": dual_numbers_section(), "group": group,
+              "action": [[["1", "0"], ["0", "1"]]] * group["order"]}
+    path = write_bundle(tmp_path / "b.json", bundle)
+    code, out, err = run_cli(capsys, command + ["--input", path])
+    assert code == 1 and not err
+    payload = json.loads(out)
+    assert payload["error"] == "oriented group axioms fail"
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == [failing]
+    code, out, _ = run_cli(capsys, ["check", "--input", path])
+    assert code == 1
+    assert [c["check"] for c in json.loads(out)["checks"] if not c["ok"]] == \
+        [f"oriented group: {failing}"]
+
+
 @pytest.mark.parametrize("command,golden_name", [
     (["equivariant-cohomology", "--n", "1"], "equivariant_dual_sign_n1.json"),
     (["rigidity"], "rigidity_dual_sign.json"),
@@ -763,6 +789,8 @@ def test_docstring_names_every_bundle_section_and_config_field():
     ("extract", {"extension": {"dialgebra": dual_numbers_section()}},
      "extension middle term must have dimension 4"),
     ("deform-check", {"deformation": {"order": 0}}, "deformation: order must be >= 1"),
+    ("check", {"group": {**sign_group_section(), "epsilon": [1]}},
+     "group: epsilon must list 2 signs"),
 ])
 def test_refused_sections_exit_2(tmp_path, capsys, command, change, message):
     path = write_bundle(tmp_path / "bad.json", {**dual_sign_bundle(), **change})

@@ -34,6 +34,7 @@ from conftest import (
     _oriented_fixtures,
     alt_sign_action,
     basis_changed_dual_s3,
+    cube_root_two_dialgebra,
     degree1_zero,
     dual_numbers_dialgebra,
     half_triangular,
@@ -352,11 +353,14 @@ def test_quotient_on_fraction_structure_constants(od_dual_sign):
 @pytest.mark.parametrize("D, dims, top_kernel", [
     (poly3_dialgebra(), [3, 2, 2, 2], 47),
     (dual_numbers_dialgebra(), [2, 1, 1, 1, 1], 68),
-], ids=["poly3-copy", "dual-copy"])
-def test_truncated_polynomial_copies_give_m_then_m_minus_one(D, dims, top_kernel):
-    # K[u]/(u^m) gives HY^0 = m and HY^n = m − 1 for n ≥ 1, here in a basis
-    # with denominators; at the top level the kernel is far larger than the
-    # cohomology, and only the kept representatives are back-substituted
+    (cube_root_two_dialgebra(), [3, 0, 0, 0], 45),
+], ids=["poly3-copy-3-then-2", "dual-copy-2-then-1", "cbrt2-copy-3-then-0"])
+def test_copies_match_closed_form_dimensions(D, dims, top_kernel):
+    # K[u]/(u^m) gives HY^0 = m and HY^n = m − 1 for n ≥ 1; the separable
+    # field Q(∛2), which has no derivation, gives HY^0 = 3 and HY^n = 0 for
+    # n ≥ 1.  Each is computed in a basis with denominators; at the top level
+    # the kernel is far larger than the cohomology, and only the kept
+    # representatives are back-substituted
     B = in_basis(oriented_trivial(D), half_triangular(D.dim)).base
     for n, dim in enumerate(dims):
         res = coh.dialgebra_cohomology(B, n)

@@ -36,6 +36,9 @@ def test_dimension_and_tensor_shape_refused():
     with pytest.raises(ShapeMismatchError) as exc:
         validated_tensor(2, [[[1, 0], [0, 1]], [[0, 1]]])
     assert str(exc.value) == "tensor slice must have 2 rows"
+    with pytest.raises(ShapeMismatchError) as exc:   # f: M -> A is dA x dM
+        from_bimodule_map(DUAL_MULT, (DUAL_MULT, DUAL_MULT), Matrix.zeros(2, 3))
+    assert str(exc.value) == "bimodule map must be 2x2"
 
 
 def test_from_associative_accepts_associative_products():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridial import linalg
-from oridial.cohomology import SparseMap, _normalize_rep, _quotient, delta_entries, total_entries
+from oridial.cohomology import SparseMap, _quotient, delta_entries, total_entries
 from oridial.dialgebra import Dialgebra
 from oridial.linalg import (
     Matrix,
@@ -17,12 +17,13 @@ from oridial.linalg import (
     column_space_complement,
     format_rational,
     in_image,
-    kernel_vector,
     normalize_scalar,
     nullspace,
     parse_rational,
     rank,
+    reduced_row,
     rref,
+    scaled_vector,
 )
 
 from conftest import (
@@ -36,7 +37,7 @@ from conftest import (
     split_products_dialgebra,
 )
 from reference_checkers import apply, bilinear
-from reference_quotient import is_zero, same_map, sparse_map
+from reference_quotient import is_zero, leading_one, same_map, sparse_map
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -358,12 +359,17 @@ def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):
 
 
 def _kernel_vectors(sm, image=None) -> list:
-    """``kernel_vector`` at every key of the unreduced kernel echelon, in
-    ``nullspace``'s order; the echelon must come through unchanged."""
+    """``reduced_row`` at every key of the unreduced kernel echelon, divided
+    at that key, in ``nullspace``'s order; the echelon must come through
+    unchanged, and each row divided at its largest key must be its vector
+    scaled to a leading 1."""
     kernel = nullspace(sm, image, reduced=False)
     before = {key: dict(row) for key, row in kernel.items()}
-    got = [kernel_vector(kernel, key, sm.rows, sm.cols) for key in sorted(kernel, reverse=True)]
+    rows = {key: reduced_row(kernel, key) for key in sorted(kernel, reverse=True)}
+    got = [scaled_vector(row, key, sm.rows, sm.cols) for key, row in rows.items()]
     assert kernel == before
+    leading = [scaled_vector(row, max(row), sm.rows, sm.cols) for row in rows.values()]
+    assert leading == [leading_one(v) for v in got]
     return got
 
 
@@ -428,20 +434,24 @@ def test_nullspace_refuses_a_misshaped_or_noncomplex_image():
                   sparse_map(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 5)}))
 
 
-canonical_scalars = st.one_of(
-    st.integers(-10 ** 12, 10 ** 12),
-    st.fractions(max_denominator=10 ** 6).filter(lambda x: x.denominator != 1))
+big_ints = st.integers(-10 ** 30, 10 ** 30)
 
 
 @settings(max_examples=300, deadline=None)
-@given(zeros=st.integers(0, 3), lead=canonical_scalars.filter(bool),
-       rest=st.lists(st.one_of(st.just(0), canonical_scalars), max_size=6),
-       num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(-10 ** 15, 10 ** 15).filter(bool))
-def test_divisions_match_fraction_arithmetic(zeros, lead, rest, num, den):
+@given(zeros=st.integers(0, 3), lead=big_ints.filter(bool),
+       rest=st.lists(st.one_of(st.just(0), big_ints), max_size=6), r=st.integers(0, 3),
+       pick=st.integers(0, 6), num=big_ints, den=st.integers(-10 ** 15, 10 ** 15).filter(bool))
+def test_divisions_match_fraction_arithmetic(zeros, lead, rest, r, pick, num, den):
+    # an integer tagged row of an r x c map: tag key k stands for column r + c - 1 - k
     v = [0] * zeros + [lead] + rest
-    got = _normalize_rep(v)
-    assert got == [Fraction(y) / lead for y in v]
+    c = len(v)
+    row = {r + c - 1 - j: x for j, x in enumerate(v) if x}
+    got = scaled_vector(row, max(row), r, c)
+    assert got == [Fraction(y, lead) for y in v]
     assert got[zeros] == 1 and all(canonical(x) for x in got)
+    at = sorted(row)[pick % len(row)]
+    got = scaled_vector(row, at, r, c)
+    assert got == [Fraction(y, row[at]) for y in v] and all(canonical(x) for x in got)
     q = _rational(num, den)
     assert q == normalize_scalar(Fraction(num, den)) and canonical(q)
 
@@ -540,3 +550,6 @@ def test_matrix_shape_validation():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ShapeMismatchError):
         Matrix.identity(2).mul(Matrix.identity(3))
+    with pytest.raises(ShapeMismatchError) as exc:
+        SparseMap(2, 3).mul(SparseMap(2, 1))
+    assert str(exc.value) == "cannot compose 2x3 with 2x1"

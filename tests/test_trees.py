@@ -137,6 +137,10 @@ def test_face_commutation_relations():
 
 def test_degeneracy_examples_and_relations():
     assert degeneracy(0, LEAF).word == (1,)
+    for i in (-1, 3):   # a tree of size n has the leaves 0..n
+        with pytest.raises(IndexError) as exc:
+            degeneracy(i, tree_from_word((2, 1)))
+        assert str(exc.value) == f"leaf index {i} out of range for an 2-tree"
     for y in enumerate_trees(3):
         for i in range(4):
             s = degeneracy(i, y)
