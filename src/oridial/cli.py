@@ -19,8 +19,7 @@ Bundle sections (all optional, each command states what it needs):
                     "phi": [[per-element matrix ..] ..]}
     "deformation2": second deformation for equivalence checking
     "equivalence": {"order": N, "psi": [matrix ..]}
-    "config":      {"max_level": 6, "max_degree": 3, "max_group": 24,
-                    "max_dim": 4, "max_cochain_dim": 32768}
+    "config":      {"max_group": 24, "max_dim": 4, "max_cochain_dim": 32768}
 
 A section written {..} above must be a JSON object, and a key not listed
 above is malformed.  The "config" fields are the engine's resource caps
@@ -66,6 +65,10 @@ BUNDLE_KEYS = frozenset({"dialgebra", "group", "action", "cocycle", "extension",
 
 class BundleError(ValueError):
     """Malformed input: wrong JSON shape, bad rationals, inconsistent dims."""
+
+
+class Refused(Exception):
+    """Input failing axioms the command needs: exit 1, its payload on stdout."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,8 @@ def _parse_oriented(bundle, base: Dialgebra, group: OrientedGroup) -> OrientedDi
     return OrientedDialgebra(base, group, action)
 
 
-def _parse_cocycle(data, OD):
+def _parse_cocycle(bundle, config, OD):
+    data = _section(bundle, "cocycle")
     d = OD.dim
     alpha = _per_element(data.get("alpha"), OD.group.order, d, "cocycle.alpha")
     beta_l = _rationals(data.get("beta_left"), (d, d, d), "cocycle.beta_left")
@@ -164,7 +168,7 @@ def _parse_cocycle(data, OD):
     return alpha, (beta_l, beta_r)
 
 
-def _parse_extension(bundle, OD, config) -> ext.SingularExtension:
+def _parse_extension(bundle, config, OD) -> ext.SingularExtension:
     data = _section(bundle, "extension")
     d = OD.dim
     if "dialgebra" not in data:
@@ -190,7 +194,8 @@ def _order(data, what: str) -> int:
     return order
 
 
-def _parse_deformation(data, OD, what: str = "deformation") -> defm.TruncatedDeformation:
+def _parse_deformation(bundle, config, OD, what="deformation") -> defm.TruncatedDeformation:
+    data = _section(bundle, what)
     d = OD.dim
     order = _order(data, what)
     mlt, mrt = (_rationals(data.get(key), (order + 1, d, d, d), f"{what}.{key}")
@@ -200,7 +205,8 @@ def _parse_deformation(data, OD, what: str = "deformation") -> defm.TruncatedDef
                                      [[Matrix.from_rows(m) for m in per_g] for per_g in phi])
 
 
-def _parse_equivalence(data, OD) -> defm.DeformationEquivalence:
+def _parse_equivalence(bundle, config, OD) -> defm.DeformationEquivalence:
+    data = _section(bundle, "equivalence")
     d = OD.dim
     order = _order(data, "equivalence")
     mats = _per_element(data.get("psi"), order + 1, d, "equivalence.psi")
@@ -267,13 +273,19 @@ def _emit_residual(residual) -> list:
 # commands
 
 
-def _load(args) -> tuple:
-    """The bundle at ``--input``, its config and its oriented dialgebra."""
+def _load(args, *parsers) -> tuple:
+    """The config and oriented dialgebra of the bundle at ``--input``, then what
+    each ``parse(bundle, config, OD)`` reads of the command's sections.  A group
+    table failing the group axioms, which every command here needs, is refused
+    after the sections parse, so malformed input exits 2 first."""
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     base = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
     group = _parse_group(_section(bundle, "group"), config)
-    return bundle, config, _parse_oriented(bundle, base, group)
+    OD = _parse_oriented(bundle, base, group)
+    parsed = [parse(bundle, config, OD) for parse in parsers]
+    _refuse(check_oriented_group(group), "oriented group axioms fail")
+    return config, OD, *parsed
 
 
 def cmd_trees(args) -> tuple:
@@ -306,7 +318,7 @@ def cmd_check(args) -> tuple:
     if needing and OD is None:
         raise BundleError(f"{needing[0]} checking needs dialgebra, group and action sections")
     if "cocycle" in bundle:
-        alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
+        alpha, beta = _parse_cocycle(bundle, config, OD)
         try:
             (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
         except NoInverseError as exc:
@@ -317,10 +329,10 @@ def cmd_check(args) -> tuple:
             c = Check(c.name, c.ok, None if c.ok else _emit_residual(c.witness[0]))
         reports["degree-1 cocycle"] = Report([c])
     if "extension" in bundle:
-        E = _parse_extension(bundle, OD, config)
+        E = _parse_extension(bundle, config, OD)
         reports["singular extension"] = ext.check_extension(OD, E)
     if "deformation" in bundle:
-        dfm = _parse_deformation(_section(bundle, "deformation"), OD)
+        dfm = _parse_deformation(bundle, config, OD)
         reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
         raise BundleError("bundle contains nothing to check")
@@ -339,39 +351,31 @@ def _cohomology_payload(result) -> dict:
     }
 
 
-def _refusal(D: Dialgebra, OD: OrientedDialgebra | None) -> dict | None:
-    """The error payload of a base D failing the dialgebra axioms, or else of OD
-    (None: no action) failing the group axioms, which the laws need, or the
-    oriented laws; None when they hold."""
-    report, error = check_axioms(D), "dialgebra axioms fail"
-    if report.ok and OD is not None:
-        report, error = check_oriented_group(OD.group), "oriented group axioms fail"
-    if report.ok and OD is not None:
-        report, error = check_oriented_dialgebra(OD), "oriented dialgebra axioms fail"
-    return None if report.ok else {"error": error, "checks": _emit_checks(report)}
+def _refuse(report: Report, error: str) -> None:
+    """Stop the command with exit 1 if ``report`` fails: ``error`` and its checks."""
+    if not report.ok:
+        raise Refused({"error": error, "checks": _emit_checks(report)})
 
 
 def cmd_cohomology(args) -> tuple:
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     D = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
-    if refusal := _refusal(D, None):
-        return refusal, 1
+    _refuse(check_axioms(D), "dialgebra axioms fail")
     result = coh.dialgebra_cohomology(D, args.n, config)
     return _cohomology_payload(result), 0
 
 
 def cmd_equivariant(args) -> tuple:
-    _, config, OD = _load(args)
-    if refusal := _refusal(OD.base, OD):
-        return refusal, 1
+    config, OD = _load(args)
+    _refuse(check_axioms(OD.base), "dialgebra axioms fail")
+    _refuse(check_oriented_dialgebra(OD), "oriented dialgebra axioms fail")
     result = coh.equivariant_cohomology(OD, args.n, config)
     return _cohomology_payload(result), 0
 
 
 def cmd_cocycle_check(args) -> tuple:
-    bundle, _, OD = _load(args)
-    alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
+    _, OD, (alpha, beta) = _load(args, _parse_cocycle)
     (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
     payload = {
         "ok": c.ok,
@@ -381,8 +385,7 @@ def cmd_cocycle_check(args) -> tuple:
 
 
 def cmd_extend(args) -> tuple:
-    bundle, _, OD = _load(args)
-    alpha, beta = _parse_cocycle(_section(bundle, "cocycle"), OD)
+    _, OD, (alpha, beta) = _load(args, _parse_cocycle)
     try:
         E = ext.build_extension(OD, alpha, beta)
     except (ext.NotCocycleError, ext.ExtensionInvalidError) as exc:
@@ -402,12 +405,16 @@ def cmd_extend(args) -> tuple:
     return payload, 0
 
 
-def cmd_extract(args) -> tuple:
-    bundle, config, OD = _load(args)
-    E = _parse_extension(bundle, OD, config)
+def _parse_section(bundle, config, OD) -> Matrix | None:
+    """The bundle's section, or None: the canonical one."""
     if "section" in bundle:
-        section = _parse_matrix(bundle["section"], 2 * OD.dim, OD.dim, "section")
-    else:
+        return _parse_matrix(bundle["section"], 2 * OD.dim, OD.dim, "section")
+    return None
+
+
+def cmd_extract(args) -> tuple:
+    _, OD, E, section = _load(args, _parse_extension, _parse_section)
+    if section is None:
         section = ext.canonical_section(E)
     try:
         alpha, beta = ext.extract_cocycle(OD, E, section)
@@ -419,15 +426,13 @@ def cmd_extract(args) -> tuple:
 
 
 def cmd_deform_check(args) -> tuple:
-    bundle, _, OD = _load(args)
-    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
+    _, OD, dfm = _load(args, _parse_deformation)
     report = defm.check_deformation(OD, dfm)
     return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
 
 def cmd_infinitesimal(args) -> tuple:
-    bundle, _, OD = _load(args)
-    dfm = _parse_deformation(_section(bundle, "deformation"), OD)
+    _, OD, dfm = _load(args, _parse_deformation)
     try:
         alpha, beta = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
@@ -438,10 +443,9 @@ def cmd_infinitesimal(args) -> tuple:
 
 
 def cmd_equivalence_check(args) -> tuple:
-    bundle, _, OD = _load(args)
-    def1 = _parse_deformation(_section(bundle, "deformation"), OD)
-    def2 = _parse_deformation(_section(bundle, "deformation2"), OD, "deformation2")
-    eq = _parse_equivalence(_section(bundle, "equivalence"), OD)
+    _, OD, def1, def2, eq = _load(args, _parse_deformation,
+                                  functools.partial(_parse_deformation, what="deformation2"),
+                                  _parse_equivalence)
     report = defm.check_equivalence(OD, def1, def2, eq)
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:
@@ -450,9 +454,9 @@ def cmd_equivalence_check(args) -> tuple:
 
 
 def cmd_rigidity(args) -> tuple:
-    _, config, OD = _load(args)
-    if refusal := _refusal(OD.base, OD):
-        return refusal, 1
+    config, OD = _load(args)
+    _refuse(check_axioms(OD.base), "dialgebra axioms fail")
+    _refuse(check_oriented_dialgebra(OD), "oriented dialgebra axioms fail")
     candidates = defm.rigidity_probe(OD, config)
     payload = {
         "dim": len(candidates),
@@ -507,6 +511,8 @@ def main(argv=None) -> int:
         if getattr(args, "order", 1) < 1:
             raise BundleError(f"--order must be at least 1, got {args.order}")
         payload, code = args.fn(args)
+    except Refused as exc:
+        payload, code = exc.args[0], 1
     except BundleError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

@@ -90,8 +90,6 @@ from .trees import (
 class EngineConfig:
     """Resource caps; requests beyond them raise ResourceLimitError."""
 
-    max_level: int = 6          # highest tree level of an assembled δ or action
-    max_degree: int = 3         # highest assembled total degree
     max_group: int = 24
     max_dim: int = 4
     max_cochain_dim: int = 32_768   # dim of the largest space a map lands in
@@ -171,8 +169,6 @@ def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
 def _check_delta(D: Dialgebra, n: int, config: EngineConfig) -> None:
     if n < 0:
         raise ValueError("cochain level must be non-negative")
-    if n + 1 > config.max_level:
-        raise ResourceLimitError(f"coboundary to level {n + 1} exceeds cap {config.max_level}")
     _check_dialgebra_size(D.dim, config)
     _check_target_size(f"CY({n + 1})", cochain_dim(D.dim, n + 1), config)
 
@@ -268,9 +264,8 @@ def act_entries(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> SparseMap:
     """Sparse matrix of the action of g on CY(n)."""
-    if n > config.max_level:
-        raise ResourceLimitError(f"level {n} exceeds cap {config.max_level}")
     d = OD.dim
+    _check_dialgebra_size(d, config)
     dim = cochain_dim(d, n)
     _check_target_size(f"CY({n})", dim, config)
     (rho, rho_inv), nR = _scaled_maps([OD.action[g], OD.action[OD.group.inv(g)]])
@@ -439,15 +434,15 @@ def _block_offsets(OD: OrientedDialgebra, n: int) -> dict[tuple[int, int], int]:
 
 
 def _check_total(OD: OrientedDialgebra, n: int, config: EngineConfig) -> None:
-    """The caps of Tot(n) -> Tot(n+1), in the order its blocks meet them.
+    """The caps of Tot(n) -> Tot(n+1): target size, dimension, group order.
 
-    Every block and cochain space the map touches is at most Tot(n+1), and
-    the δ of the block (0, n+1) has the highest level.
+    Every block and cochain space the map touches is at most Tot(n+1), the
+    δ out of block (0, n+1), which lands in its block (0, n+2), included.
     """
     if n < 0:
         raise ValueError("total degree must be non-negative")
     _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)
-    _check_delta(OD.base, n + 1, config)
+    _check_dialgebra_size(OD.dim, config)
     _check_group_order(OD, config)
 
 
@@ -576,10 +571,6 @@ def equivariant_cohomology(
     the kernel elimination, and each independent one is multiplied by
     Tot(n).  A nonzero square signals a sign-convention bug.
     """
-    if n + 1 > config.max_degree:
-        raise ResourceLimitError(
-            f"total degree {n} needs degree {n + 1} blocks; cap is {config.max_degree}"
-        )
     _check_total(OD, n, config)
     maps = [tot for tot, _ in _total_maps(OD, [n, n - 1] if n else [n])]
     d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)

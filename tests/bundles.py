@@ -28,6 +28,12 @@ def zero_dialgebra_section():
     return {"dim": 2, "left": zero, "right": zero}
 
 
+def split_products_section():
+    """e2 ⊣ e2 = e1, the ⊢ product zero."""
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    return {"dim": 2, "left": [zero[0], [["0", "0"], ["1", "0"]]], "right": zero}
+
+
 def sign_group_section():
     return {"order": 2, "table": [[0, 1], [1, 0]], "epsilon": [1, -1]}
 

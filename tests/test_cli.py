@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import importlib
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oridial import cli
 from oridial import cohomology as coh
+from oridial import oriented
 from oridial.cli import build_parser, main
 
 from bundles import (
@@ -18,6 +20,7 @@ from bundles import (
     dual_sign_bundle,
     run_cli_process,
     sign_group_section,
+    split_products_section,
     write_bundle,
     zero_trivial_bundle,
 )
@@ -29,6 +32,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_console_script_is_cli_main():
+    # the [project.scripts] table of pyproject.toml, read without a TOML parser
+    # (tomllib is not in Python 3.10)
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', table, re.MULTILINE))
+    module, attr = scripts["oridial"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_trees_command(capsys):
@@ -118,10 +131,10 @@ def _constant_order1_bundle():
     ("dialgebra.dim", "2"),
     ("deformation.order", 1.0),
     ("equivalence.order", "1"),
-    ("config.max_level", 2.9),
-    ("config.max_level", True),
-    ("config.max_degree", 3.0),
+    ("config.max_group", True),
     ("config.max_group", "24"),
+    ("config.max_dim", 2.9),
+    ("config.max_cochain_dim", 32768.0),
     ("config.max_dim", 4.5),
     ("config.max_cochain_dim", 1e6),
 ])
@@ -236,11 +249,23 @@ def test_trivial_group_equivariant_matches_shifted_plain(tmp_path, capsys):
     assert json.loads(out)["dim"] == dim_eq == 16
 
 
-def test_degree_cap_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("section,dim", [(dual_numbers_section(), 1),
+                                         (split_products_section(), 2)], ids=["dual", "split"])
+def test_default_config_reaches_equivariant_degree_3(tmp_path, capsys, section, dim):
+    # with the trivial group, HG(3) is HY(4)
+    path = write_bundle(tmp_path / "b.json", {**zero_trivial_bundle(), "dialgebra": section})
+    for command in (["equivariant-cohomology", "--n", "3"], ["cohomology", "--n", "4"]):
+        code, out, _ = run_cli(capsys, command + ["--input", path])
+        assert code == 0 and json.loads(out)["dim"] == dim
+
+
+def test_size_cap_refuses_a_high_degree(tmp_path, capsys):
+    # HG(5) of dual-sign needs Tot(6), of dimension 160,000
     path = write_bundle(tmp_path / "b.json", dual_sign_bundle())
-    code, _, err = run_cli(capsys, ["equivariant-cohomology", "--input", path, "--n", "3"])
-    assert code == 1
-    assert "resource cap" in err
+    code, out, err = run_cli(capsys, ["equivariant-cohomology", "--input", path, "--n", "5"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == (
+        "resource cap: Tot(6) has dimension 160000, above the cap 32768")
 
 
 def test_extend_extract_round_trip_through_json(tmp_path, capsys):
@@ -527,22 +552,55 @@ def test_commands_refuse_a_base_that_is_no_dialgebra(tmp_path, capsys, command):
     ({"order": 2, "table": [[0, 1], [1, 1]], "epsilon": [1, 1]},
      "every element has an inverse"),
 ], ids=["non-associative", "no-inverse"])
-@pytest.mark.parametrize("command", [["equivariant-cohomology", "--n", "0"],
-                                     ["equivariant-cohomology", "--n", "1"], ["rigidity"]],
-                         ids=["equivariant-n0", "equivariant-n1", "rigidity"])
-def test_commands_refuse_a_table_that_is_no_group(tmp_path, capsys, group, failing, command):
-    bundle = {"dialgebra": dual_numbers_section(), "group": group,
-              "action": [[["1", "0"], ["0", "1"]]] * group["order"]}
-    path = write_bundle(tmp_path / "b.json", bundle)
-    code, out, err = run_cli(capsys, command + ["--input", path])
-    assert code == 1 and not err
-    payload = json.loads(out)
-    assert payload["error"] == "oriented group axioms fail"
-    assert [c["name"] for c in payload["checks"] if not c["ok"]] == [failing]
-    code, out, _ = run_cli(capsys, ["check", "--input", path])
+@pytest.mark.parametrize("command,section", [
+    (["equivariant-cohomology", "--n", "0"], None),
+    (["equivariant-cohomology", "--n", "1"], None),
+    (["rigidity"], None),
+    (["cocycle-check"], "cocycle"),
+    (["extend"], "cocycle"),
+    (["extract"], "extension"),
+    (["deform-check"], "deformation"),
+    (["infinitesimal"], "deformation"),
+    (["equivalence-check"], "equivalence"),
+], ids=["equivariant-n0", "equivariant-n1", "rigidity", "cocycle-check", "extend", "extract",
+        "deform-check", "infinitesimal", "equivalence-check"])
+def test_commands_refuse_a_table_that_is_no_group(tmp_path, capsys, monkeypatch, group, failing,
+                                                  command, section):
+    m = group["order"]
+    identity, zero = [["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]
+    bundle = {"dialgebra": dual_numbers_section(), "group": group, "action": [identity] * m}
+    code, out, _ = run_cli(capsys, ["check", "--input", write_bundle(tmp_path / "c.json", bundle)])
     assert code == 1
     assert [c["check"] for c in json.loads(out)["checks"] if not c["ok"]] == \
         [f"oriented group: {failing}"]
+    # every section the commands read, well-formed for a group of order m
+    mult, zero3, zero4 = dual_numbers_section()["left"], [zero, zero], [["0"] * 4] * 4
+    deformation = {"order": 1, "ml": [mult, zero3], "mr": [mult, zero3],
+                   "phi": [[identity] * m, [zero] * m]}
+    bundle |= {
+        "cocycle": {"alpha": [zero] * m, "beta_left": zero3, "beta_right": zero3},
+        "extension": {"dialgebra": {"dim": 4, "left": [zero4] * 4, "right": [zero4] * 4},
+                      "action": [zero4] * m, "inclusion": [["0", "0"]] * 4,
+                      "projection": [["0"] * 4] * 2},
+        "deformation": deformation, "deformation2": deformation,
+        "equivalence": {"order": 1, "psi": [identity, zero]},
+    }
+    path = write_bundle(tmp_path / "b.json", bundle)
+    calls = []
+    monkeypatch.setattr(cli, "check_oriented_group",
+                        lambda G: calls.append(G) or oriented.check_oriented_group(G))
+    code, out, err = run_cli(capsys, command + ["--input", path])
+    assert code == 1 and not err and len(calls) == 1
+    payload = json.loads(out)
+    assert payload["error"] == "oriented group axioms fail"
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == [failing]
+    if section is not None:
+        # the sections parse first: a missing one is malformed input, not a refusal
+        del bundle[section]
+        path = write_bundle(tmp_path / "missing.json", bundle)
+        code, out, err = run_cli(capsys, command + ["--input", path])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"bundle needs a {section!r} section for this command"
 
 
 @pytest.mark.parametrize("command,golden_name", [
@@ -673,7 +731,7 @@ def test_object_section_of_another_type_exits_2(tmp_path, capsys, command, secti
     assert json.loads(err)["error"] == f"{section}: section must be a JSON object"
 
 
-@pytest.mark.parametrize("key", ["max_levle", "max_dense_cells"])
+@pytest.mark.parametrize("key", ["max_levle", "max_dense_cells", "max_level", "max_degree"])
 def test_unknown_config_field_exits_2(tmp_path, capsys, key):
     bundle = zero_trivial_bundle()
     bundle["config"] = {key: 1}

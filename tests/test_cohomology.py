@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -556,7 +557,7 @@ def test_degree_zero_is_joint_kernel(od_dual_sign):
 def test_trivial_group_collapse(dia_scalar, dia_dual, dia_zero, dia_split):
     for D in (dia_scalar, dia_dual, dia_zero, dia_split):
         OD = oriented_trivial(D)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             assert (coh.equivariant_cohomology(OD, n).dim
                     == coh.dialgebra_cohomology(D, n + 1).dim)
 
@@ -902,8 +903,8 @@ def test_degree1_residuals_refuse_a_group_without_inverses():
         G.inv(1)
     assert refused.value.witness == 1 and G.inv(0) == 0
     OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config.max_dim), G)
-    alpha, beta = cli._parse_cocycle(bundle["cocycle"], OD)
-    deformation = cli._parse_deformation(bundle["deformation"], OD)
+    alpha, beta = cli._parse_cocycle(bundle, config, OD)
+    deformation = cli._parse_deformation(bundle, config, OD)
     for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
                    lambda: coh.degree1_coboundary(OD, Matrix.identity(2)),
                    lambda: coh.act_entries(OD, 1, 1),
@@ -956,11 +957,19 @@ def test_pack_unpack_roundtrip_after_basis_change(data):
 
 
 def test_resource_caps(od_dual_sign, dia_dual):
-    with pytest.raises(ResourceLimitError):
-        coh.equivariant_cohomology(od_dual_sign, 3)
-    small_levels = coh.EngineConfig(max_level=2)
-    with pytest.raises(ResourceLimitError):
-        coh.delta_entries(dia_dual, 2, small_levels)
+    # one refusal per field: the size of the target, the dimension, the group order
+    for build, args, refusal in (
+        (coh.equivariant_cohomology, (od_dual_sign, 5),
+         "Tot\\(6\\) has dimension 160000, above the cap 32768"),
+        (coh.delta_entries, (dia_dual, 2, coh.EngineConfig(max_dim=1)),
+         "dimension 2 exceeds cap 1"),
+        (coh.equivariant_cohomology, (od_dual_sign, 1, coh.EngineConfig(max_group=1)),
+         "group order 2 exceeds cap 1"),
+    ):
+        with pytest.raises(ResourceLimitError, match=refusal):
+            build(*args)
+    assert [f.name for f in dataclasses.fields(coh.EngineConfig)] == [
+        "max_group", "max_dim", "max_cochain_dim"]
 
 
 def _refuse_writes(monkeypatch) -> None:
@@ -989,23 +998,25 @@ def test_default_cap_refuses_before_assembly(monkeypatch, tmp_path, capsys):
 def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
     _refuse_writes(monkeypatch)
     dim4, s3 = oriented_trivial(zero_dialgebra(4)), oriented_dual_s3()
+    dim5 = oriented_trivial(zero_dialgebra(5))
     # Tot(6) of dual-S₃ holds the block (6, 1) of dimension 6⁶·4; the target
-    # is checked before the group order, and both before any entry
-    deep = coh.EngineConfig(max_degree=8)
-    small_group = coh.EngineConfig(max_degree=8, max_group=2)
+    # is checked before the dimension and the group order, and all before any entry
+    small_group = coh.EngineConfig(max_group=2)
     tot6 = f"Tot\\(6\\) has dimension {coh.total_dim(s3, 6)}"
     for build, args, target in (
         (coh.act_entries, (dim4, 0, 6), "CY\\(6\\) has dimension 2162688"),
-        (coh.act_entries, (dim4, 0, 7), "level 7 exceeds cap 6"),
+        (coh.act_entries, (dim5, 0, 1), "dimension 5 exceeds cap 4"),
         (coh.delta_entries, (zero_dialgebra(5), 0), "dimension 5 exceeds cap 4"),
         (coh.vertical_entries, (s3, 6, 1), "block \\(7, 1\\) has dimension 1119744"),
+        (coh.vertical_entries, (dim5, 0, 1), "dimension 5 exceeds cap 4"),
         (coh.horizontal_entries, (s3, 5, 1), "block \\(5, 2\\) has dimension 124416"),
-        (coh.total_entries, (s3, 5, deep), tot6),
-        (coh.equivariant_cohomology, (s3, 5, deep), tot6),
+        (coh.total_entries, (s3, 5), tot6),
+        (coh.total_entries, (dim5, 0), "dimension 5 exceeds cap 4"),
+        (coh.equivariant_cohomology, (s3, 5), tot6),
         (coh.equivariant_cohomology, (s3, 5, small_group), tot6),
         (coh.equivariant_cohomology, (s3, 1, small_group), "group order 6 exceeds cap 2"),
-        (coh.equivariant_cohomology, (s3, 1, coh.EngineConfig(max_level=2)),
-         "coboundary to level 3 exceeds cap 2"),
+        (coh.equivariant_cohomology, (s3, 1, coh.EngineConfig(max_dim=1)),
+         "dimension 2 exceeds cap 1"),
     ):
         with pytest.raises(ResourceLimitError, match=target):
             build(*args)
