@@ -159,7 +159,7 @@ def _parse_oriented(bundle, base: Dialgebra, group: OrientedGroup) -> OrientedDi
     return OrientedDialgebra(base, group, action)
 
 
-def _parse_cocycle(bundle, config, OD):
+def _parse_cocycle(bundle, OD):
     data = _section(bundle, "cocycle")
     d = OD.dim
     alpha = _per_element(data.get("alpha"), OD.group.order, d, "cocycle.alpha")
@@ -168,13 +168,12 @@ def _parse_cocycle(bundle, config, OD):
     return alpha, (beta_l, beta_r)
 
 
-def _parse_extension(bundle, config, OD) -> ext.SingularExtension:
+def _parse_extension(bundle, OD) -> ext.SingularExtension:
     data = _section(bundle, "extension")
     d = OD.dim
     if "dialgebra" not in data:
         raise BundleError("extension: missing middle-term dialgebra")
-    # extensions live in dimension 2d, above the cap for fresh input
-    base2 = _parse_dialgebra(data["dialgebra"], 2 * config.max_dim, "extension.dialgebra")
+    base2 = _parse_dialgebra(data["dialgebra"], 2 * d, "extension.dialgebra")
     if base2.dim != 2 * d:
         raise BundleError(f"extension middle term must have dimension {2 * d}")
     action = _per_element(data.get("action"), OD.group.order, 2 * d, "extension.action")
@@ -194,7 +193,7 @@ def _order(data, what: str) -> int:
     return order
 
 
-def _parse_deformation(bundle, config, OD, what="deformation") -> defm.TruncatedDeformation:
+def _parse_deformation(bundle, OD, what="deformation") -> defm.TruncatedDeformation:
     data = _section(bundle, what)
     d = OD.dim
     order = _order(data, what)
@@ -205,7 +204,7 @@ def _parse_deformation(bundle, config, OD, what="deformation") -> defm.Truncated
                                      [[Matrix.from_rows(m) for m in per_g] for per_g in phi])
 
 
-def _parse_equivalence(bundle, config, OD) -> defm.DeformationEquivalence:
+def _parse_equivalence(bundle, OD) -> defm.DeformationEquivalence:
     data = _section(bundle, "equivalence")
     d = OD.dim
     order = _order(data, "equivalence")
@@ -274,16 +273,14 @@ def _emit_residual(residual) -> list:
 
 
 def _load(args, *parsers) -> tuple:
-    """The config and oriented dialgebra of the bundle at ``--input``, then what
-    each ``parse(bundle, config, OD)`` reads of the command's sections.  A group
-    table failing the group axioms, which every command here needs, is refused
-    after the sections parse, so malformed input exits 2 first."""
+    """The config, oriented dialgebra and each ``parse(bundle, OD)`` of the bundle at
+    ``--input``; a table failing the group axioms is refused once all of them parse."""
     bundle = load_bundle(args.input)
     config = _parse_config(bundle)
     base = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
     group = _parse_group(_section(bundle, "group"), config)
     OD = _parse_oriented(bundle, base, group)
-    parsed = [parse(bundle, config, OD) for parse in parsers]
+    parsed = [parse(bundle, OD) for parse in parsers]
     _refuse(check_oriented_group(group), "oriented group axioms fail")
     return config, OD, *parsed
 
@@ -318,7 +315,7 @@ def cmd_check(args) -> tuple:
     if needing and OD is None:
         raise BundleError(f"{needing[0]} checking needs dialgebra, group and action sections")
     if "cocycle" in bundle:
-        alpha, beta = _parse_cocycle(bundle, config, OD)
+        alpha, beta = _parse_cocycle(bundle, OD)
         try:
             (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
         except NoInverseError as exc:
@@ -329,10 +326,10 @@ def cmd_check(args) -> tuple:
             c = Check(c.name, c.ok, None if c.ok else _emit_residual(c.witness[0]))
         reports["degree-1 cocycle"] = Report([c])
     if "extension" in bundle:
-        E = _parse_extension(bundle, config, OD)
+        E = _parse_extension(bundle, OD)
         reports["singular extension"] = ext.check_extension(OD, E)
     if "deformation" in bundle:
-        dfm = _parse_deformation(bundle, config, OD)
+        dfm = _parse_deformation(bundle, OD)
         reports["deformation"] = defm.check_deformation(OD, dfm)
     if not reports:
         raise BundleError("bundle contains nothing to check")
@@ -405,7 +402,7 @@ def cmd_extend(args) -> tuple:
     return payload, 0
 
 
-def _parse_section(bundle, config, OD) -> Matrix | None:
+def _parse_section(bundle, OD) -> Matrix | None:
     """The bundle's section, or None: the canonical one."""
     if "section" in bundle:
         return _parse_matrix(bundle["section"], 2 * OD.dim, OD.dim, "section")

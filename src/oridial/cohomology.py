@@ -79,6 +79,7 @@ from .trees import (
     LeafOrientation,
     ResourceLimitError,
     catalan,
+    check_level,
     enumerate_trees,
     face_table,
     mirror,
@@ -145,7 +146,8 @@ def sign_exponent(n: int) -> int:
 
 
 def cochain_dim(d: int, n: int) -> int:
-    """dim CY(n) = |Y(n)| * d^n * d (for n = 0 this is just d)."""
+    """dim CY(n) = |Y(n)| * d^n * d; a level above ``trees.MAX_LEVEL`` is refused before |Y(n)|."""
+    check_level(n)
     return catalan(n) * d ** n * d
 
 
@@ -434,11 +436,8 @@ def _block_offsets(OD: OrientedDialgebra, n: int) -> dict[tuple[int, int], int]:
 
 
 def _check_total(OD: OrientedDialgebra, n: int, config: EngineConfig) -> None:
-    """The caps of Tot(n) -> Tot(n+1): target size, dimension, group order.
-
-    Every block and cochain space the map touches is at most Tot(n+1), the
-    δ out of block (0, n+1), which lands in its block (0, n+2), included.
-    """
+    """The caps of Tot(n) -> Tot(n+1): the size of Tot(n+1) bounds every space the map
+    touches, block (0, n+2), the target of the δ out of (0, n+1), included."""
     if n < 0:
         raise ValueError("total degree must be non-negative")
     _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)

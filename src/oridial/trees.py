@@ -36,6 +36,12 @@ class ResourceLimitError(Exception):
     """Raised when a request would exceed the configured combinatorial caps."""
 
 
+def check_level(n: int) -> None:
+    """Refuse a tree level above MAX_LEVEL, in constant time."""
+    if n > MAX_LEVEL:
+        raise ResourceLimitError(f"tree level {n} exceeds cap {MAX_LEVEL}")
+
+
 class LeafOrientation(enum.Enum):
     """Which of the two products a leaf position selects."""
 
@@ -100,8 +106,7 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """
     if n < 0:
         raise ValueError("tree level must be non-negative")
-    if n > MAX_LEVEL:
-        raise ResourceLimitError(f"tree level {n} exceeds cap {MAX_LEVEL}")
+    check_level(n)
     if n == 0:
         return (LEAF,)
     trees = [

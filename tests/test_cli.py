@@ -268,6 +268,15 @@ def test_size_cap_refuses_a_high_degree(tmp_path, capsys):
         "resource cap: Tot(6) has dimension 160000, above the cap 32768")
 
 
+@pytest.mark.parametrize("command,n,level", [("cohomology", 10 ** 8, 10 ** 8 + 1),
+                                             ("equivariant-cohomology", 10 ** 6, 10 ** 6 + 2)])
+def test_an_unbounded_n_is_refused_at_once(tmp_path, capsys, command, n, level):
+    path = write_bundle(tmp_path / "b.json", dual_sign_bundle())
+    code, out, err = run_cli(capsys, [command, "--input", path, "--n", str(n)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"resource cap: tree level {level} exceeds cap 12"
+
+
 def test_extend_extract_round_trip_through_json(tmp_path, capsys):
     bundle = dual_sign_bundle()
     zero2 = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
@@ -846,6 +855,8 @@ def test_docstring_names_every_bundle_section_and_config_field():
     ("extract", {"extension": {}}, "extension: missing middle-term dialgebra"),
     ("extract", {"extension": {"dialgebra": dual_numbers_section()}},
      "extension middle term must have dimension 4"),
+    ("extract", {"extension": {"dialgebra": {"dim": 5}}},
+     "extension.dialgebra: dim 5 outside 1..4"),
     ("deform-check", {"deformation": {"order": 0}}, "deformation: order must be >= 1"),
     ("check", {"group": {**sign_group_section(), "epsilon": [1]}},
      "group: epsilon must list 2 signs"),

@@ -903,8 +903,8 @@ def test_degree1_residuals_refuse_a_group_without_inverses():
         G.inv(1)
     assert refused.value.witness == 1 and G.inv(0) == 0
     OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config.max_dim), G)
-    alpha, beta = cli._parse_cocycle(bundle, config, OD)
-    deformation = cli._parse_deformation(bundle, config, OD)
+    alpha, beta = cli._parse_cocycle(bundle, OD)
+    deformation = cli._parse_deformation(bundle, OD)
     for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
                    lambda: coh.degree1_coboundary(OD, Matrix.identity(2)),
                    lambda: coh.act_entries(OD, 1, 1),
@@ -1019,6 +1019,35 @@ def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
          "dimension 2 exceeds cap 1"),
     ):
         with pytest.raises(ResourceLimitError, match=target):
+            build(*args)
+
+
+def test_an_unbounded_level_is_refused_before_any_size(monkeypatch, dia_dual, od_dual_sign):
+    # a level above trees.MAX_LEVEL = 12 is refused in constant time, so a
+    # huge n never reaches the Catalan numbers of its sizes; level 12 itself
+    # reaches the size check
+    for build, args, space in ((coh.dialgebra_cohomology, (dia_dual, 11), "CY\\(12\\)"),
+                               (coh.equivariant_cohomology, (od_dual_sign, 10), "Tot\\(11\\)")):
+        with pytest.raises(ResourceLimitError, match=f"^{space} has dimension"):
+            build(*args)
+    _refuse_writes(monkeypatch)
+
+    def refuse(n):
+        raise AssertionError("a size was computed before the level check")
+
+    monkeypatch.setattr(coh, "catalan", refuse)
+    for build, args, level in (
+        (coh.dialgebra_cohomology, (dia_dual, 12), 13),
+        (coh.dialgebra_cohomology, (dia_dual, 10 ** 7), 10 ** 7 + 1),
+        (coh.delta_entries, (dia_dual, 10 ** 7), 10 ** 7 + 1),
+        (coh.equivariant_cohomology, (od_dual_sign, 11), 13),
+        (coh.equivariant_cohomology, (od_dual_sign, 10 ** 6), 10 ** 6 + 2),
+        (coh.total_entries, (od_dual_sign, 10 ** 6), 10 ** 6 + 2),
+        (coh.act_entries, (od_dual_sign, 1, 10 ** 6), 10 ** 6),
+        (coh.vertical_entries, (od_dual_sign, 0, 10 ** 6), 10 ** 6),
+        (coh.horizontal_entries, (od_dual_sign, 0, 10 ** 6), 10 ** 6 + 1),
+    ):
+        with pytest.raises(ResourceLimitError, match=f"^tree level {level} exceeds cap 12$"):
             build(*args)
 
 
