@@ -324,6 +324,20 @@ def _check_group_order(OD: OrientedDialgebra, config: EngineConfig) -> None:
         raise ResourceLimitError(f"group order {OD.group.order} exceeds cap {config.max_group}")
 
 
+def _check_group_degree(OD: OrientedDialgebra, p: int, config: EngineConfig) -> None:
+    """Refuse a negative group degree, and one whose blocks are too big, before any |G|^p.
+
+    A block next to degree p has at least |G|^p group slots, so with
+    |G| >= 2 and p >= L, the bit length of the cap, it has at least 2^L
+    rows and is refused without computing the power.
+    """
+    if p < 0:
+        raise ValueError("group degree must be non-negative")
+    cap = config.max_cochain_dim.bit_length() - 1
+    if OD.group.order >= 2 and p > cap:
+        raise ResourceLimitError(f"group degree {p} exceeds cap {cap}")
+
+
 def _tuple_pos(t: tuple, m: int) -> int:
     pos = 0
     for g in t:
@@ -394,6 +408,7 @@ def vertical_entries(
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
     _check_group_order(OD, config)
+    _check_group_degree(OD, p, config)
     m = OD.group.order
     _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q), config)
     cd = cochain_dim(OD.dim, q)
@@ -409,8 +424,9 @@ def horizontal_entries(
     """Tree-direction coboundary (p, q) -> (p, q+1): delta in each group slot."""
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
-    slots = OD.group.order ** p
+    _check_group_degree(OD, p, config)
     _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1), config)
+    slots = OD.group.order ** p
     delta = delta_entries(OD.base, q, config)
     sm = SparseMap(slots * delta.rows, slots * delta.cols)
     _write_horizontal(sm.columns, delta.columns, slots, delta.rows, delta.cols, 0, 0, 1)
@@ -503,8 +519,9 @@ def _quotient(
 
     ``nullspace(d_out, d_in, reduced=False)`` seeds the elimination with
     the columns of d_in, which span the image inside the kernel, and
-    multiplies each column that extends their echelon by d_out exactly.
-    That is the square check: it fails exactly when d_out·d_in ≠ 0, and
+    multiplies the columns that extend their echelon by d_out exactly, all
+    in one packed product.  That is the square check: it fails exactly
+    when d_out·d_in ≠ 0, and
     ``fault`` names the failure.  It returns the kernel echelon before any
     back-substitution.  Everything after works in the k free coordinates of
     the canonical kernel basis: Kᵢ has 1 at its free column fᵢ, 0 at the
@@ -567,8 +584,9 @@ def equivariant_cohomology(
     products times nL and the action matrices times nR (see "sparse
     matrices").  The square of the total differential is verified to
     vanish exactly while Tot(n) is eliminated: the columns of Tot(n-1) seed
-    the kernel elimination, and each independent one is multiplied by
-    Tot(n).  A nonzero square signals a sign-convention bug.
+    the kernel elimination, and the independent ones are multiplied by
+    Tot(n) in one packed product.  A nonzero square signals a
+    sign-convention bug.
     """
     _check_total(OD, n, config)
     maps = [tot for tot, _ in _total_maps(OD, [n, n - 1] if n else [n])]
@@ -732,5 +750,5 @@ def degree1_coboundary(OD: OrientedDialgebra, gamma: Matrix):
         raise ShapeMismatchError(f"γ must be {d}x{d}")
     [(tot, L)], ((C,), nG) = _total_maps(OD, [0]), _scaled_maps([gamma])
     c = [x for col in zip(*C) for x in col]
-    out = _apply(tot.columns, {j: y for j, y in enumerate(c) if y})
-    return degree1_unpack(OD, [_rational(out.get(r, 0), L * nG) for r in range(tot.rows)])
+    out = _apply(tot.columns, {j: y for j, y in enumerate(c) if y}, tot.rows)
+    return degree1_unpack(OD, [_rational(x, L * nG) for x in out])

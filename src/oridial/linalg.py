@@ -9,9 +9,10 @@ reads both the same way, by ``columns``: a list of ``cols`` dicts
 There is one elimination, and it is sparse.  It keeps the nonzero rows as
 integer dicts {column: value}; each vector is scaled to integers once.
 ``_echelon`` inserts rows sparsest first; ``nullspace`` inserts its tagged
-columns last first, for the reason given there.  A pivot row removes its
-leading column from another row by a gcd-scaled integer combination; a row
-that had to be scaled up for it is then divided by its content.
+columns and its seeds last first, for the reason given there.  A pivot row
+removes its leading column from another row by a gcd-scaled integer
+combination; a row that had to be scaled up for it is then divided by its
+content.
 
 There is one solve route, the tagged column echelon of ``nullspace``.
 Each column is tagged with an identity entry that records which
@@ -29,15 +30,20 @@ the basis vectors reduces just those, and may divide by another entry.
 
 Coboundaries are tall: many more rows than columns.  Eliminating columns
 costs at most one insertion per column instead of one per row, and none
-for a column that a known kernel vector (a coboundary, checked exactly)
-accounts for.  ``rank`` and ``column_space_complement`` need no
+for a column that a known kernel vector (a coboundary) accounts for.  The
+known vectors are checked exactly, all in one product: ``_check_square``
+packs them into one integer vector, in slots too wide for any product to
+spill over.  ``rank`` and ``column_space_complement`` need no
 back-substitution and keep the row echelon, ``rank`` of the shorter side.
+One helper, ``_apply``, multiplies a map's columns by a sparse vector: for
+that check, for ``SparseMap.mul`` and for the degree-1 coboundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -200,22 +206,22 @@ class SparseMap:
     def mul(self, other: "SparseMap") -> "SparseMap":
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        products = (_apply(self.columns, col) for col in other.columns)
+        products = (_apply(self.columns, col, self.rows) for col in other.columns)
         return SparseMap(self.rows, other.cols,
-                         columns=[{i: x for i, x in out.items() if x} for out in products])
+                         columns=[{i: x for i, x in enumerate(out) if x} for out in products])
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.rows, self.cols,
                       [col.get(r, 0) for r in range(self.rows) for col in self.columns])
 
 
-def _apply(columns: list, vec: dict) -> dict:
-    """The map with these columns applied to {column: value}, as {row: value};
-    a row whose terms cancel is kept, with the value 0."""
-    out: dict = {}
+def _apply(columns, vec: dict, rows: int) -> list:
+    """The map with these columns applied to {column: value}, as a dense list
+    of its ``rows`` entries; ``columns[j]`` is column j as {row: value}."""
+    out = [0] * rows
     for j, x in vec.items():
         for i, y in columns[j].items():
-            out[i] = out.get(i, 0) + x * y
+            out[i] += x * y
     return out
 
 
@@ -235,7 +241,7 @@ def _integral(row: dict) -> dict:
 
     A row of ints is returned as it is, not copied.
     """
-    if all(type(x) is int for x in row.values()):
+    if {*map(type, row.values())} <= {int}:   # one type scan; a bool is scaled
         return row
     denom = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
@@ -339,39 +345,102 @@ def nullspace(m, image=None, *, reduced: bool = True) -> list[list] | dict:
     largest column in its support.  Each echelon row is reduced and divided
     by its pivot, in descending key order.  For each free column f exactly
     one kernel vector has 1 at f and 0 at every other free column, so this
-    is the basis above, in the same order and with the same scalars.
+    is the basis above, in the same order and with the same scalars.  One
+    pass over m's entries takes the bit length of the largest, for the
+    square check below; a ``Fraction`` fails it, and then each inserted
+    column is scaled to integers on its own.
 
-    The columns of ``image`` (m's cols rows) seed the kernel.  In their
-    echelon form each seed w leads at the smallest index p of its support.
-    Each column that extends that echelon is multiplied by m exactly, and a
-    nonzero product raises NonComplexError; so m·w = 0 for every seed.
-    Column p then lies in the span of the later columns, so the
-    last-first insertion would reduce it to zero: it is not inserted, and w
-    joins the kernel echelon under its tag keys.  The reduced form is
-    unique, so the basis is the same with or without seeds.
+    The columns of ``image`` (m's cols rows) seed the kernel.  In their own
+    echelon each seed leads at the smallest index p of its support, so they
+    go in last first, like the tagged columns.  The seeds that extend that
+    echelon, as given, are multiplied by m in one exact product
+    (``_check_square``), and a nonzero product raises NonComplexError; so
+    m·w = 0 for every seed.  Column p then lies in the span of the later
+    columns, so the last-first insertion would reduce it to zero: it is
+    not inserted.  The set of leading indices of an echelon basis depends
+    only on the span, so the skipped columns do not depend on the order of
+    the seeds.  The kept seeds then join the kernel echelon under their tag
+    keys, first column first, since that echelon leads with the largest
+    column.  The reduced form is unique, so the basis is the same with or
+    without seeds, in any order.
     """
     r, c = m.rows, m.cols
-    columns = _row_dicts(m, transpose=True)
+    columns = m.columns
+    try:
+        bits = _entry_bits(columns)
+    except TypeError:   # a Fraction
+        bits = None
     seeds: dict = {}
+    kept: list = []
     if image is not None:
         if image.rows != c:
             raise ShapeMismatchError(f"image vectors of length {c} expected, got {image.rows}")
-        for w in map(_integral, _row_dicts(image, transpose=True)):
-            # multiply the column, sparser than its seed
-            if _insert(dict(w), seeds) and any(_apply(columns, w).values()):
-                raise NonComplexError("an image vector is not in the kernel")
-    for j, col in enumerate(columns):
-        col[r + c - 1 - j] = 1
+        kept = [w for w in map(_integral, reversed(image.columns)) if _insert(dict(w), seeds)]
+        if kept:
+            _check_square(columns, kept, r, bits)
     echelon: dict = {}
     for j in range(c - 1, -1, -1):
-        if j not in seeds:
-            _insert(_integral(columns[j]), echelon)
+        if j not in seeds:   # a tagged copy of the column, in integers
+            col = {**columns[j], r + c - 1 - j: 1}
+            _insert(col if bits is not None else _integral(col), echelon)
     kernel = {key: row for key, row in echelon.items() if key >= r}
-    for w in seeds.values():
+    for w in reversed(kept):
         _insert({r + c - 1 - j: x for j, x in w.items()}, kernel)
     if not reduced:
         return kernel
     return [scaled_vector(reduced_row(kernel, k), k, r, c) for k in sorted(kernel, reverse=True)]
+
+
+def _entry_bits(columns) -> int:
+    """The bit length of the largest |entry| of these {row: value} columns,
+    in one pass at C speed; a ``Fraction`` entry raises TypeError, and a
+    bool counts as the int it equals."""
+    return max(map(int.bit_length, chain.from_iterable(map(dict.values, columns))), default=0)
+
+
+def _slot_bits(bits: int, seeds: list) -> int:
+    """Slot width k for ``_check_square``: a + b, where a = ``bits`` is the
+    bit length of the largest |entry| of the integer map and b that of the
+    largest abs-sum of an integer seed."""
+    return bits + max(sum(map(abs, w.values())) for w in seeds).bit_length()
+
+
+def _check_square(columns: list, seeds: list, rows: int, bits: int | None) -> None:
+    """Raise NonComplexError unless the map with these columns sends every seed to 0.
+
+    The seeds are integer vectors {column: value}, multiplied all at once:
+    seed s goes into a k-bit slot, P = Σ_s w_s·2^(k·s), and only m·P is
+    computed.  A single seed is its own packed vector.  ``bits`` is the bit
+    length of the map's largest |entry|, or None if it holds a ``Fraction``:
+    then the columns the seeds touch, the only ones read, are scaled to
+    integers over one common denominator, which scales every product by the
+    same nonzero factor, and ``bits`` is taken on them.
+
+    With k = ``_slot_bits``, m·P = 0 exactly when every m·w_s = 0.  Let M
+    be the largest |m[i][j]| and B the largest Σ_j |w_s[j]|; M and B are
+    below 2^a and 2^b, and k = a + b.  An entry of y_s = m·w_s obeys
+    |y_s[i]| ≤ Σ_j |m[i][j]|·|w_s[j]| ≤ M·B < 2^k.  Now
+    (m·P)[i] = Σ_s y_s[i]·2^(k·s).  If some y_s[i] ≠ 0, let t be the least
+    such s: then (m·P)[i] = 2^(k·t)·(y_t[i] + 2^k·Q) for an integer Q, and
+    it would vanish only if 2^k divided y_t[i], which 0 < |y_t[i]| < 2^k
+    forbids.  So no later slot cancels a nonzero product.
+    """
+    packed = seeds[0]
+    if len(seeds) > 1:
+        touched = set().union(*seeds)
+        if bits is None:
+            denom = lcm(*(x.denominator for j in touched for x in columns[j].values()))
+            columns = {j: {i: x.numerator * (denom // x.denominator)
+                           for i, x in columns[j].items()} for j in touched}
+            bits = _entry_bits(columns.values())
+        k = _slot_bits(bits, seeds)
+        packed = dict.fromkeys(touched, 0)
+        for s, w in enumerate(seeds):
+            shift = k * s
+            for j, x in w.items():
+                packed[j] += x << shift
+    if any(_apply(columns, packed, rows)):
+        raise NonComplexError("an image vector is not in the kernel")
 
 
 def reduced_row(kernel: dict, key: int) -> dict:

@@ -1051,6 +1051,30 @@ def test_an_unbounded_level_is_refused_before_any_size(monkeypatch, dia_dual, od
             build(*args)
 
 
+def test_an_unbounded_group_degree_is_refused_before_any_power(monkeypatch, od_dual_sign):
+    # a block next to group degree p has |G|^p group slots or more, so with
+    # |G| >= 2 a p above cap 15 (the bit length of 32,768, less one) is
+    # refused before the power: 24 ** 10 ** 7 alone takes seconds, and the
+    # size message could not print it; p = 15 itself reaches the size check
+    for build, space in ((coh.vertical_entries, "block \\(16, 1\\)"),
+                         (coh.horizontal_entries, "block \\(15, 2\\)")):
+        with pytest.raises(ResourceLimitError, match=f"^{space} has dimension"):
+            build(od_dual_sign, 15, 1)
+    _refuse_writes(monkeypatch)
+
+    class Powerless(int):
+        def __pow__(self, exponent):
+            raise AssertionError("a power of the group order was computed before the degree check")
+
+    monkeypatch.setattr(od_dual_sign.group, "order", Powerless(2))
+    for build in (coh.vertical_entries, coh.horizontal_entries):
+        for p, config, cap in ((16, coh.DEFAULT_CONFIG, 15), (10 ** 6, coh.DEFAULT_CONFIG, 15),
+                               (10 ** 7, coh.DEFAULT_CONFIG, 15),
+                               (21, coh.EngineConfig(max_cochain_dim=2 ** 21 - 1), 20)):
+            with pytest.raises(ResourceLimitError, match=f"^group degree {p} exceeds cap {cap}$"):
+                build(od_dual_sign, p, 1, config)
+
+
 def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
     for build, args, rows in (
         (coh.delta_entries, (dia_dual, 2), coh.cochain_dim(2, 3)),
@@ -1066,12 +1090,14 @@ def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
 
 def test_builders_refuse_negative_levels_and_q_zero(dia_dual, od_dual_sign):
     level, q_zero = "cochain level must be non-negative", "the reduced bicomplex keeps only q >= 1"
-    degree = "total degree must be non-negative"
+    degree, p_negative = "total degree must be non-negative", "group degree must be non-negative"
     for build, args, text in (
         (coh.delta_entries, (dia_dual, -1), level),
         (coh.dialgebra_cohomology, (dia_dual, -1), level),
         (coh.vertical_entries, (od_dual_sign, 0, 0), q_zero),
         (coh.horizontal_entries, (od_dual_sign, 0, 0), q_zero),
+        (coh.vertical_entries, (od_dual_sign, -1, 1), p_negative),
+        (coh.horizontal_entries, (od_dual_sign, -1, 1), p_negative),
         (coh.total_entries, (od_dual_sign, -1), degree),
         (coh.equivariant_cohomology, (od_dual_sign, -1), degree),
     ):

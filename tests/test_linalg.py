@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,12 @@ from oridial.linalg import (
 
 from conftest import (
     basis_changed_dual_s3,
+    diff3_dialgebra,
     dual_numbers_dialgebra,
     half_triangular,
     in_basis,
+    oriented_dual_s3,
+    oriented_dual_sign,
     oriented_trivial,
     oriented_zero_sign,
     poly3_dialgebra,
@@ -326,36 +330,106 @@ def test_tall_coboundary_inserts_at_most_its_columns(monkeypatch):
     # a preimage costs one more insertion, for the appended column
     calls.clear()
     w = {j: j % 3 - 1 for j in range(sm.cols)}
-    product = linalg._apply(sm.columns, w)
-    v = [product.get(i, 0) for i in range(sm.rows)]
+    v = linalg._apply(sm.columns, w, sm.rows)
     u = in_image(sm, v)
     assert 0 < len(calls) <= sm.cols + 1
     assert apply(sm.to_matrix(), u) == v
 
 
-def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):
-    # poly3's δ(1) spans a subspace of ker δ(2); each of its echelon vectors
-    # leads at a column of δ(2) that depends on the later ones, so only the
-    # other columns are inserted
-    sm, d_in = (delta_entries(poly3_dialgebra(), n) for n in (2, 1))
-    image_rank, pivots = rank(d_in), rref(d_in.to_matrix().transpose())[0]
-    assert 0 < image_rank == len(pivots) < sm.cols
-    assert {c for (_, c), x in sm.entries.items() if x} == set(range(sm.cols))   # no zero column
+def _inserted_columns(monkeypatch, m, image) -> list:
+    """The columns of a tall m that ``nullspace(m, image)`` inserts, in order.
+
+    A tagged column has row keys below m.rows and one tag key above; the
+    seeds have keys below m.cols < m.rows, and in the kernel tag keys only.
+    """
     insert, calls = linalg._insert, []
 
     def counted(row, echelon):
         calls.append(set(row))
         return insert(row, echelon)
 
-    monkeypatch.setattr(linalg, "_insert", counted)
-    kernel = nullspace(sm, d_in)
-    # a tagged column of δ(2) has row keys below sm.rows and one tag key above
-    inserted = [sm.rows + sm.cols - 1 - max(keys) for keys in calls
-                if keys and min(keys) < sm.rows <= max(keys)]
-    assert len(inserted) == sm.cols - image_rank
-    assert set(inserted) == set(range(sm.cols)) - set(pivots)
-    monkeypatch.undo()
-    assert kernel == nullspace(sm)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_insert", counted)
+        nullspace(m, image)
+    return [m.rows + m.cols - 1 - max(keys) for keys in calls
+            if keys and min(keys) < m.rows <= max(keys)]
+
+
+def _reorderings(sm) -> list:
+    """The map with its columns reversed, and shuffled by a fixed seed."""
+    shuffled = random.Random(1).sample(sm.columns, sm.cols)
+    return [SparseMap(sm.rows, sm.cols, columns=sm.columns[::-1]),
+            SparseMap(sm.rows, sm.cols, columns=shuffled)]
+
+
+def test_seeded_kernel_skips_each_seed_leading_column(monkeypatch):
+    # poly3's δ(1) spans a subspace of ker δ(2); each of its echelon vectors
+    # leads at a column of δ(2) that depends on the later ones, so only the
+    # other columns are inserted, whatever the order of the seeds
+    sm, d_in = (delta_entries(poly3_dialgebra(), n) for n in (2, 1))
+    image_rank, pivots = rank(d_in), rref(d_in.to_matrix().transpose())[0]
+    assert 0 < image_rank == len(pivots) < sm.cols
+    assert {c for (_, c), x in sm.entries.items() if x} == set(range(sm.cols))   # no zero column
+    for image in [d_in] + _reorderings(d_in):
+        inserted = _inserted_columns(monkeypatch, sm, image)
+        assert len(inserted) == sm.cols - image_rank
+        assert set(inserted) == set(range(sm.cols)) - set(pivots)
+        assert nullspace(sm, image) == nullspace(sm)
+
+
+def _dense_copy(OD):
+    """OD in the basis P₀ = L·U of the benchmark's first copies (the seed
+    only reorders and signs its coordinates): L has (-1)^(i+j+1)/2 below its
+    diagonal, U has (-1)^(i·j)·3 above it."""
+    d = OD.dim
+    L = Matrix(d, d, [1 if i == j else Fraction((-1) ** (i + j + 1), 2) if i > j else 0
+                      for i in range(d) for j in range(d)])
+    U = Matrix(d, d, [1 if i == j else 3 * (-1) ** (i * j) if i < j else 0
+                      for i in range(d) for j in range(d)])
+    return in_basis(OD, L.mul(U))
+
+
+def _delta_pair(D, n):
+    return delta_entries(D, n), delta_entries(D, n - 1)
+
+
+def _total_pair(OD, n):
+    return total_entries(OD, n), total_entries(OD, n - 1)
+
+
+# δ and Tot pairs of the fixtures and of dense copies, whose public maps
+# hold fractions
+@pytest.mark.parametrize("build", [
+    lambda: _delta_pair(dual_numbers_dialgebra(), 3),
+    lambda: _delta_pair(split_products_dialgebra(), 3),
+    lambda: _delta_pair(poly3_dialgebra(), 2),
+    lambda: _delta_pair(diff3_dialgebra(), 2),
+    lambda: _total_pair(oriented_dual_sign(), 2),
+    lambda: _total_pair(oriented_zero_sign(), 2),
+    lambda: _total_pair(oriented_dual_s3(), 1),
+    lambda: _delta_pair(_dense_copy(oriented_trivial(dual_numbers_dialgebra())).base, 3),
+    lambda: _delta_pair(_dense_copy(oriented_trivial(poly3_dialgebra())).base, 2),
+    lambda: _delta_pair(_dense_copy(oriented_trivial(diff3_dialgebra())).base, 2),
+    lambda: _total_pair(_dense_copy(oriented_dual_sign()), 2),
+    lambda: _total_pair(basis_changed_dual_s3(), 1),
+], ids=["dual δ(3)", "split δ(3)", "poly3 δ(2)", "diff3 δ(2)", "dual-sign Tot(2)",
+        "zero-sign Tot(2)", "dual-s3 Tot(1)", "dual-copy δ(3)", "poly3-copy δ(2)",
+        "diff3-copy δ(2)", "dual-sign-copy Tot(2)", "dual-s3-copy Tot(1)"])
+def test_seed_order_does_not_change_the_result(monkeypatch, build):
+    # the leading indices of an echelon basis depend only on its span, and
+    # the canonical kernel basis is unique: reversing or shuffling d_in moves
+    # neither the skipped columns, nor the kernel echelon's keys, nor the quotient
+    d_out, d_in = build()
+    assert d_out.rows > d_out.cols
+
+    def outcome(image):
+        return (repr(_quotient(d_out, image)), sorted(nullspace(d_out, image, reduced=False)),
+                set(_inserted_columns(monkeypatch, d_out, image)))
+
+    want = outcome(d_in)
+    assert want[2] and len(want[2]) < d_out.cols   # some columns are skipped, not all
+    for image in _reorderings(d_in):
+        assert outcome(image) == want
 
 
 def _kernel_vectors(sm, image=None) -> list:
@@ -454,6 +528,54 @@ def test_divisions_match_fraction_arithmetic(zeros, lead, rest, r, pick, num, de
     assert got == [Fraction(y, row[at]) for y in v] and all(canonical(x) for x in got)
     q = _rational(num, den)
     assert q == normalize_scalar(Fraction(num, den)) and canonical(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_square_check_is_exact(data):
+    # integer maps with small or big entries (or those entries over small
+    # denominators), seeded with 2-6 integer combinations of the kernel
+    # basis, any of them sometimes pushed off the kernel by ±2^j: the one
+    # packed product refuses exactly when some seed's own product is nonzero
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(rows, rows + 3))
+    entries = data.draw(st.lists(st.one_of(st.just(0), st.integers(-3, 3), big_ints),
+                                 min_size=rows * cols, max_size=rows * cols))
+    if data.draw(st.booleans()):
+        entries = [Fraction(x, data.draw(st.integers(1, 12))) for x in entries]
+    m = Matrix(rows, cols, entries)
+    basis = nullspace(m)
+    seeds = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        cs = data.draw(st.lists(big_ints, min_size=len(basis), max_size=len(basis)))
+        w = [sum((a * v[i] for a, v in zip(cs, basis)), Fraction(0)) for i in range(cols)]
+        scale = lcm(*(x.denominator for x in w))
+        seeds.append([int(x * scale) for x in w])
+    # one push, so that pushed seeds of opposite signs cancel in any sum
+    i, push = data.draw(st.integers(0, cols - 1)), 2 ** data.draw(st.integers(0, 120))
+    for w in seeds:
+        w[i] += data.draw(st.sampled_from((0, 0, 1, -1))) * push
+    image = Matrix(cols, len(seeds), [w[i] for i in range(cols) for w in seeds])
+    if any(sum(x * y for x, y in zip(row, w)) for w in seeds for row in m.to_rows()):
+        with pytest.raises(NonComplexError):
+            nullspace(m, image)
+    else:
+        assert nullspace(m, image) == basis
+
+
+def test_packed_square_check_needs_its_whole_slot_width(monkeypatch):
+    # m = [[3, 2]] sends (2, 1) to 8 and (1, -2) to -1.  The seeds go in
+    # last first, so (2, 1) takes slot 0 and (1, -2) slot 1.  The proven
+    # width is 2 + 2 bits (largest entry 3, largest seed abs-sum 3); in
+    # 3-bit slots the pair packs to (10, -15), which m sends to
+    # 8 + 2^3·(-1) = 0
+    m, image = Matrix.from_rows([[3, 2]]), Matrix.from_rows([[1, 2], [-2, 1]])
+    assert linalg._slot_bits((3).bit_length(), [{0: 2, 1: 1}, {0: 1, 1: -2}]) == 4
+    with pytest.raises(NonComplexError):
+        nullspace(m, image)
+    slot_bits = linalg._slot_bits
+    monkeypatch.setattr(linalg, "_slot_bits", lambda bits, seeds: slot_bits(bits, seeds) - 1)
+    nullspace(m, image)   # one bit narrower, the two nonzero products cancel
 
 
 def test_normalize_scalar_refuses_a_float():
