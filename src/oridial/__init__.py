@@ -7,7 +7,6 @@ is exact over the rationals.
 """
 
 from .cohomology import (
-    EngineConfig,
     dialgebra_cohomology,
     equivariant_cohomology,
     is_degree1_cocycle,
@@ -72,7 +71,7 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Check", "DeformationEquivalence", "Dialgebra", "EngineConfig", "LEAF",
+    "Check", "DeformationEquivalence", "Dialgebra", "LEAF",
     "LeafOrientation", "Matrix", "OrientedDialgebra", "OrientedGroup", "Report",
     "SingularExtension", "TruncatedDeformation", "Tree", "__version__",
     "build_extension", "canonical_section", "catalan", "check_axioms",

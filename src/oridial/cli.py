@@ -19,12 +19,9 @@ Bundle sections (all optional, each command states what it needs):
                     "phi": [[per-element matrix ..] ..]}
     "deformation2": second deformation for equivalence checking
     "equivalence": {"order": N, "psi": [matrix ..]}
-    "config":      {"max_group": 24, "max_dim": 4, "max_cochain_dim": 32768}
 
 A section written {..} above must be a JSON object, and a key not listed
-above is malformed.  The "config" fields are the engine's resource caps
-(``cohomology.EngineConfig``, defaults shown), each optional and a JSON
-integer; an unknown field is malformed.
+above is malformed.
 
 Rationals are read as "p" or "p/q" with any q > 0 ("3/6" is accepted)
 and always written in lowest terms; structure-constant tensors are
@@ -36,7 +33,6 @@ offending list, e.g. "dialgebra.left[1]: expected a list of 2 entries".
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -60,7 +56,7 @@ from .trees import ResourceLimitError, enumerate_trees
 # the sections of the docstring above; any other top-level key is malformed,
 # so a misspelled section cannot be skipped without a word
 BUNDLE_KEYS = frozenset({"dialgebra", "group", "action", "cocycle", "extension", "section",
-                         "deformation", "deformation2", "equivalence", "config"})
+                         "deformation", "deformation2", "equivalence"})
 
 
 class BundleError(ValueError):
@@ -116,18 +112,18 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_field(data, key: str, what: str, default=None) -> int:
+def _int_field(data, key: str, what: str) -> int:
     """``data[key]`` as a JSON integer; a float, string or boolean is malformed."""
-    value = data.get(key, default) if isinstance(data, dict) else None
+    value = data.get(key) if isinstance(data, dict) else None
     if not _is_int(value):
         raise BundleError(f"{what}: {key} must be an integer, got {value!r}")
     return value
 
 
-def _parse_group(data, config) -> OrientedGroup:
+def _parse_group(data) -> OrientedGroup:
     order = _int_field(data, "order", "group")
-    if not 1 <= order <= config.max_group:
-        raise BundleError(f"group: order {order} outside 1..{config.max_group}")
+    if not 1 <= order <= coh.MAX_GROUP:
+        raise BundleError(f"group: order {order} outside 1..{coh.MAX_GROUP}")
     table = data.get("table")
     if (not isinstance(table, list) or len(table) != order
             or any(not isinstance(r, list) or len(r) != order for r in table)):
@@ -215,17 +211,6 @@ def _parse_equivalence(bundle, OD) -> defm.DeformationEquivalence:
         raise BundleError(f"equivalence: {exc}") from exc
 
 
-def _parse_config(bundle) -> coh.EngineConfig:
-    data = _section(bundle, "config") if "config" in bundle else {}
-    names = [f.name for f in dataclasses.fields(coh.EngineConfig)]
-    unknown = next((key for key in data if key not in names), None)
-    if unknown is not None:
-        raise BundleError(f"config: unknown field {unknown!r}")
-    return coh.EngineConfig(**{
-        name: _int_field(data, name, "config", getattr(coh.DEFAULT_CONFIG, name))
-        for name in names})
-
-
 def load_bundle(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -273,16 +258,15 @@ def _emit_residual(residual) -> list:
 
 
 def _load(args, *parsers) -> tuple:
-    """The config, oriented dialgebra and each ``parse(bundle, OD)`` of the bundle at
-    ``--input``; a table failing the group axioms is refused once all of them parse."""
+    """The oriented dialgebra and each ``parse(bundle, OD)`` of the bundle at ``--input``;
+    a table failing the group axioms is refused once all of them parse."""
     bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    base = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
-    group = _parse_group(_section(bundle, "group"), config)
+    base = _parse_dialgebra(_section(bundle, "dialgebra"), coh.MAX_DIM)
+    group = _parse_group(_section(bundle, "group"))
     OD = _parse_oriented(bundle, base, group)
     parsed = [parse(bundle, OD) for parse in parsers]
     _refuse(check_oriented_group(group), "oriented group axioms fail")
-    return config, OD, *parsed
+    return OD, *parsed
 
 
 def cmd_trees(args) -> tuple:
@@ -292,14 +276,13 @@ def cmd_trees(args) -> tuple:
 
 def cmd_check(args) -> tuple:
     bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
     reports = {}
     D = G = OD = None
     if "dialgebra" in bundle:
-        D = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
+        D = _parse_dialgebra(_section(bundle, "dialgebra"), coh.MAX_DIM)
         reports["dialgebra axioms"] = check_axioms(D)
     if "group" in bundle:
-        G = _parse_group(_section(bundle, "group"), config)
+        G = _parse_group(_section(bundle, "group"))
         reports["oriented group"] = check_oriented_group(G)
     if "action" in bundle:
         for key, part in (("dialgebra", D), ("group", G)):
@@ -356,23 +339,22 @@ def _refuse(report: Report, error: str) -> None:
 
 def cmd_cohomology(args) -> tuple:
     bundle = load_bundle(args.input)
-    config = _parse_config(bundle)
-    D = _parse_dialgebra(_section(bundle, "dialgebra"), config.max_dim)
+    D = _parse_dialgebra(_section(bundle, "dialgebra"), coh.MAX_DIM)
     _refuse(check_axioms(D), "dialgebra axioms fail")
-    result = coh.dialgebra_cohomology(D, args.n, config)
+    result = coh.dialgebra_cohomology(D, args.n)
     return _cohomology_payload(result), 0
 
 
 def cmd_equivariant(args) -> tuple:
-    config, OD = _load(args)
+    (OD,) = _load(args)
     _refuse(check_axioms(OD.base), "dialgebra axioms fail")
     _refuse(check_oriented_dialgebra(OD), "oriented dialgebra axioms fail")
-    result = coh.equivariant_cohomology(OD, args.n, config)
+    result = coh.equivariant_cohomology(OD, args.n)
     return _cohomology_payload(result), 0
 
 
 def cmd_cocycle_check(args) -> tuple:
-    _, OD, (alpha, beta) = _load(args, _parse_cocycle)
+    OD, (alpha, beta) = _load(args, _parse_cocycle)
     (c,) = coh.is_degree1_cocycle(OD, alpha, beta).checks
     payload = {
         "ok": c.ok,
@@ -382,7 +364,7 @@ def cmd_cocycle_check(args) -> tuple:
 
 
 def cmd_extend(args) -> tuple:
-    _, OD, (alpha, beta) = _load(args, _parse_cocycle)
+    OD, (alpha, beta) = _load(args, _parse_cocycle)
     try:
         E = ext.build_extension(OD, alpha, beta)
     except (ext.NotCocycleError, ext.ExtensionInvalidError) as exc:
@@ -410,7 +392,7 @@ def _parse_section(bundle, OD) -> Matrix | None:
 
 
 def cmd_extract(args) -> tuple:
-    _, OD, E, section = _load(args, _parse_extension, _parse_section)
+    OD, E, section = _load(args, _parse_extension, _parse_section)
     if section is None:
         section = ext.canonical_section(E)
     try:
@@ -423,13 +405,13 @@ def cmd_extract(args) -> tuple:
 
 
 def cmd_deform_check(args) -> tuple:
-    _, OD, dfm = _load(args, _parse_deformation)
+    OD, dfm = _load(args, _parse_deformation)
     report = defm.check_deformation(OD, dfm)
     return {"ok": report.ok, "checks": _emit_checks(report)}, 0 if report.ok else 1
 
 
 def cmd_infinitesimal(args) -> tuple:
-    _, OD, dfm = _load(args, _parse_deformation)
+    OD, dfm = _load(args, _parse_deformation)
     try:
         alpha, beta = defm.infinitesimal(OD, dfm, args.order)
     except defm.PrecedingTermsNonzeroError as exc:
@@ -440,9 +422,9 @@ def cmd_infinitesimal(args) -> tuple:
 
 
 def cmd_equivalence_check(args) -> tuple:
-    _, OD, def1, def2, eq = _load(args, _parse_deformation,
-                                  functools.partial(_parse_deformation, what="deformation2"),
-                                  _parse_equivalence)
+    OD, def1, def2, eq = _load(args, _parse_deformation,
+                               functools.partial(_parse_deformation, what="deformation2"),
+                               _parse_equivalence)
     report = defm.check_equivalence(OD, def1, def2, eq)
     payload = {"ok": report.ok, "checks": _emit_checks(report)}
     if report.ok:
@@ -451,10 +433,10 @@ def cmd_equivalence_check(args) -> tuple:
 
 
 def cmd_rigidity(args) -> tuple:
-    config, OD = _load(args)
+    (OD,) = _load(args)
     _refuse(check_axioms(OD.base), "dialgebra axioms fail")
     _refuse(check_oriented_dialgebra(OD), "oriented dialgebra axioms fail")
-    candidates = defm.rigidity_probe(OD, config)
+    candidates = defm.rigidity_probe(OD)
     payload = {
         "dim": len(candidates),
         "obstruction_trivial": not candidates,

@@ -87,16 +87,11 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Resource caps; requests beyond them raise ResourceLimitError."""
-
-    max_group: int = 24
-    max_dim: int = 4
-    max_cochain_dim: int = 32_768   # dim of the largest space a map lands in
-
-
-DEFAULT_CONFIG = EngineConfig()
+# resource caps, fixed ceilings like ``trees.MAX_LEVEL``; a request beyond one
+# raises ResourceLimitError before any entry is written
+MAX_GROUP = 24
+MAX_DIM = 4
+MAX_COCHAIN_DIM = 32_768   # dim of the largest space a map lands in
 
 
 def sign_exponent(n: int) -> int:
@@ -135,9 +130,9 @@ def sign_exponent(n: int) -> int:
 # map in canonical scalars; ``vertical_entries`` and ``horizontal_entries``
 # copy those public maps into their blocks.
 #
-# The one size cap is ``EngineConfig.max_cochain_dim``: every assembly
-# checks the dimension of its target space before it writes an entry, and
-# both cohomology entry points check their outgoing map first.
+# The one size cap is ``MAX_COCHAIN_DIM``: every assembly checks the
+# dimension of its target space before it writes an entry, and both
+# cohomology entry points check their outgoing map first.
 # ``to_matrix`` has no cap; tests use it to compare a map with a dense one.
 
 
@@ -151,16 +146,16 @@ def cochain_dim(d: int, n: int) -> int:
     return catalan(n) * d ** n * d
 
 
-def _check_dialgebra_size(d: int, config: EngineConfig) -> None:
-    if d > config.max_dim:
-        raise ResourceLimitError(f"dimension {d} exceeds cap {config.max_dim}")
+def _check_dialgebra_size(d: int) -> None:
+    if d > MAX_DIM:
+        raise ResourceLimitError(f"dimension {d} exceeds cap {MAX_DIM}")
 
 
-def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
+def _check_target_size(space: str, dim: int) -> None:
     """Refuse, before any entry is written, a map into a space above the cap."""
-    if dim > config.max_cochain_dim:
+    if dim > MAX_COCHAIN_DIM:
         raise ResourceLimitError(
-            f"{space} has dimension {dim}, above the cap {config.max_cochain_dim}"
+            f"{space} has dimension {dim}, above the cap {MAX_COCHAIN_DIM}"
         )
 
 
@@ -168,11 +163,11 @@ def _check_target_size(space: str, dim: int, config: EngineConfig) -> None:
 # the tree-direction coboundary
 
 
-def _check_delta(D: Dialgebra, n: int, config: EngineConfig) -> None:
+def _check_delta(D: Dialgebra, n: int) -> None:
     if n < 0:
         raise ValueError("cochain level must be non-negative")
-    _check_dialgebra_size(D.dim, config)
-    _check_target_size(f"CY({n + 1})", cochain_dim(D.dim, n + 1), config)
+    _check_dialgebra_size(D.dim)
+    _check_target_size(f"CY({n + 1})", cochain_dim(D.dim, n + 1))
 
 
 def _divided(sm: SparseMap, scale: int) -> SparseMap:
@@ -191,9 +186,9 @@ def _delta_maps(D: Dialgebra, levels) -> list[tuple[SparseMap, int]]:
              nL) for n in levels]
 
 
-def delta_entries(D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG) -> SparseMap:
+def delta_entries(D: Dialgebra, n: int) -> SparseMap:
     """Sparse matrix of the coboundary CY(n) -> CY(n+1)."""
-    _check_delta(D, n, config)
+    _check_delta(D, n)
     return _divided(*_delta_maps(D, [n])[0])
 
 
@@ -259,17 +254,12 @@ def _mirror_perm(n: int) -> list[int]:
     return [idx[mirror(y).word] for y in enumerate_trees(n)]
 
 
-def act_entries(
-    OD: OrientedDialgebra,
-    g: int,
-    n: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> SparseMap:
+def act_entries(OD: OrientedDialgebra, g: int, n: int) -> SparseMap:
     """Sparse matrix of the action of g on CY(n)."""
     d = OD.dim
-    _check_dialgebra_size(d, config)
+    _check_dialgebra_size(d)
     dim = cochain_dim(d, n)
-    _check_target_size(f"CY({n})", dim, config)
+    _check_target_size(f"CY({n})", dim)
     (rho, rho_inv), nR = _scaled_maps([OD.action[g], OD.action[OD.group.inv(g)]])
     return _divided(SparseMap(dim, dim, columns=_act(rho, rho_inv, OD.sign(g), d, n)),
                     nR ** (n + 1))
@@ -319,12 +309,12 @@ def bicochain_dim(OD: OrientedDialgebra, p: int, q: int) -> int:
     return OD.group.order ** p * cochain_dim(OD.dim, q)
 
 
-def _check_group_order(OD: OrientedDialgebra, config: EngineConfig) -> None:
-    if OD.group.order > config.max_group:
-        raise ResourceLimitError(f"group order {OD.group.order} exceeds cap {config.max_group}")
+def _check_group_order(OD: OrientedDialgebra) -> None:
+    if OD.group.order > MAX_GROUP:
+        raise ResourceLimitError(f"group order {OD.group.order} exceeds cap {MAX_GROUP}")
 
 
-def _check_group_degree(OD: OrientedDialgebra, p: int, config: EngineConfig) -> None:
+def _check_group_degree(OD: OrientedDialgebra, p: int) -> None:
     """Refuse a negative group degree, and one whose blocks are too big, before any |G|^p.
 
     A block next to degree p has at least |G|^p group slots, so with
@@ -333,7 +323,7 @@ def _check_group_degree(OD: OrientedDialgebra, p: int, config: EngineConfig) -> 
     """
     if p < 0:
         raise ValueError("group degree must be non-negative")
-    cap = config.max_cochain_dim.bit_length() - 1
+    cap = MAX_COCHAIN_DIM.bit_length() - 1
     if OD.group.order >= 2 and p > cap:
         raise ResourceLimitError(f"group degree {p} exceeds cap {cap}")
 
@@ -401,33 +391,29 @@ def _write_vertical(out: list, acts: list, G, p: int, cd: int,
                     target[i] = x
 
 
-def vertical_entries(
-    OD: OrientedDialgebra, p: int, q: int, config: EngineConfig = DEFAULT_CONFIG
-) -> SparseMap:
+def vertical_entries(OD: OrientedDialgebra, p: int, q: int) -> SparseMap:
     """Group-direction coboundary (p, q) -> (p+1, q)."""
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
-    _check_group_order(OD, config)
-    _check_group_degree(OD, p, config)
+    _check_group_order(OD)
+    _check_group_degree(OD, p)
     m = OD.group.order
-    _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q), config)
+    _check_target_size(f"block ({p + 1}, {q})", bicochain_dim(OD, p + 1, q))
     cd = cochain_dim(OD.dim, q)
     sm = SparseMap(m ** (p + 1) * cd, m ** p * cd)
-    acts = [act_entries(OD, g, q, config).columns for g in range(m)]
+    acts = [act_entries(OD, g, q).columns for g in range(m)]
     _write_vertical(sm.columns, acts, OD.group, p, cd, 0, 0, 1, 1)
     return sm
 
 
-def horizontal_entries(
-    OD: OrientedDialgebra, p: int, q: int, config: EngineConfig = DEFAULT_CONFIG
-) -> SparseMap:
+def horizontal_entries(OD: OrientedDialgebra, p: int, q: int) -> SparseMap:
     """Tree-direction coboundary (p, q) -> (p, q+1): delta in each group slot."""
     if q < 1:
         raise ValueError("the reduced bicomplex keeps only q >= 1")
-    _check_group_degree(OD, p, config)
-    _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1), config)
+    _check_group_degree(OD, p)
+    _check_target_size(f"block ({p}, {q + 1})", bicochain_dim(OD, p, q + 1))
     slots = OD.group.order ** p
-    delta = delta_entries(OD.base, q, config)
+    delta = delta_entries(OD.base, q)
     sm = SparseMap(slots * delta.rows, slots * delta.cols)
     _write_horizontal(sm.columns, delta.columns, slots, delta.rows, delta.cols, 0, 0, 1)
     return sm
@@ -451,14 +437,14 @@ def _block_offsets(OD: OrientedDialgebra, n: int) -> dict[tuple[int, int], int]:
     return offsets
 
 
-def _check_total(OD: OrientedDialgebra, n: int, config: EngineConfig) -> None:
+def _check_total(OD: OrientedDialgebra, n: int) -> None:
     """The caps of Tot(n) -> Tot(n+1): the size of Tot(n+1) bounds every space the map
     touches, block (0, n+2), the target of the δ out of (0, n+1), included."""
     if n < 0:
         raise ValueError("total degree must be non-negative")
-    _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1), config)
-    _check_dialgebra_size(OD.dim, config)
-    _check_group_order(OD, config)
+    _check_target_size(f"Tot({n + 1})", total_dim(OD, n + 1))
+    _check_dialgebra_size(OD.dim)
+    _check_group_order(OD)
 
 
 def _total_maps(OD: OrientedDialgebra, degrees) -> list[tuple[SparseMap, int]]:
@@ -492,11 +478,9 @@ def _total_maps(OD: OrientedDialgebra, degrees) -> list[tuple[SparseMap, int]]:
     return maps
 
 
-def total_entries(
-    OD: OrientedDialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
-) -> SparseMap:
+def total_entries(OD: OrientedDialgebra, n: int) -> SparseMap:
     """Total differential Tot(n) -> Tot(n+1): D = ∂' + (-1)^q ∂'' blockwise."""
-    _check_total(OD, n, config)
+    _check_total(OD, n)
     return _divided(*_total_maps(OD, [n])[0])
 
 
@@ -561,23 +545,19 @@ def _quotient(
     return CohomologyResult(dim, reps, k, image_rank)
 
 
-def dialgebra_cohomology(
-    D: Dialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
-) -> CohomologyResult:
+def dialgebra_cohomology(D: Dialgebra, n: int) -> CohomologyResult:
     """HY(n): kernel of the level-n coboundary modulo the image below.
 
     Both coboundaries are assembled from the products times nL, so they
     are nL·δ, in integers.
     """
-    _check_delta(D, n, config)
+    _check_delta(D, n)
     maps = [delta for delta, _ in _delta_maps(D, [n, n - 1] if n else [n])]
     d_in = maps[1] if n else SparseMap(cochain_dim(D.dim, 0), 0)
     return _quotient(maps[0], d_in)
 
 
-def equivariant_cohomology(
-    OD: OrientedDialgebra, n: int, config: EngineConfig = DEFAULT_CONFIG
-) -> CohomologyResult:
+def equivariant_cohomology(OD: OrientedDialgebra, n: int) -> CohomologyResult:
     """Reduced equivariant cohomology at total degree n.
 
     Tot(n) and Tot(n-1) are assembled together in integers, from the
@@ -588,7 +568,7 @@ def equivariant_cohomology(
     Tot(n) in one packed product.  A nonzero square signals a
     sign-convention bug.
     """
-    _check_total(OD, n, config)
+    _check_total(OD, n)
     maps = [tot for tot, _ in _total_maps(OD, [n, n - 1] if n else [n])]
     d_in = maps[1] if n else SparseMap(total_dim(OD, 0), 0)
     return _quotient(maps[0], d_in, "total differential does not square to zero")

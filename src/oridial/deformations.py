@@ -69,8 +69,6 @@ from .cohomology import (
     degree1_pack,
     equivariant_cohomology,
     degree1_unpack,
-    EngineConfig,
-    DEFAULT_CONFIG,
 )
 from .dialgebra import (
     Check,
@@ -141,6 +139,8 @@ class DeformationEquivalence:
     psi: list
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("equivalence order must be at least 1")
         if self.order > MAX_ORDER:
             raise ValueError(f"equivalence order {self.order} exceeds cap {MAX_ORDER}")
         if len(self.psi) != self.order + 1:
@@ -433,11 +433,11 @@ def transport_constant(OD: OrientedDialgebra, psis: list, order: int) -> Truncat
                          (_series_inverse(S, nS), nS ** order), (S, nS))
 
 
-def rigidity_probe(OD: OrientedDialgebra, config: EngineConfig = DEFAULT_CONFIG) -> list:
+def rigidity_probe(OD: OrientedDialgebra) -> list:
     """One candidate (α, β) pair per basis class of the degree-1 obstruction space.
 
     A necessary-condition probe: an empty list does not by itself prove
     rigidity, but each candidate is an infinitesimal no equivalence can
     remove.
     """
-    return [degree1_unpack(OD, rep) for rep in equivariant_cohomology(OD, 1, config).representatives]
+    return [degree1_unpack(OD, rep) for rep in equivariant_cohomology(OD, 1).representatives]

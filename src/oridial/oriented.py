@@ -56,6 +56,8 @@ class OrientedGroup:
     def __init__(self, table, epsilon):
         self.order = len(table)
         self.table = [list(row) for row in table]
+        if any(len(row) != self.order for row in self.table):
+            raise ShapeMismatchError(f"table must be {self.order}x{self.order}")
         self.epsilon = list(epsilon)
         if len(self.epsilon) != self.order:
             raise ValueError("epsilon must assign a sign to every element")

@@ -33,7 +33,7 @@ MAX_LEVEL = 12
 
 
 class ResourceLimitError(Exception):
-    """Raised when a request would exceed the configured combinatorial caps."""
+    """Raised when a request would exceed the fixed caps."""
 
 
 def check_level(n: int) -> None:

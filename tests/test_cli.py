@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import importlib
 import json
@@ -121,7 +120,7 @@ def _constant_order1_bundle():
     bundle = dual_sign_bundle()
     const = {"order": 1, "ml": [mult, zero], "mr": [mult, zero],
              "phi": [bundle["action"], [zero[0], zero[0]]]}
-    bundle.update(deformation=const, deformation2=const,
+    bundle.update(deformation=const, deformation2=copy.deepcopy(const),
                   equivalence={"order": 1, "psi": [bundle["action"][0], zero[0]]})
     return bundle
 
@@ -131,16 +130,15 @@ def _constant_order1_bundle():
     ("dialgebra.dim", "2"),
     ("deformation.order", 1.0),
     ("equivalence.order", "1"),
-    ("config.max_group", True),
-    ("config.max_group", "24"),
-    ("config.max_dim", 2.9),
-    ("config.max_cochain_dim", 32768.0),
-    ("config.max_dim", 4.5),
-    ("config.max_cochain_dim", 1e6),
+    ("deformation2.order", 1.0),
+    ("group.order", 2.0),
+    ("group.order", "2"),
 ])
 def test_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
     section, key = field.split(".")
-    command = {"deformation": ["deform-check"], "equivalence": ["equivalence-check"]}.get(
+    command = {"deformation": ["deform-check"], "deformation2": ["equivalence-check"],
+               "equivalence": ["equivalence-check"],
+               "group": ["equivariant-cohomology", "--n", "0"]}.get(
         section, ["cohomology", "--n", "0"])
     bundle = _constant_order1_bundle()
     bundle.setdefault(section, {})[key] = int(value)
@@ -251,7 +249,7 @@ def test_trivial_group_equivariant_matches_shifted_plain(tmp_path, capsys):
 
 @pytest.mark.parametrize("section,dim", [(dual_numbers_section(), 1),
                                          (split_products_section(), 2)], ids=["dual", "split"])
-def test_default_config_reaches_equivariant_degree_3(tmp_path, capsys, section, dim):
+def test_fixed_caps_reach_equivariant_degree_3(tmp_path, capsys, section, dim):
     # with the trivial group, HG(3) is HY(4)
     path = write_bundle(tmp_path / "b.json", {**zero_trivial_bundle(), "dialgebra": section})
     for command in (["equivariant-cohomology", "--n", "3"], ["cohomology", "--n", "4"]):
@@ -690,7 +688,6 @@ def _every_section_bundle() -> dict:
         "projection": _emit(E.projection),
     }
     bundle["section"] = _emit(canonical_section(E))
-    bundle["config"] = dataclasses.asdict(coh.DEFAULT_CONFIG)
     return bundle
 
 
@@ -729,7 +726,6 @@ def test_every_command_accepts_the_every_section_bundle(tmp_path, capsys):
     (["deform-check"], "deformation", None),
     (["equivalence-check"], "deformation2", 2),
     (["equivalence-check"], "equivalence", ["order"]),
-    (["cohomology", "--n", "0"], "config", []),
 ])
 def test_object_section_of_another_type_exits_2(tmp_path, capsys, command, section, value):
     bundle = copy.deepcopy(_every_section_bundle())
@@ -740,14 +736,16 @@ def test_object_section_of_another_type_exits_2(tmp_path, capsys, command, secti
     assert json.loads(err)["error"] == f"{section}: section must be a JSON object"
 
 
-@pytest.mark.parametrize("key", ["max_levle", "max_dense_cells", "max_level", "max_degree"])
-def test_unknown_config_field_exits_2(tmp_path, capsys, key):
-    bundle = zero_trivial_bundle()
-    bundle["config"] = {key: 1}
-    path = write_bundle(tmp_path / "config.json", bundle)
+@pytest.mark.parametrize("config", [
+    {}, {"max_group": 24, "max_dim": 4, "max_cochain_dim": 32768}, {"max_levle": 1},
+    {"max_dense_cells": 1}, {"max_level": 1}, {"max_degree": 1},
+])
+def test_a_config_section_exits_2(tmp_path, capsys, config):
+    # the caps are fixed: a bundle cannot set them, not even to their own values
+    path = write_bundle(tmp_path / "config.json", {**zero_trivial_bundle(), "config": config})
     code, out, err = run_cli(capsys, ["cohomology", "--n", "1", "--input", path])
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == f"config: unknown field {key!r}"
+    assert json.loads(err)["error"] == "unknown bundle section 'config'"
 
 
 def test_unknown_bundle_section_exits_2(tmp_path, capsys):
@@ -841,14 +839,9 @@ def test_wrong_length_array_exits_2_naming_its_path(tmp_path, capsys, path, comm
     assert json.loads(err)["error"] == f"{path}: expected a list of {len(node)} entries"
 
 
-def test_docstring_names_every_bundle_section_and_config_field():
+def test_docstring_names_every_bundle_section():
     # the bundle format in the module docstring is the one the code reads
-    doc = cli.__doc__
-    assert set(re.findall(r'^    "(\w+)":', doc, re.MULTILINE)) == cli.BUNDLE_KEYS
-    config = doc[doc.index('"config":'):]
-    config = config[:config.index("}")]
-    shown = {key: int(value) for key, value in re.findall(r'"(\w+)": (\d+)', config)}
-    assert shown == dataclasses.asdict(coh.DEFAULT_CONFIG)
+    assert set(re.findall(r'^    "(\w+)":', cli.__doc__, re.MULTILINE)) == cli.BUNDLE_KEYS
 
 
 @pytest.mark.parametrize("command,change,message", [

@@ -1,7 +1,7 @@
-import dataclasses
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -897,12 +897,11 @@ def test_degree1_residuals_refuse_a_group_without_inverses():
     # the check_all_sections group: 1·1 = 1, so element 1 has no inverse;
     # whatever needs ρ(g⁻¹) refuses it instead of reading another matrix
     bundle = json.loads((GOLDEN_BUNDLES / "check_all_sections.json").read_text())
-    config = coh.DEFAULT_CONFIG
-    G = cli._parse_group(bundle["group"], config)
+    G = cli._parse_group(bundle["group"])
     with pytest.raises(NoInverseError, match="group element 1 has no inverse") as refused:
         G.inv(1)
     assert refused.value.witness == 1 and G.inv(0) == 0
-    OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], config.max_dim), G)
+    OD = cli._parse_oriented(bundle, cli._parse_dialgebra(bundle["dialgebra"], coh.MAX_DIM), G)
     alpha, beta = cli._parse_cocycle(bundle, OD)
     deformation = cli._parse_deformation(bundle, OD)
     for refuse in (lambda: coh.degree1_residuals(OD, alpha, beta),
@@ -956,20 +955,27 @@ def test_pack_unpack_roundtrip_after_basis_change(data):
     assert coh.degree1_unpack(OD, coh.degree1_pack(OD, *pair)) == (pair[0], tuple(pair[1]))
 
 
-def test_resource_caps(od_dual_sign, dia_dual):
-    # one refusal per field: the size of the target, the dimension, the group order
-    for build, args, refusal in (
-        (coh.equivariant_cohomology, (od_dual_sign, 5),
+@contextmanager
+def _capped(monkeypatch, **caps):
+    """Inside the block each named cap of ``cohomology`` has the given value."""
+    with monkeypatch.context() as patch:
+        for name, value in caps.items():
+            patch.setattr(coh, name, value)
+        yield
+
+
+def test_resource_caps(monkeypatch, od_dual_sign, dia_dual):
+    # one refusal per cap: the size of the target, the dimension, the group order
+    for build, args, caps, refusal in (
+        (coh.equivariant_cohomology, (od_dual_sign, 5), {},
          "Tot\\(6\\) has dimension 160000, above the cap 32768"),
-        (coh.delta_entries, (dia_dual, 2, coh.EngineConfig(max_dim=1)),
-         "dimension 2 exceeds cap 1"),
-        (coh.equivariant_cohomology, (od_dual_sign, 1, coh.EngineConfig(max_group=1)),
+        (coh.delta_entries, (dia_dual, 2), {"MAX_DIM": 1}, "dimension 2 exceeds cap 1"),
+        (coh.equivariant_cohomology, (od_dual_sign, 1), {"MAX_GROUP": 1},
          "group order 2 exceeds cap 1"),
     ):
-        with pytest.raises(ResourceLimitError, match=refusal):
+        with _capped(monkeypatch, **caps), pytest.raises(ResourceLimitError, match=refusal):
             build(*args)
-    assert [f.name for f in dataclasses.fields(coh.EngineConfig)] == [
-        "max_group", "max_dim", "max_cochain_dim"]
+    assert (coh.MAX_GROUP, coh.MAX_DIM, coh.MAX_COCHAIN_DIM) == (24, 4, 32_768)
 
 
 def _refuse_writes(monkeypatch) -> None:
@@ -1001,24 +1007,23 @@ def test_every_assembly_refuses_before_writing_an_entry(monkeypatch):
     dim5 = oriented_trivial(zero_dialgebra(5))
     # Tot(6) of dual-S₃ holds the block (6, 1) of dimension 6⁶·4; the target
     # is checked before the dimension and the group order, and all before any entry
-    small_group = coh.EngineConfig(max_group=2)
+    small_group = {"MAX_GROUP": 2}
     tot6 = f"Tot\\(6\\) has dimension {coh.total_dim(s3, 6)}"
-    for build, args, target in (
-        (coh.act_entries, (dim4, 0, 6), "CY\\(6\\) has dimension 2162688"),
-        (coh.act_entries, (dim5, 0, 1), "dimension 5 exceeds cap 4"),
-        (coh.delta_entries, (zero_dialgebra(5), 0), "dimension 5 exceeds cap 4"),
-        (coh.vertical_entries, (s3, 6, 1), "block \\(7, 1\\) has dimension 1119744"),
-        (coh.vertical_entries, (dim5, 0, 1), "dimension 5 exceeds cap 4"),
-        (coh.horizontal_entries, (s3, 5, 1), "block \\(5, 2\\) has dimension 124416"),
-        (coh.total_entries, (s3, 5), tot6),
-        (coh.total_entries, (dim5, 0), "dimension 5 exceeds cap 4"),
-        (coh.equivariant_cohomology, (s3, 5), tot6),
-        (coh.equivariant_cohomology, (s3, 5, small_group), tot6),
-        (coh.equivariant_cohomology, (s3, 1, small_group), "group order 6 exceeds cap 2"),
-        (coh.equivariant_cohomology, (s3, 1, coh.EngineConfig(max_dim=1)),
-         "dimension 2 exceeds cap 1"),
+    for build, args, caps, target in (
+        (coh.act_entries, (dim4, 0, 6), {}, "CY\\(6\\) has dimension 2162688"),
+        (coh.act_entries, (dim5, 0, 1), {}, "dimension 5 exceeds cap 4"),
+        (coh.delta_entries, (zero_dialgebra(5), 0), {}, "dimension 5 exceeds cap 4"),
+        (coh.vertical_entries, (s3, 6, 1), {}, "block \\(7, 1\\) has dimension 1119744"),
+        (coh.vertical_entries, (dim5, 0, 1), {}, "dimension 5 exceeds cap 4"),
+        (coh.horizontal_entries, (s3, 5, 1), {}, "block \\(5, 2\\) has dimension 124416"),
+        (coh.total_entries, (s3, 5), {}, tot6),
+        (coh.total_entries, (dim5, 0), {}, "dimension 5 exceeds cap 4"),
+        (coh.equivariant_cohomology, (s3, 5), {}, tot6),
+        (coh.equivariant_cohomology, (s3, 5), small_group, tot6),
+        (coh.equivariant_cohomology, (s3, 1), small_group, "group order 6 exceeds cap 2"),
+        (coh.equivariant_cohomology, (s3, 1), {"MAX_DIM": 1}, "dimension 2 exceeds cap 1"),
     ):
-        with pytest.raises(ResourceLimitError, match=target):
+        with _capped(monkeypatch, **caps), pytest.raises(ResourceLimitError, match=target):
             build(*args)
 
 
@@ -1068,14 +1073,15 @@ def test_an_unbounded_group_degree_is_refused_before_any_power(monkeypatch, od_d
 
     monkeypatch.setattr(od_dual_sign.group, "order", Powerless(2))
     for build in (coh.vertical_entries, coh.horizontal_entries):
-        for p, config, cap in ((16, coh.DEFAULT_CONFIG, 15), (10 ** 6, coh.DEFAULT_CONFIG, 15),
-                               (10 ** 7, coh.DEFAULT_CONFIG, 15),
-                               (21, coh.EngineConfig(max_cochain_dim=2 ** 21 - 1), 20)):
-            with pytest.raises(ResourceLimitError, match=f"^group degree {p} exceeds cap {cap}$"):
-                build(od_dual_sign, p, 1, config)
+        for p, caps, cap in ((16, {}, 15), (10 ** 6, {}, 15), (10 ** 7, {}, 15),
+                             (21, {"MAX_COCHAIN_DIM": 2 ** 21 - 1}, 20)):
+            with _capped(monkeypatch, **caps):
+                with pytest.raises(ResourceLimitError,
+                                   match=f"^group degree {p} exceeds cap {cap}$"):
+                    build(od_dual_sign, p, 1)
 
 
-def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
+def test_cochain_dim_cap_admits_exactly_its_bound(monkeypatch, dia_dual, od_dual_sign):
     for build, args, rows in (
         (coh.delta_entries, (dia_dual, 2), coh.cochain_dim(2, 3)),
         (coh.act_entries, (od_dual_sign, 1, 2), coh.cochain_dim(2, 2)),
@@ -1083,9 +1089,11 @@ def test_cochain_dim_cap_admits_exactly_its_bound(dia_dual, od_dual_sign):
         (coh.horizontal_entries, (od_dual_sign, 1, 1), coh.bicochain_dim(od_dual_sign, 1, 2)),
         (coh.total_entries, (od_dual_sign, 1), coh.total_dim(od_dual_sign, 2)),
     ):
-        assert build(*args, coh.EngineConfig(max_cochain_dim=rows)).rows == rows
+        monkeypatch.setattr(coh, "MAX_COCHAIN_DIM", rows)
+        assert build(*args).rows == rows
+        monkeypatch.setattr(coh, "MAX_COCHAIN_DIM", rows - 1)
         with pytest.raises(ResourceLimitError):
-            build(*args, coh.EngineConfig(max_cochain_dim=rows - 1))
+            build(*args)
 
 
 def test_builders_refuse_negative_levels_and_q_zero(dia_dual, od_dual_sign):

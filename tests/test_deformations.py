@@ -248,6 +248,14 @@ def test_deformation_above_max_order_is_refused(od_dual_sign):
     assert str(exc.value) == f"deformation order {order} exceeds cap {MAX_ORDER}"
 
 
+@pytest.mark.parametrize("order", [-1, 0])
+def test_equivalence_order_below_one_is_refused(order):
+    # ψ has order + 1 entries where it can, so only the order is at fault
+    with pytest.raises(ValueError) as exc:
+        DeformationEquivalence(order, [Matrix.identity(2)] * (order + 1))
+    assert str(exc.value) == "equivalence order must be at least 1"
+
+
 def test_equivalence_above_max_order_is_refused():
     order = MAX_ORDER + 1
     with pytest.raises(ValueError) as exc:

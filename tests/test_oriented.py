@@ -60,6 +60,11 @@ def test_group_refusals():
     with pytest.raises(ValueError) as exc:
         OrientedGroup([[0]], [1, 1])
     assert str(exc.value) == "epsilon must assign a sign to every element"
+    # a table that is not order x order is refused when it is built
+    for table in ([[0], [1, 0]], [[0, 1], [1]], [[0, 1, 2], [1, 0, 2]]):
+        with pytest.raises(ShapeMismatchError) as exc:
+            OrientedGroup(table, [1, 1])
+        assert str(exc.value) == "table must be 2x2"
     # an entry outside the elements stops the check at that clause
     report = check_oriented_group(OrientedGroup([[0, 5], [1, 0]], [1, 1]))
     assert [(c.name, c.ok, c.witness) for c in report.checks] == [

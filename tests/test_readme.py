@@ -1,9 +1,11 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs as it says, and its caps table holds the code's caps."""
 
 import re
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+
+from oridial import cohomology, deformations, trees
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +19,13 @@ def test_library_example_prints_its_comments():
     with redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_caps_table_lists_the_fixed_ceilings():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Resource caps"):]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([\d,]+) \|", section, re.MULTILINE)
+    caps = [(cohomology, "MAX_GROUP"), (cohomology, "MAX_DIM"), (cohomology, "MAX_COCHAIN_DIM"),
+            (trees, "MAX_LEVEL"), (deformations, "MAX_ORDER")]
+    assert [(name, module, int(value.replace(",", ""))) for name, module, value in rows] == [
+        (name, module.__name__.rsplit(".", 1)[1], getattr(module, name)) for module, name in caps]
